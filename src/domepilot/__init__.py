@@ -20,7 +20,7 @@ from .controller import (
     parse_signal,
     replay,
 )
-from .knn import KnnModel, default_k, distance, predict_knn, train_knn
+from .knn import KnnModel, default_k, distance, train_knn
 from .metrics import (
     ConfusionMatrix,
     EvalReport,
@@ -31,7 +31,7 @@ from .metrics import (
     mse,
     weighted_f1,
 )
-from .tree import TreeConfig, TreeModel, best_split, impurity, predict_tree, train_tree
+from .tree import TreeConfig, TreeModel, best_split, impurity, train_tree
 from .weather import (
     FEATURE_NAMES,
     TEMP_OPEN_HIGH,
@@ -43,7 +43,6 @@ from .weather import (
     SplitSpec,
     UnmappedConditionError,
     WeatherObservation,
-    condition_flag,
     derive_state,
     filter_city,
     parse_dataset,

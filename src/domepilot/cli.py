@@ -14,13 +14,14 @@ import json
 import logging
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
 from .controller import open_sink, decide_inputs, read_frames_csv, replay
 from .knn import KnnModel, default_k, train_knn
-from .metrics import evaluate, render_report
+from .metrics import evaluate, render_reports
 from .tree import TreeConfig, TreeModel, train_tree
 from .weather import (
     ConditionTable,
@@ -62,18 +63,19 @@ def save_model(model: Union[TreeModel, KnnModel], path: Union[str, Path]) -> Non
 
 
 def load_model(path: Union[str, Path]) -> Union[TreeModel, KnnModel]:
+    """Model saved by save_model; a malformed document raises ValueError."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a model document")
-    if "nodes" in doc:
-        return TreeModel.from_dict(doc)
-    if "data" in doc:
-        return KnnModel.from_dict(doc)
-    raise ValueError(f"{path}: unrecognized model document (no nodes or data)")
-
-
-def _model_kind(model: Union[TreeModel, KnnModel]) -> str:
-    return "dt" if isinstance(model, TreeModel) else "knn"
+    try:
+        loader = {"tree": TreeModel.from_dict, "knn": KnnModel.from_dict}[doc.get("kind")]
+    except (KeyError, TypeError):
+        raise ValueError(f"{path}: unrecognized model kind {doc.get('kind')!r}") from None
+    try:
+        return loader(doc)
+    except (KeyError, TypeError, AttributeError, IndexError, OverflowError) as exc:
+        raise ValueError(f"{path}: malformed {doc['kind']} model: "
+                         f"{type(exc).__name__}: {exc}") from None
 
 
 def _model_id(model: Union[TreeModel, KnnModel]) -> str:
@@ -193,7 +195,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             max_leaf_nodes=(_as_int(args.max_leaves, "--max-leaves")
                             if args.max_leaves is not None else DEFAULTS.tree.max_leaf_nodes),
             min_samples_leaf=DEFAULTS.tree.min_samples_leaf,
-            seed=spec.seed,
         )
         model: Union[TreeModel, KnnModel] = train_tree(train_set, config)
         extra = {"criterion": config.criterion, "max_leaf_nodes": config.max_leaf_nodes,
@@ -217,7 +218,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     data = Path(_require(args.data, "--data"))
     report_path = Path(_require(args.report, "--report"))
     model = load_model(model_path)
-    kind = _model_kind(model)
+    kind = "dt" if isinstance(model, TreeModel) else "knn"
     samples = read_labeled_csv(data)
     spec = _split_spec(args, kind)
     _, test_set = split(samples, spec)
@@ -225,7 +226,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     doc = {"split": {"test_fraction": spec.test_fraction, "seed": spec.seed},
            **report.as_dict()}
     _write_text_atomic(report_path, json.dumps(doc, sort_keys=True) + "\n")
-    print(render_report(report), end="")
+    print(render_reports([report]), end="")
     return 0
 
 
@@ -240,11 +241,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                        report.rejected, report.as_dict()["reasons"])
     if not frames:
         raise ValueError(f"no usable frames in {frames_path}")
-    if args.sink is not None:
-        with open_sink(args.sink) as sink:
-            log = replay(model.predict, frames, sink=sink)
-    else:
-        log = replay(model.predict, frames)
+    with open_sink(args.sink) if args.sink is not None else nullcontext() as sink:
+        log = replay(model.predict, frames, sink=sink)
     buffer = io.StringIO()
     log.to_jsonl(buffer)
     _write_text_atomic(log_path, buffer.getvalue())

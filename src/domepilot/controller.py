@@ -11,7 +11,6 @@ Actuator wire protocol: one newline-delimited ASCII line per decision,
 
 from __future__ import annotations
 
-import csv
 import json
 import socket
 import sys
@@ -25,11 +24,10 @@ from .weather import (
     CleaningReport,
     ConditionTable,
     PathOrStream,
-    SchemaError,
-    UnmappedConditionError,
     WeatherObservation,
     _observation_from_row,
     _opened,
+    _read_rows,
     _RowRejected,
     RAW_COLUMNS,
 )
@@ -201,26 +199,17 @@ def read_frames_csv(source: PathOrStream) -> tuple[list[SensorFrame], CleaningRe
     """
     report = CleaningReport()
     frames: list[SensorFrame] = []
-    with _opened(source) as stream:
-        reader = csv.DictReader(stream)
-        if reader.fieldnames is None:
-            raise SchemaError(f"missing required column(s): {', '.join(FRAME_COLUMNS)}")
-        by_name = {name.strip().lower(): name for name in reader.fieldnames if name}
-        missing = [col for col in FRAME_COLUMNS if col not in by_name]
-        if missing:
-            raise SchemaError(f"missing required column(s): {', '.join(missing)}")
-        for raw in reader:
-            report.rows_read += 1
-            row = {col: raw.get(by_name[col]) or "" for col in FRAME_COLUMNS}
-            try:
-                observation = _observation_from_row(row)
-                rain = _parse_rain(row["rain"])
-            except _RowRejected as rej:
-                report.reject(rej.reason)
-                continue
-            frames.append(SensorFrame(observation=observation, rain_detected=rain,
-                                      tick=len(frames)))
-            report.kept += 1
+    for _, cells in _read_rows(source, FRAME_COLUMNS):
+        report.rows_read += 1
+        try:
+            observation = _observation_from_row(cells)
+            rain = _parse_rain(cells[-1])
+        except _RowRejected as rej:
+            report.reject(rej.reason)
+            continue
+        frames.append(SensorFrame(observation=observation, rain_detected=rain,
+                                  tick=len(frames)))
+        report.kept += 1
     return frames, report
 
 

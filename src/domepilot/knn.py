@@ -7,13 +7,13 @@ so ties resolve toward the earlier training row.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
+
+from .tree import _as_arrays
 
 SCALINGS = ("none", "standardize")
 
@@ -48,9 +48,12 @@ class KnnModel:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
+        labels = np.asarray(self.labels)
+        if self.features.ndim != 2 or self.features.shape[0] != labels.shape[0]:
             raise ValueError("features and labels must align")
+        if not np.isin(labels, (0, 1)).all():
+            raise ValueError("labels must be binary 0/1")
+        self.labels = labels.astype(np.int64)
         if not 1 <= self.k <= self.labels.size:
             raise ValueError(f"k must be in [1, {self.labels.size}], got {self.k}")
         if self.scaling not in SCALINGS:
@@ -72,27 +75,16 @@ class KnnModel:
         return _standardize(np.asarray(values, dtype=float), self.means, self.stds)
 
     def predict(self, query: Sequence[float]) -> int:
-        return predict_knn(self, query)
+        """Majority label among the k nearest, ties on distance by lower index.
 
-    def predict_many(self, queries: Sequence[Sequence[float]],
-                     block: int = 256) -> np.ndarray:
-        """Vectorized batch prediction; identical results to predict()."""
-        Q = np.asarray(list(queries), dtype=float)
-        if Q.ndim != 2 or Q.shape[1] != self.n_features:
-            raise ValueError(f"queries must be (m, {self.n_features})")
-        out = np.empty(Q.shape[0], dtype=np.int64)
-        for start in range(0, Q.shape[0], block):
-            chunk = self._transform(Q[start:start + block])
-            sq = _squared_distances(chunk, self._train)
-            order = np.argsort(sq, axis=1, kind="stable")[:, :self.k]
-            ones = self.labels[order].sum(axis=1)
-            out[start:start + block] = _vote(ones, self.k)
-        return out
-
-    def distance(self, a: Sequence[float], b: Sequence[float]) -> float:
-        """Distance under this model's scaling."""
-        stats = (self.means, self.stds) if self.scaling == "standardize" else None
-        return distance(a, b, self.scaling, stats)
+        An exact vote tie (possible only with an even k) predicts 0.
+        """
+        q = tuple(float(v) for v in query)
+        if len(q) != self.n_features:
+            raise ValueError(f"expected {self.n_features} features, got {len(q)}")
+        sq = _squared_distances(self._transform(np.asarray(q)), self._train)
+        order = np.argsort(sq, kind="stable")[:self.k]
+        return int(self.labels[order].sum() * 2 > self.k)
 
     def to_dict(self) -> dict:
         doc = {"version": FORMAT_VERSION, "kind": "knn", "k": self.k,
@@ -114,58 +106,33 @@ class KnnModel:
         if rows.ndim != 2 or rows.shape[1] < 2:
             raise ValueError("knn model data must be rows of features plus a label")
         stats = doc.get("stats") or {}
-        return cls(features=rows[:, :-1], labels=rows[:, -1].astype(np.int64),
+        return cls(features=rows[:, :-1], labels=rows[:, -1],
                    k=int(doc["k"]), scaling=doc["scaling"],
                    means=stats.get("means"), stds=stats.get("stds"))
-
-    def save(self, sink: Union[str, Path, IO[str]]) -> None:
-        text = json.dumps(self.to_dict(), sort_keys=True)
-        if isinstance(sink, (str, Path)):
-            Path(sink).write_text(text + "\n", encoding="utf-8")
-        else:
-            sink.write(text + "\n")
-
-    @classmethod
-    def load(cls, source: Union[str, Path, IO[str]]) -> "KnnModel":
-        if isinstance(source, (str, Path)):
-            text = Path(source).read_text(encoding="utf-8")
-        else:
-            text = source.read()
-        return cls.from_dict(json.loads(text))
 
 
 def train_knn(samples: Sequence, k: int, scaling: str = "none") -> KnnModel:
     """Store the training set verbatim; compute scaling stats if requested."""
-    if len(samples) == 0:
-        raise ValueError("empty training set")
-    feats, labels = [], []
-    for s in samples:
-        if hasattr(s, "features"):
-            f, y = s.features, s.label
-        else:
-            f, y = s
-        feats.append(tuple(float(v) for v in f))
-        labels.append(int(y))
-    X = np.asarray(feats, dtype=float)
+    X, y = _as_arrays(samples)
     if not 1 <= k <= X.shape[0]:
         raise ValueError(f"k must be in [1, {X.shape[0]}], got {k}")
     means = stds = None
     if scaling == "standardize":
         means = X.mean(axis=0)
         stds = X.std(axis=0)
-    return KnnModel(features=X, labels=np.asarray(labels), k=k,
+    return KnnModel(features=X, labels=y, k=k,
                     scaling=scaling, means=means, stds=stds)
 
 
-def _squared_distances(Q: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """(m, n) squared Euclidean distances, accumulated feature by feature.
+def _squared_distances(q: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """(n,) squared Euclidean distances from q to each row of T.
 
-    The per-feature accumulation keeps the floating-point evaluation order
-    identical for single queries and batches, so ties are reproducible.
+    Accumulated feature by feature in a fixed order, so equal distances
+    compare equal and ties are reproducible.
     """
-    out = np.zeros((Q.shape[0], T.shape[0]))
-    for j in range(Q.shape[1]):
-        diff = Q[:, j, None] - T[None, :, j]
+    out = np.zeros(T.shape[0])
+    for j in range(q.size):
+        diff = q[j] - T[:, j]
         out += diff * diff
     return out
 
@@ -186,21 +153,4 @@ def distance(a: Sequence[float], b: Sequence[float], scaling: str = "none",
         stds = np.asarray(stats[1], dtype=float)
         va = _standardize(va, means, stds)
         vb = _standardize(vb, means, stds)
-    return float(np.sqrt(_squared_distances(va[None, :], vb[None, :])[0, 0]))
-
-
-def _vote(ones, k: int):
-    """Majority vote from the count of label-1 neighbors; exact ties -> 0."""
-    return (np.asarray(ones) * 2 > k).astype(np.int64)
-
-
-def predict_knn(model: KnnModel, query: Sequence[float]) -> int:
-    """Majority label among the k nearest, ties on distance by lower index."""
-    q = tuple(float(v) for v in query)
-    if len(q) != model.n_features:
-        raise ValueError(f"expected {model.n_features} features, got {len(q)}")
-    z = model._transform(np.asarray(q)[None, :])
-    sq = _squared_distances(z, model._train)[0]
-    order = np.argsort(sq, kind="stable")[:model.k]
-    ones = int(model.labels[order].sum())
-    return int(_vote(ones, model.k))
+    return float(np.sqrt(_squared_distances(va, vb[None, :])[0]))

@@ -146,31 +146,21 @@ def evaluate(model_predict_fn: Callable[[Sequence[float]], int],
             raise RuntimeError(f"prediction failed on test sample {i}: {exc}") from exc
         labels.append(int(sample.label))
     matrix = confusion(predictions, labels)
-    degenerate = tuple(klass for klass in (0, 1) if _degenerate(matrix, klass))
+    scores = {klass: f1(matrix, klass) for klass in (0, 1)}
     return EvalReport(
         matrix=matrix,
         accuracy=accuracy(matrix),
-        f1_class1=f1(matrix, 1),
-        f1_class0=f1(matrix, 0),
+        f1_class1=scores[1],
+        f1_class0=scores[0],
         weighted_f1=weighted_f1(matrix),
         mse=mse(predictions, labels),
         n_test=len(labels),
         model_id=model_id,
-        degenerate_f1_classes=degenerate,
+        # F1 is 0 exactly when the class has no true positive, i.e. when
+        # precision + recall == 0 and f1 fell back to 0.
+        degenerate_f1_classes=tuple(klass for klass, score in scores.items()
+                                    if score == 0.0),
     )
-
-
-def _degenerate(matrix: ConfusionMatrix, klass: int) -> bool:
-    tp, fp, fn = ((matrix.tp, matrix.fp, matrix.fn) if klass == 1
-                  else (matrix.tn, matrix.fn, matrix.fp))
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    return precision + recall == 0.0
-
-
-def render_report(report: EvalReport) -> str:
-    """Aligned text table, one metrics row per model."""
-    return render_reports([report])
 
 
 def render_reports(reports: Sequence[EvalReport]) -> str:

@@ -10,17 +10,15 @@ creation order.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import IO, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 CRITERIA = ("gini", "entropy")
 
 #: Version of the JSON model document this build reads and writes.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -28,8 +26,6 @@ class TreeConfig:
     criterion: str = "gini"
     max_leaf_nodes: int = 50
     min_samples_leaf: int = 1
-    # Accepted for interface symmetry; growth itself has no random choices.
-    seed: int = 324
 
     def __post_init__(self):
         if self.criterion not in CRITERIA:
@@ -172,7 +168,14 @@ class TreeModel:
     n_features: int
 
     def predict(self, features: Sequence[float]) -> int:
-        return predict_tree(self, features)
+        """Route from the root (left iff value <= threshold) to a leaf class."""
+        x = tuple(float(v) for v in features)
+        if len(x) != self.n_features:
+            raise ValueError(f"expected {self.n_features} features, got {len(x)}")
+        node = self.nodes[0]
+        while isinstance(node, Split):
+            node = self.nodes[node.left if x[node.feature] <= node.threshold else node.right]
+        return node.label
 
     @property
     def leaf_count(self) -> int:
@@ -196,34 +199,30 @@ class TreeModel:
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported tree model version {version!r}; "
                              f"this build reads version {FORMAT_VERSION}")
+        n_features = int(doc["n_features"])
         nodes: list = [None] * len(doc["nodes"])
         for rec in doc["nodes"]:
+            i = int(rec["id"])
+            if not 0 <= i < len(nodes):
+                raise ValueError(f"tree node id {i} out of range")
             if rec["type"] == "split":
                 node = Split(feature=int(rec["feature"]), threshold=float(rec["threshold"]),
                              left=int(rec["left"]), right=int(rec["right"]),
                              impurity=float(rec["impurity"]), n=int(rec["n"]))
+                # Children are created after their parent, so ids only grow
+                # along a path: no cycles, and routing always ends in a leaf.
+                if not (i < node.left < len(nodes) and i < node.right < len(nodes)):
+                    raise ValueError(f"tree node {i}: child ids must lie in "
+                                     f"({i}, {len(nodes)})")
+                if not 0 <= node.feature < n_features:
+                    raise ValueError(f"tree node {i}: feature {node.feature} is not "
+                                     f"below n_features {n_features}")
             else:
                 node = Leaf(label=int(rec["label"]), counts=tuple(rec["counts"]))
-            nodes[int(rec["id"])] = node
+            nodes[i] = node
         if not nodes or any(n is None for n in nodes):
             raise ValueError("tree model document has missing node ids")
-        return cls(config=TreeConfig(**doc["config"]), nodes=nodes,
-                   n_features=int(doc["n_features"]))
-
-    def save(self, sink: Union[str, Path, IO[str]]) -> None:
-        text = json.dumps(self.to_dict(), sort_keys=True)
-        if isinstance(sink, (str, Path)):
-            Path(sink).write_text(text + "\n", encoding="utf-8")
-        else:
-            sink.write(text + "\n")
-
-    @classmethod
-    def load(cls, source: Union[str, Path, IO[str]]) -> "TreeModel":
-        if isinstance(source, (str, Path)):
-            text = Path(source).read_text(encoding="utf-8")
-        else:
-            text = source.read()
-        return cls.from_dict(json.loads(text))
+        return cls(config=TreeConfig(**doc["config"]), nodes=nodes, n_features=n_features)
 
 
 def train_tree(train_samples: Sequence, config: TreeConfig = TreeConfig()) -> TreeModel:
@@ -275,14 +274,3 @@ def train_tree(train_samples: Sequence, config: TreeConfig = TreeConfig()) -> Tr
         enqueue(right_id, right_indices)
 
     return TreeModel(config=config, nodes=nodes, n_features=X.shape[1])
-
-
-def predict_tree(model: TreeModel, features: Sequence[float]) -> int:
-    """Route from the root (left iff value <= threshold) to a leaf class."""
-    x = tuple(float(v) for v in features)
-    if len(x) != model.n_features:
-        raise ValueError(f"expected {model.n_features} features, got {len(x)}")
-    node = model.nodes[0]
-    while isinstance(node, Split):
-        node = model.nodes[node.left if x[node.feature] <= node.threshold else node.right]
-    return node.label

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
+import operator
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date as Date, datetime
 from pathlib import Path
-from typing import IO, Iterable, Sequence, TypeVar, Union
+from typing import IO, Iterable, Iterator, Sequence, TypeVar, Union
 
 logger = logging.getLogger(__name__)
 
@@ -162,15 +165,6 @@ class ConditionTable:
         return cls(pairs)
 
 
-def condition_flag(condition: str, table: ConditionTable) -> int:
-    """Flag of the table entry matching ``condition`` (normalized).
-
-    Raises UnmappedConditionError for unknown descriptions; the caller
-    decides whether to reject the row or fail safe to 0.
-    """
-    return table.flag(condition)
-
-
 def derive_state(flag: int, temp: float,
                  low: float = TEMP_OPEN_LOW, high: float = TEMP_OPEN_HIGH) -> int:
     """Final dome state: 1 iff ``flag`` is 1 and ``low < temp < high``.
@@ -304,7 +298,7 @@ def _parse_hour(text: str) -> int:
 
 def _parse_number(text: str, column: str) -> float:
     """Parse a numeric cell, tolerating a short unit suffix ('21 °c', '7 km/h')."""
-    raw = (text or "").strip().lower()
+    raw = text.strip().lower()
     if column == "wind" and raw in ("no wind", "calm"):
         return 0.0
     m = _NUMBER_RE.match(raw)
@@ -320,21 +314,49 @@ def _parse_number(text: str, column: str) -> float:
     return value
 
 
-def _observation_from_row(row: dict[str, str]) -> WeatherObservation:
+def _observation_from_row(cells: Sequence[str]) -> WeatherObservation:
+    """Observation from the cells of one row, in RAW_COLUMNS order."""
+    city, day, time, temp, wind, humidity, barometer, visibility, weather = cells[:9]
     try:
         return WeatherObservation(
-            city=(row["city"] or "").strip(),
-            date=_parse_date(row["date"]),
-            hour=_parse_hour(row["time"]),
-            temp=_parse_number(row["temp"], "temp"),
-            wind=_parse_number(row["wind"], "wind"),
-            humidity=_parse_number(row["humidity"], "humidity"),
-            barometer=_parse_number(row["barometer"], "barometer"),
-            visibility=_parse_number(row["visibility"], "visibility"),
-            condition=(row["weather"] or "").strip(),
+            city=city.strip(),
+            date=_parse_date(day),
+            hour=_parse_hour(time),
+            temp=_parse_number(temp, "temp"),
+            wind=_parse_number(wind, "wind"),
+            humidity=_parse_number(humidity, "humidity"),
+            barometer=_parse_number(barometer, "barometer"),
+            visibility=_parse_number(visibility, "visibility"),
+            condition=weather.strip(),
         )
     except ValueError as exc:  # invariant violations from __post_init__
         raise _RowRejected("invalid_values") from exc
+
+
+def _read_rows(source: PathOrStream,
+               columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """(line number, cells in ``columns`` order) for each non-blank CSV row.
+
+    Header names match case-insensitively, in any order; extra columns are
+    ignored and a missing one raises SchemaError. Short rows read as empty
+    cells.
+    """
+    with _opened(source) as stream:
+        reader = csv.reader(stream)
+        header = next(reader, None) or []
+        by_name = {name.strip().lower(): i for i, name in enumerate(header) if name}
+        missing = [col for col in columns if col not in by_name]
+        if missing:
+            raise SchemaError(f"missing required column(s): {', '.join(missing)}")
+        positions = [by_name[col] for col in columns]
+        pick = operator.itemgetter(*positions)
+        width = max(positions) + 1
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            yield reader.line_num, pick(row)
 
 
 def parse_dataset(source: PathOrStream) -> tuple[list[WeatherObservation], CleaningReport]:
@@ -347,22 +369,13 @@ def parse_dataset(source: PathOrStream) -> tuple[list[WeatherObservation], Clean
     """
     report = CleaningReport()
     observations: list[WeatherObservation] = []
-    with _opened(source) as stream:
-        reader = csv.DictReader(stream)
-        if reader.fieldnames is None:
-            raise SchemaError(f"missing required column(s): {', '.join(RAW_COLUMNS)}")
-        by_name = {name.strip().lower(): name for name in reader.fieldnames if name}
-        missing = [col for col in RAW_COLUMNS if col not in by_name]
-        if missing:
-            raise SchemaError(f"missing required column(s): {', '.join(missing)}")
-        for raw in reader:
-            report.rows_read += 1
-            row = {col: raw.get(by_name[col]) or "" for col in RAW_COLUMNS}
-            try:
-                observations.append(_observation_from_row(row))
-                report.kept += 1
-            except _RowRejected as rej:
-                report.reject(rej.reason)
+    for _, cells in _read_rows(source, RAW_COLUMNS):
+        report.rows_read += 1
+        try:
+            observations.append(_observation_from_row(cells))
+            report.kept += 1
+        except _RowRejected as rej:
+            report.reject(rej.reason)
     return observations, report
 
 
@@ -390,7 +403,7 @@ def to_samples(observations: Sequence[WeatherObservation],
     for obs in observations:
         report.rows_read += 1
         try:
-            flag = condition_flag(obs.condition, table)
+            flag = table.flag(obs.condition)
         except UnmappedConditionError:
             report.reject("unmapped_condition")
             continue
@@ -458,35 +471,28 @@ def write_labeled_csv(samples: Iterable[LabeledSample], sink: PathOrStream) -> N
 
 
 def read_labeled_csv(source: PathOrStream) -> list[LabeledSample]:
-    """Read a labeled CSV produced by write_labeled_csv."""
+    """Read a labeled CSV produced by write_labeled_csv.
+
+    Features must be finite numbers and the state 0 or 1; any other cell is
+    a ValueError naming its line.
+    """
     samples = []
-    with _opened(source) as stream:
-        reader = csv.DictReader(stream)
-        missing = [c for c in LABELED_COLUMNS
-                   if c not in (reader.fieldnames or [])]
-        if missing:
-            raise SchemaError(f"missing required column(s): {', '.join(missing)}")
-        for row in reader:
-            features = tuple(float(row[name]) for name in FEATURE_NAMES)
-            samples.append(LabeledSample(features, int(row["state"])))
+    for line, cells in _read_rows(source, LABELED_COLUMNS):
+        try:
+            features = tuple(map(float, cells[:-1]))
+            if not all(map(math.isfinite, features)):
+                raise ValueError(f"non-finite feature in {cells[:-1]}")
+            samples.append(LabeledSample(features, int(cells[-1])))
+        except ValueError as exc:
+            raise ValueError(f"labeled CSV line {line}: {exc}") from None
     return samples
 
 
-class _opened:
+@contextmanager
+def _opened(source: PathOrStream, mode: str = "r") -> Iterator[IO[str]]:
     """Open paths for the caller, pass streams through unchanged."""
-
-    def __init__(self, source: PathOrStream, mode: str = "r"):
-        self.source = source
-        self.mode = mode
-        self._owned = None
-
-    def __enter__(self):
-        if isinstance(self.source, (str, Path)):
-            self._owned = open(self.source, self.mode, encoding="utf-8", newline="")
-            return self._owned
-        return self.source
-
-    def __exit__(self, *exc):
-        if self._owned is not None:
-            self._owned.close()
-        return False
+    if isinstance(source, (str, Path)):
+        with open(source, mode, encoding="utf-8", newline="") as stream:
+            yield stream
+    else:
+        yield source

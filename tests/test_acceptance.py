@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from domepilot.cli import load_model, save_model
 from domepilot.controller import decide_inputs, emit_signal
 from domepilot.knn import KnnModel, default_k, train_knn
 from domepilot.metrics import ConfusionMatrix, accuracy, confusion, f1, mse, weighted_f1
@@ -21,7 +22,6 @@ from domepilot.tree import Leaf, Split, TreeConfig, TreeModel, best_split, impur
 from domepilot.weather import (
     ConditionTable,
     SplitSpec,
-    condition_flag,
     derive_state,
     filter_city,
     parse_dataset,
@@ -53,7 +53,7 @@ def train_and_score(samples, *, tree_config=None, knn_k=None):
     knn_train, knn_test = split(samples, SplitSpec(0.30, 101))
     k = knn_k if knn_k is not None else default_k(len(knn_train))
     knn_model = train_knn(knn_train, k)
-    predictions = knn_model.predict_many([s.features for s in knn_test])
+    predictions = np.array([knn_model.predict(s.features) for s in knn_test])
     labels = np.array([s.label for s in knn_test])
     knn_accuracy = float((predictions == labels).mean())
     return dt_accuracy, knn_accuracy, k
@@ -96,7 +96,7 @@ def test_criterion_2_synthetic_oracle_replication():
     from domepilot.synthetic import bucket_condition
     for s in samples:
         temp, _, _, _, visibility, barometer = s.features
-        flag = condition_flag(bucket_condition(visibility, barometer), table)
+        flag = table.flag(bucket_condition(visibility, barometer))
         assert s.label == derive_state(flag, temp)
 
     dt_accuracy, knn_accuracy, k = train_and_score(samples)
@@ -111,7 +111,7 @@ def test_criterion_3_condition_table_exactness():
     name = "table-exactness"
     table = ConditionTable.builtin()
     mismatches = [condition for condition, flag in EXPECTED_TABLE1
-                  if condition_flag(condition, table) != flag]
+                  if table.flag(condition) != flag]
     ok = len(EXPECTED_TABLE1) == 36 and len(table) == 36 and not mismatches
     check(3, name, ok, f"36 lookups exact, mismatches={mismatches}")
 
@@ -296,14 +296,13 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
     probes = rng.uniform([0, 0, 0, 0, 0, 990], [45, 30, 1, 23, 16, 1040],
                          size=(1000, 6))
     dt_path = tmp_path / "dt.json"
-    dt_a.save(dt_path)
-    dt_loaded = TreeModel.load(dt_path)
+    save_model(dt_a, dt_path)
+    dt_loaded = load_model(dt_path)
     dt_round_trip = all(dt_a.predict(p) == dt_loaded.predict(p) for p in probes)
     knn_path = tmp_path / "knn.json"
-    knn_a.save(knn_path)
-    knn_loaded = KnnModel.load(knn_path)
-    knn_round_trip = (list(knn_a.predict_many(probes))
-                      == list(knn_loaded.predict_many(probes)))
+    save_model(knn_a, knn_path)
+    knn_loaded = load_model(knn_path)
+    knn_round_trip = all(knn_a.predict(p) == knn_loaded.predict(p) for p in probes)
 
     from domepilot.metrics import evaluate
     _, test_set = split(samples, SplitSpec(0.33, 324))

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from domepilot.cli import DEFAULTS, RunConfig, load_model, save_model
-from domepilot.knn import train_knn
+from domepilot.knn import distance, train_knn
 from domepilot.synthetic import synthetic_frames, synthetic_observations, to_raw_csv
 from domepilot.tree import TreeConfig
 from domepilot.weather import SplitSpec
@@ -44,7 +44,7 @@ def test_default_run_config_snapshot():
     config = RunConfig()
     assert config.city == "Al Madina"
     assert config.tree == TreeConfig(criterion="gini", max_leaf_nodes=50,
-                                     min_samples_leaf=1, seed=324)
+                                     min_samples_leaf=1)
     assert config.dt_split == SplitSpec(test_fraction=0.33, seed=324)
     assert config.knn_k == "auto"
     assert config.knn_scaling == "none"
@@ -297,7 +297,7 @@ def test_model_version_mismatch_names_both_versions(workspace, tmp_path):
                      "--humidity", 0.33, "--hour", 0, "--visibility", 16,
                      "--barometer", 1020, "--rain", 0)
     assert result.returncode == 2
-    assert "99" in result.stderr and "version 1" in result.stderr
+    assert "99" in result.stderr and "version 2" in result.stderr
 
 
 # ---------------------------------------------------------------- save/load
@@ -309,7 +309,8 @@ def test_save_and_load_round_trip_knn(tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.scaling == "standardize"
-    assert loaded.distance(samples[0][0], samples[0][0]) == 0.0
+    stats = (loaded.means, loaded.stds)
+    assert distance(samples[0][0], samples[0][0], "standardize", stats) == 0.0
     assert [loaded.predict(f) for f, _ in samples] == [model.predict(f)
                                                        for f, _ in samples]
 
@@ -318,4 +319,48 @@ def test_load_rejects_unrecognized_documents(tmp_path):
     path = tmp_path / "odd.json"
     path.write_text('{"version": 1}')
     with pytest.raises(ValueError, match="unrecognized"):
+        load_model(path)
+
+
+PREDICT_ARGS = ("--temp", 21, "--wind", 0, "--humidity", 0.33, "--hour", 0,
+                "--visibility", 16, "--barometer", 1020, "--rain", 0)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.pop("config"),
+    lambda doc: doc.pop("n_features"),
+    lambda doc: doc["nodes"][0].pop("type"),
+    lambda doc: doc.update(config=[1, 2]),
+    lambda doc: doc.update(nodes=5),
+    lambda doc: doc.update(kind=["tree"]),
+    lambda doc: doc["nodes"][0].update(left=0, right=0, type="split", feature=0,
+                                       threshold=0.0, impurity=0.0, n=1),
+])
+def test_malformed_tree_documents_exit_2_without_traceback(workspace, tmp_path, edit):
+    doc = json.loads(workspace["dt"].read_text())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = subprocess.run([sys.executable, "-m", "domepilot", "predict", "--model",
+                             str(path), *map(str, PREDICT_ARGS)],
+                            capture_output=True, text=True, timeout=30)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("domepilot: error:")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.pop("k"),
+    lambda doc: doc.update(k=None),
+    lambda doc: doc.update(data="rows"),
+    lambda doc: doc.pop("scaling"),
+])
+def test_malformed_knn_documents_raise_value_error(tmp_path, edit):
+    samples = [((float(i), 0.0, 0.0, 0.0, 0.0, 1.0), i % 2) for i in range(10)]
+    path = tmp_path / "knn.json"
+    save_model(train_knn(samples, k=3), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
         load_model(path)

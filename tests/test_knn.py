@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from domepilot.knn import KnnModel, default_k, distance, predict_knn, train_knn
+from domepilot.cli import load_model, save_model
+from domepilot.knn import KnnModel, default_k, distance, train_knn
 
 
 def toy_samples(rows):
@@ -77,7 +78,7 @@ def test_constant_feature_is_excluded_from_standardized_distance():
     assert model.stds[5] == 0.0
     a = (1, 2, 0.1, 4, 10, 900)
     b = (1, 2, 0.1, 4, 10, 1100)
-    assert model.distance(a, b) == 0.0
+    assert distance(a, b, "standardize", (model.means, model.stds)) == 0.0
 
 
 # ---------------------------------------------------------------- distance
@@ -127,9 +128,7 @@ def test_majority_of_three_nearest():
 def test_wrong_arity_query_is_an_error():
     model = train_knn(toy_samples([((0,) * 6, 0), ((1,) * 6, 1)]), k=1)
     with pytest.raises(ValueError):
-        predict_knn(model, (1.0, 2.0))
-    with pytest.raises(ValueError):
-        model.predict_many([(1.0, 2.0)])
+        model.predict((1.0, 2.0))
 
 
 def test_predictions_match_the_sort_and_vote_oracle():
@@ -142,9 +141,6 @@ def test_predictions_match_the_sort_and_vote_oracle():
         for q in queries:
             expected = oracle_predict(features, labels, k, q)
             assert model.predict(q) == expected
-        batch = model.predict_many(queries)
-        assert list(batch) == [oracle_predict(features, labels, k, q)
-                               for q in queries]
         trials += 1
 
 
@@ -164,11 +160,11 @@ def test_prediction_invariant_under_training_permutation():
     query = rng.uniform(0, 10, size=6)
     dists = sorted(math.dist(query, f) for f in features)
     assert min(b - a for a, b in zip(dists, dists[1:])) > 0  # no ties fire
-    base = predict_knn(train_knn(list(zip(map(tuple, features), labels)), k=7), query)
+    base = train_knn(list(zip(map(tuple, features), labels)), k=7).predict(query)
     for seed in range(5):
         order = np.random.default_rng(seed).permutation(30)
         shuffled = train_knn(list(zip(map(tuple, features[order]), labels[order])), k=7)
-        assert predict_knn(shuffled, query) == base
+        assert shuffled.predict(query) == base
 
 
 def test_standardized_predictions_survive_feature_rescaling():
@@ -208,12 +204,13 @@ def test_json_round_trip_preserves_predictions(tmp_path):
         model = train_knn(list(zip(map(tuple, features), labels)), k=7,
                           scaling=scaling)
         path = tmp_path / f"knn-{scaling}.json"
-        model.save(path)
-        loaded = KnnModel.load(path)
+        save_model(model, path)
+        loaded = load_model(path)
         assert loaded.k == 7 and loaded.scaling == scaling
-        assert loaded.distance(features[0], features[0]) == 0.0
+        stats = (loaded.means, loaded.stds)
+        assert distance(features[0], features[0], scaling, stats) == 0.0
         probes = rng.uniform(0, 10, size=(100, 6))
-        assert list(model.predict_many(probes)) == list(loaded.predict_many(probes))
+        assert [model.predict(p) for p in probes] == [loaded.predict(p) for p in probes]
 
 
 def test_version_mismatch_names_both_versions():
@@ -222,3 +219,13 @@ def test_version_mismatch_names_both_versions():
     doc["version"] = 7
     with pytest.raises(ValueError, match="7.*version 1"):
         KnnModel.from_dict(doc)
+
+
+def test_non_binary_labels_are_rejected_at_training_and_on_load():
+    with pytest.raises(ValueError, match="0/1"):
+        train_knn(toy_samples([((0,) * 6, 0), ((1,) * 6, 7)]), k=1)
+    doc = train_knn(toy_samples([((0,) * 6, 0), ((1,) * 6, 1)]), k=1).to_dict()
+    for bad in (7, 0.5, -1):
+        doc["data"][1][-1] = bad
+        with pytest.raises(ValueError, match="0/1"):
+            KnnModel.from_dict(doc)

@@ -9,7 +9,6 @@ from domepilot.metrics import (
     evaluate,
     f1,
     mse,
-    render_report,
     render_reports,
     weighted_f1,
 )
@@ -167,7 +166,7 @@ def test_report_dict_and_render():
     report = evaluate(lambda features: int(features[0] < 2), sample_set([1, 1, 0, 0]))
     doc = report.as_dict()
     assert doc["confusion"] == {"tp": 2, "tn": 2, "fp": 0, "fn": 0}
-    text = render_report(report)
+    text = render_reports([report])
     assert text.splitlines()[0].split() == ["model", "F1->1", "F1->0",
                                             "weighted", "F1", "MSE", "accuracy"]
     assert "n_test=4" in text

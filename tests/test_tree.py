@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from domepilot.cli import load_model, save_model
 from domepilot.synthetic import synthetic_observations
 from domepilot.tree import (
     Leaf,
@@ -12,7 +13,6 @@ from domepilot.tree import (
     TreeModel,
     best_split,
     impurity,
-    predict_tree,
     train_tree,
 )
 from domepilot.weather import ConditionTable, to_samples
@@ -282,7 +282,7 @@ def test_routing_follows_the_threshold():
 def test_wrong_arity_is_an_error():
     model = train_tree(labeled_set(50, seed=1), TreeConfig())
     with pytest.raises(ValueError):
-        predict_tree(model, (1.0, 2.0))
+        model.predict((1.0, 2.0))
 
 
 # ---------------------------------------------------------------- persistence
@@ -291,8 +291,8 @@ def test_json_round_trip_preserves_predictions(tmp_path):
     samples = labeled_set(400, seed=13)
     model = train_tree(samples, TreeConfig(max_leaf_nodes=50))
     path = tmp_path / "tree.json"
-    model.save(path)
-    loaded = TreeModel.load(path)
+    save_model(model, path)
+    loaded = load_model(path)
     rng = np.random.default_rng(2)
     probes = rng.uniform([0, 0, 0, 0, 0, 990], [45, 30, 1, 23, 16, 1040],
                          size=(1000, 6))
@@ -304,17 +304,17 @@ def test_version_mismatch_names_both_versions():
     model = train_tree([((1.0,), 0), ((2.0,), 1)], TreeConfig())
     doc = model.to_dict()
     doc["version"] = 99
-    with pytest.raises(ValueError, match="99.*version 1"):
+    with pytest.raises(ValueError, match="99.*version 2"):
         TreeModel.from_dict(doc)
 
 
 def test_truncated_document_fails_to_load(tmp_path):
     model = train_tree([((1.0,), 0), ((2.0,), 1)], TreeConfig())
     path = tmp_path / "tree.json"
-    model.save(path)
+    save_model(model, path)
     path.write_text(path.read_text()[:40])
     with pytest.raises(ValueError):
-        TreeModel.load(path)
+        load_model(path)
 
 
 def test_config_validation():
@@ -331,6 +331,28 @@ def test_entropy_criterion_trains_and_serializes(tmp_path):
     model = train_tree(samples, TreeConfig(criterion="entropy", max_leaf_nodes=10))
     assert model.leaf_count <= 10
     path = tmp_path / "tree.json"
-    model.save(path)
+    save_model(model, path)
     assert json.loads(path.read_text())["config"]["criterion"] == "entropy"
-    assert TreeModel.load(path).predict(samples[0].features) in (0, 1)
+    assert load_model(path).predict(samples[0].features) in (0, 1)
+
+
+def stump_document():
+    nodes = [Split(feature=0, threshold=21.5, left=1, right=2, impurity=0.5, n=2),
+             Leaf(label=1, counts=(0, 1)), Leaf(label=0, counts=(1, 0))]
+    return TreeModel(config=TreeConfig(), nodes=nodes, n_features=6).to_dict()
+
+
+@pytest.mark.parametrize("link,value", [("left", 0), ("right", 0), ("left", 3),
+                                        ("right", 7), ("left", -1)])
+def test_split_children_must_follow_their_parent_and_exist(link, value):
+    doc = stump_document()
+    doc["nodes"][0][link] = value
+    with pytest.raises(ValueError, match="child ids"):
+        TreeModel.from_dict(doc)
+
+
+def test_split_feature_must_be_below_n_features():
+    doc = stump_document()
+    doc["nodes"][0]["feature"] = 6
+    with pytest.raises(ValueError, match="n_features"):
+        TreeModel.from_dict(doc)

@@ -14,7 +14,6 @@ from domepilot.weather import (
     SplitSpec,
     UnmappedConditionError,
     WeatherObservation,
-    condition_flag,
     derive_state,
     filter_city,
     normalize_condition,
@@ -41,21 +40,21 @@ def test_builtin_table_matches_frozen_copy_exhaustively():
     table = ConditionTable.builtin()
     assert len(table) == 36
     for condition, flag in EXPECTED_TABLE1:
-        assert condition_flag(condition, table) == flag, condition
+        assert table.flag(condition) == flag, condition
 
 
 def test_lookup_is_case_insensitive_and_whitespace_collapsed():
     table = ConditionTable.builtin()
-    assert condition_flag("rain  passing   clouds", table) == 0
-    assert condition_flag("CLEAR", table) == 1
-    assert condition_flag("  duststorm ", table) == 0
+    assert table.flag("rain  passing   clouds") == 0
+    assert table.flag("CLEAR") == 1
+    assert table.flag("  duststorm ") == 0
     assert normalize_condition("  Rain   Passing Clouds ") == "rain passing clouds"
 
 
 def test_unknown_condition_raises_carrying_the_string():
     table = ConditionTable.builtin()
     with pytest.raises(UnmappedConditionError) as err:
-        condition_flag("Frogs falling", table)
+        table.flag("Frogs falling")
     assert err.value.condition == "Frogs falling"
 
 
@@ -72,7 +71,7 @@ def test_table_from_csv_supports_header_and_any_size():
     stream = io.StringIO("condition,flag\nClear,1\nMud rain,0\n")
     table = ConditionTable.from_csv(stream)
     assert len(table) == 2
-    assert condition_flag("mud rain", table) == 0
+    assert table.flag("mud rain") == 0
     with pytest.raises(ValueError):
         ConditionTable.from_csv(io.StringIO("Clear,banana\n"))
 
@@ -321,6 +320,29 @@ def test_labeled_csv_missing_column_is_schema_error(tmp_path):
     path.write_text("temp,wind,humidity,hour,visibility,state\n")
     with pytest.raises(SchemaError, match="barometer"):
         read_labeled_csv(path)
+
+
+LABELED_HEADER = "temp,wind,humidity,hour,visibility,barometer,state\n"
+GOOD_ROW = "21.0,3.0,0.4,12.0,16.0,1012.0,1\n"
+
+
+@pytest.mark.parametrize("row", ["nan,3.0,0.4,12.0,16.0,1012.0,1\n",
+                                 "21.0,inf,0.4,12.0,16.0,1012.0,1\n",
+                                 "21.0,3.0,0.4,12.0,16.0,-Infinity,0\n",
+                                 "21.0,3.0,abc,12.0,16.0,1012.0,1\n",
+                                 "21.0,3.0,0.4,12.0,16.0,1012.0,7\n",
+                                 "21.0,3.0,0.4,12.0\n"])
+def test_labeled_csv_bad_cells_name_their_line(row):
+    stream = io.StringIO(LABELED_HEADER + GOOD_ROW + "\n" + row)
+    with pytest.raises(ValueError, match="line 4"):
+        read_labeled_csv(stream)
+
+
+def test_labeled_csv_header_is_case_insensitive_and_order_free():
+    stream = io.StringIO("State, BAROMETER,temp,wind,humidity,hour,visibility\n"
+                         "1,1012.0,21.0,3.0,0.4,12.0,16.0\n")
+    assert read_labeled_csv(stream) == [
+        LabeledSample((21.0, 3.0, 0.4, 12.0, 16.0, 1012.0), 1)]
 
 
 def test_sample_validation():
