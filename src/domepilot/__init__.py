@@ -7,6 +7,7 @@ controller with a hard rain override and AC interlock.
 
 from .controller import (
     CAUSE_MODEL,
+    CAUSE_MODEL_ERROR,
     CAUSE_RAIN,
     CAUSE_TEMP,
     CAUSE_UNMAPPED,

@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -73,6 +74,8 @@ def load_model(path: Union[str, Path]) -> Union[TreeModel, KnnModel]:
         raise ValueError(f"{path}: unrecognized model kind {doc.get('kind')!r}") from None
     try:
         return loader(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     except (KeyError, TypeError, AttributeError, IndexError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed {doc['kind']} model: "
                          f"{type(exc).__name__}: {exc}") from None
@@ -103,9 +106,12 @@ def _as_int(value, name: str) -> int:
 
 def _as_float(value, name: str) -> float:
     try:
-        return float(str(value))
+        number = float(str(value))
     except ValueError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 def _require(value, flag: str):

@@ -1,9 +1,11 @@
 """Dome controller loop: sense -> predict -> gate -> override -> actuate.
 
 The rain sensor is a hard, stateless override: any positive forces the dome
-closed for that frame. The temperature gate is re-checked at decision time
-as defense in depth even though the model was trained on gated labels. Air
-conditioning is interlocked to run exactly when the dome is closed.
+closed for that frame, whatever the model does. A model that raises or
+returns anything but 0 or 1 closes the dome for that frame. The temperature
+gate is re-checked at decision time as defense in depth even though the
+model was trained on gated labels. Air conditioning is interlocked to run
+exactly when the dome is closed.
 
 Actuator wire protocol: one newline-delimited ASCII line per decision,
 ``D:<0|1> A:<0|1>`` (dome, ac).
@@ -12,6 +14,7 @@ Actuator wire protocol: one newline-delimited ASCII line per decision,
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import sys
 from contextlib import contextmanager
@@ -36,10 +39,13 @@ CAUSE_MODEL = "model"
 CAUSE_RAIN = "rain_override"
 CAUSE_TEMP = "temp_gate"
 CAUSE_UNMAPPED = "unmapped_condition"
-CAUSES = (CAUSE_MODEL, CAUSE_RAIN, CAUSE_TEMP, CAUSE_UNMAPPED)
+CAUSE_MODEL_ERROR = "model_error"
+CAUSES = (CAUSE_MODEL, CAUSE_RAIN, CAUSE_TEMP, CAUSE_UNMAPPED, CAUSE_MODEL_ERROR)
 
 #: Columns of a frames CSV: the raw weather schema plus a rain flag.
 FRAME_COLUMNS = RAW_COLUMNS + ("rain",)
+
+logger = logging.getLogger(__name__)
 
 
 class SignalDeliveryError(RuntimeError):
@@ -165,7 +171,12 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
     """Run the decision loop over recorded frames.
 
     Frames whose condition is missing from the table are decided closed with
-    cause ``unmapped_condition`` (fail-safe) and keep a null prediction.
+    cause ``unmapped_condition`` (fail-safe) and keep a null prediction. A
+    model that raises or returns anything but 0 or 1 closes its frame with
+    cause ``rain_override`` if it is raining, else ``model_error``, keeps a
+    null prediction, and the replay goes on; one warning with the first
+    failure reports how many frames failed.
+
     Pure given its inputs: chunking the frame stream and concatenating the
     logs yields the same entries.
     """
@@ -175,20 +186,36 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
         table = ConditionTable.builtin()
     entries = []
     last_tick = None
+    faults = 0
+    first_fault: Optional[Exception] = None
     for frame in frames:
         if last_tick is not None and frame.tick <= last_tick:
             raise ValueError(f"frame ticks must be strictly increasing, "
                              f"got {frame.tick} after {last_tick}")
         last_tick = frame.tick
         prediction: Optional[int] = None
-        if frame.observation.condition in table:
-            prediction = int(model_predict_fn(frame.observation.features()))
-            command = decide(prediction, frame)
-        else:
+        if frame.observation.condition not in table:
             command = _command(0, CAUSE_UNMAPPED)
+        else:
+            try:
+                output = model_predict_fn(frame.observation.features())
+                if output not in (0, 1):
+                    raise ValueError(f"model returned {output!r}, not 0 or 1")
+                prediction = int(output)
+            except Exception as exc:  # any model fault closes the dome
+                faults += 1
+                first_fault = first_fault or exc
+                command = _command(0, CAUSE_RAIN if frame.rain_detected
+                                   else CAUSE_MODEL_ERROR)
+            else:
+                command = decide(prediction, frame)
         if sink is not None:
             emit_signal(command, sink)
         entries.append(LogEntry(frame=frame, command=command, prediction=prediction))
+    if faults:
+        logger.warning("model failed on %d of %d frames, which were closed; "
+                       "first failure: %s", faults, len(frames), first_fault,
+                       exc_info=first_fault)
     return DecisionLog(entries)
 
 

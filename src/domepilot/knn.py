@@ -1,8 +1,12 @@
 """From-scratch k-nearest-neighbors with the square-root-of-n default k.
 
-A lazy learner: training stores the data verbatim. Prediction is an exact
-full scan; the k nearest neighbors are chosen by (distance, training index)
-so ties resolve toward the earlier training row.
+A lazy learner: training stores the data verbatim. Prediction is exact and
+takes one query at a time: it computes the squared distance to every
+training row, finds the k-th smallest with a partition, counts the labels of
+the rows strictly closer and fills the remaining slots from the rows at
+exactly the k-th distance, lowest training index first. That is the vote of
+the k nearest ordered by (distance, training index), so ties resolve toward
+the earlier training row, without sorting the distances.
 """
 
 from __future__ import annotations
@@ -58,12 +62,27 @@ class KnnModel:
             raise ValueError(f"k must be in [1, {self.labels.size}], got {self.k}")
         if self.scaling not in SCALINGS:
             raise ValueError(f"scaling must be one of {SCALINGS}, got {self.scaling!r}")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite")
         if self.scaling == "standardize":
             if self.means is None or self.stds is None:
                 raise ValueError("standardize scaling requires means and stds")
             self.means = np.asarray(self.means, dtype=float)
             self.stds = np.asarray(self.stds, dtype=float)
-        self._train = self._transform(self.features)
+            for name, stat in (("means", self.means), ("stds", self.stds)):
+                if stat.shape != (self.n_features,):
+                    raise ValueError(f"{name} must hold one value per feature "
+                                     f"({self.n_features}), got shape {stat.shape}")
+                if not np.isfinite(stat).all():
+                    raise ValueError(f"{name} must be finite")
+            if (self.stds < 0).any():
+                raise ValueError("stds must be >= 0")
+        # (d, n): one contiguous column per feature for the distance kernel.
+        self._columns = np.ascontiguousarray(self._transform(self.features).T)
+        # An infinite z-score could meet another and make a NaN distance,
+        # which the partition selection would silently leave out of the vote.
+        if not np.isfinite(self._columns).all():
+            raise ValueError("standardized features overflow; stds too small")
 
     @property
     def n_features(self) -> int:
@@ -77,14 +96,23 @@ class KnnModel:
     def predict(self, query: Sequence[float]) -> int:
         """Majority label among the k nearest, ties on distance by lower index.
 
-        An exact vote tie (possible only with an even k) predicts 0.
+        np.partition finds the k-th smallest squared distance; every row
+        strictly closer votes, and the remaining slots go to the rows at
+        exactly that distance in training-index order. An exact vote tie
+        (possible only with an even k) predicts 0. A NaN or infinite query
+        feature raises ValueError.
         """
-        q = tuple(float(v) for v in query)
-        if len(q) != self.n_features:
-            raise ValueError(f"expected {self.n_features} features, got {len(q)}")
-        sq = _squared_distances(self._transform(np.asarray(q)), self._train)
-        order = np.argsort(sq, kind="stable")[:self.k]
-        return int(self.labels[order].sum() * 2 > self.k)
+        q = np.asarray(tuple(float(v) for v in query))
+        if q.size != self.n_features:
+            raise ValueError(f"expected {self.n_features} features, got {q.size}")
+        if not np.isfinite(q).all():
+            raise ValueError(f"query features must be finite, got {q.tolist()}")
+        sq = _squared_distances(self._transform(q), self._columns)
+        kth = np.partition(sq, self.k - 1)[self.k - 1]
+        closer = sq < kth
+        ties = np.flatnonzero(sq == kth)[:self.k - np.count_nonzero(closer)]
+        ones = self.labels[closer].sum() + self.labels[ties].sum()
+        return int(ones * 2 > self.k)
 
     def to_dict(self) -> dict:
         doc = {"version": FORMAT_VERSION, "kind": "knn", "k": self.k,
@@ -124,16 +152,18 @@ def train_knn(samples: Sequence, k: int, scaling: str = "none") -> KnnModel:
                     scaling=scaling, means=means, stds=stds)
 
 
-def _squared_distances(q: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """(n,) squared Euclidean distances from q to each row of T.
+def _squared_distances(q: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """(n,) squared Euclidean distances from q to each point of (d, n) columns.
 
     Accumulated feature by feature in a fixed order, so equal distances
     compare equal and ties are reproducible.
     """
-    out = np.zeros(T.shape[0])
-    for j in range(q.size):
-        diff = q[j] - T[:, j]
-        out += diff * diff
+    out = np.zeros(columns.shape[1])
+    diff = np.empty_like(out)
+    for value, column in zip(q, columns):
+        np.subtract(value, column, out=diff)
+        np.multiply(diff, diff, out=diff)
+        out += diff
     return out
 
 
@@ -153,4 +183,4 @@ def distance(a: Sequence[float], b: Sequence[float], scaling: str = "none",
         stds = np.asarray(stats[1], dtype=float)
         va = _standardize(va, means, stds)
         vb = _standardize(vb, means, stds)
-    return float(np.sqrt(_squared_distances(va, vb[None, :])[0]))
+    return float(np.sqrt(_squared_distances(va, vb[:, None])[0]))

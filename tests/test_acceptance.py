@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import datetime
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from domepilot.cli import load_model, save_model
-from domepilot.controller import decide_inputs, emit_signal
+from domepilot.controller import CAUSE_MODEL_ERROR, CAUSE_RAIN, SensorFrame, replay
 from domepilot.knn import KnnModel, default_k, train_knn
 from domepilot.metrics import ConfusionMatrix, accuracy, confusion, f1, mse, weighted_f1
 from domepilot.synthetic import synthetic_observations
@@ -22,6 +23,7 @@ from domepilot.tree import Leaf, Split, TreeConfig, TreeModel, best_split, impur
 from domepilot.weather import (
     ConditionTable,
     SplitSpec,
+    WeatherObservation,
     derive_state,
     filter_city,
     parse_dataset,
@@ -250,22 +252,40 @@ def test_criterion_7_tree_budget_properties():
 def test_criterion_8_controller_safety():
     name = "controller-safety"
     temps = (10.0, 16.0, 16.5, 20.0, 26.9, 27.0, 30.0)
+
+    def raising(_features):
+        raise RuntimeError("model fault")
+
+    models = {"0": lambda _f: 0, "1": lambda _f: 1,
+              "raises": raising, "returns 2": lambda _f: 2}
     violations = []
-    for prediction in (0, 1):
+    for label, model in models.items():
+        faulty = label not in ("0", "1")
         for rain in (True, False):
             for temp in temps:
-                command = decide_inputs(prediction, rain, temp)
-                line = emit_signal(command, io.StringIO())
+                observation = WeatherObservation(
+                    city="Al Madina", date=datetime.date(2019, 5, 1), hour=21,
+                    temp=temp, wind=2.0, humidity=0.4, barometer=1015.0,
+                    visibility=16.0, condition="Clear")
+                wire = io.StringIO()
+                entry, = replay(model, [SensorFrame(observation, rain, tick=0)],
+                                sink=wire)
+                command, case = entry.command, (label, rain, temp)
                 if rain and command.dome != 0:
-                    violations.append(("rain", prediction, rain, temp))
+                    violations.append(("rain", *case))
                 if not 16.0 < temp < 27.0 and command.dome != 0:
-                    violations.append(("temp", prediction, rain, temp))
+                    violations.append(("temp", *case))
                 if command.ac != 1 - command.dome:
-                    violations.append(("interlock", prediction, rain, temp))
-                if line != f"D:{command.dome} A:{command.ac}\n":
-                    violations.append(("wire", prediction, rain, temp))
+                    violations.append(("interlock", *case))
+                if wire.getvalue() != f"D:{command.dome} A:{command.ac}\n":
+                    violations.append(("wire", *case))
+                if faulty and (command.dome != 0 or entry.prediction is not None
+                               or command.cause != (CAUSE_RAIN if rain
+                                                    else CAUSE_MODEL_ERROR)):
+                    violations.append(("fault", *case))
     check(8, name, not violations,
-          f"2x2x{len(temps)} input cube exhaustive, violations={violations}")
+          f"{len(models)} models (0, 1, raising, returning 2) x 2 rain x "
+          f"{len(temps)} temps exhaustive, violations={violations}")
 
 
 def test_criterion_9_determinism_and_persistence(tmp_path):

@@ -205,6 +205,17 @@ def test_predict_rain_forces_closed(workspace):
     assert result.stdout == "D:0 A:1\n"
 
 
+@pytest.mark.parametrize("flag,value", [("--wind", "nan"), ("--temp", "inf"),
+                                        ("--visibility", "Infinity")])
+def test_predict_rejects_non_finite_numbers(workspace, flag, value):
+    args = list(PREDICT_ARGS)
+    args[args.index(flag) + 1] = value
+    result = run_cli("predict", "--model", workspace["dt"], *args)
+    assert result.returncode == 2
+    assert flag in result.stderr and "finite" in result.stderr
+    assert result.stdout == ""
+
+
 def test_predict_validates_rain_flag(workspace):
     result = run_cli("predict", "--model", workspace["dt"], "--temp", 21,
                      "--wind", 0, "--humidity", 0.33, "--hour", 0,
@@ -233,6 +244,28 @@ def test_simulate_writes_log_and_sink(workspace, tmp_path):
     assert any(rains)
     for record, line in zip(records, wire_lines):
         assert line == f"D:{record['dome']} A:{record['ac']}"
+
+
+def test_simulate_with_a_faulty_model_closes_and_still_writes_the_log(workspace,
+                                                                      tmp_path):
+    doc = json.loads(workspace["dt"].read_text())
+    for node in doc["nodes"]:
+        if node["type"] == "leaf":
+            node["label"] = 2
+    model = tmp_path / "leaf2.json"
+    model.write_text(json.dumps(doc))
+    log = tmp_path / "log.jsonl"
+    result = run_cli("simulate", "--model", model, "--frames", workspace["frames"],
+                     "--log", log)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["opened"] == 0
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(records) == 30
+    assert {r["cause"] for r in records} <= {"model_error", "rain_override",
+                                             "unmapped_condition"}
+    assert any(r["cause"] == "model_error" for r in records)
+    assert all(r["prediction"] is None and r["dome"] == 0 for r in records)
+    assert "model failed on" in result.stderr
 
 
 # ---------------------------------------------------------------- config file
@@ -364,3 +397,36 @@ def test_malformed_knn_documents_raise_value_error(tmp_path, edit):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def _edit_features(doc, value):
+    doc["data"][3][2] = value
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda doc: doc["stats"].update(means=doc["stats"]["means"][:3]), "means"),
+    (lambda doc: doc["stats"].update(stds=doc["stats"]["stds"][:3]), "stds"),
+    (lambda doc: doc["stats"]["stds"].append(1.0), "stds"),
+    (lambda doc: _edit_features(doc, float("nan")), "features"),
+    (lambda doc: _edit_features(doc, float("inf")), "features"),
+    (lambda doc: doc["stats"]["means"].__setitem__(1, float("nan")), "means"),
+    (lambda doc: doc["stats"]["stds"].__setitem__(1, float("inf")), "stds"),
+    (lambda doc: doc["stats"]["stds"].__setitem__(1, -0.5), "stds"),
+], ids=["3-means", "3-stds", "7-stds", "nan-feature", "inf-feature",
+        "nan-mean", "inf-std", "negative-std"])
+def test_invalid_knn_values_exit_2_naming_the_field(tmp_path, edit, field):
+    samples = [((float(i), 1.0 + i % 3, 0.5, 3.0, 10.0, 1010.0 + i), i % 2)
+               for i in range(10)]
+    path = tmp_path / "knn.json"
+    save_model(train_knn(samples, k=3, scaling="standardize"), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=field) as err:
+        load_model(path)
+    assert str(path) in str(err.value)
+    result = run_cli("predict", "--model", path, *PREDICT_ARGS)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("domepilot: error:")
+    assert field in result.stderr and str(path) in result.stderr
+    assert "Traceback" not in result.stderr

@@ -9,6 +9,7 @@ import pytest
 
 from domepilot.controller import (
     CAUSE_MODEL,
+    CAUSE_MODEL_ERROR,
     CAUSE_RAIN,
     CAUSE_TEMP,
     CAUSE_UNMAPPED,
@@ -159,6 +160,38 @@ def test_unmapped_condition_frame_fails_safe():
     assert middle.command.dome == 0
     assert middle.command.cause == CAUSE_UNMAPPED
     assert middle.prediction is None
+
+
+def failing_model(features):
+    raise RuntimeError("model fault")
+
+
+@pytest.mark.parametrize("model", [failing_model, constant_model(2),
+                                   constant_model(None), constant_model(0.5)],
+                         ids=["raises", "returns-2", "returns-None", "returns-0.5"])
+def test_model_fault_closes_the_frame_and_the_replay_goes_on(model, caplog):
+    frames = [frame(tick=0), frame(tick=1, rain=True), frame(tick=2, temp=30.0),
+              frame(tick=3, condition="Volcanic ash")]
+    sink = io.StringIO()
+    log = replay(model, frames, sink=sink)
+    assert [(e.command.dome, e.command.ac, e.command.cause) for e in log] == [
+        (0, 1, CAUSE_MODEL_ERROR), (0, 1, CAUSE_RAIN), (0, 1, CAUSE_MODEL_ERROR),
+        (0, 1, CAUSE_UNMAPPED)]
+    assert [e.prediction for e in log] == [None] * 4
+    assert sink.getvalue() == "D:0 A:1\n" * 4
+    warnings = [r for r in caplog.records if r.name == "domepilot.controller"]
+    assert len(warnings) == 1 and "3 of 4 frames" in warnings[0].getMessage()
+
+
+def test_a_model_fault_on_one_frame_spares_the_others():
+    def flaky(features):
+        if features[3] == 1.0:  # the hour of tick 1
+            raise RuntimeError("model fault")
+        return 1
+
+    log = replay(flaky, [frame(tick=t) for t in range(3)])
+    assert [e.command.cause for e in log] == [CAUSE_MODEL, CAUSE_MODEL_ERROR, CAUSE_MODEL]
+    assert [e.prediction for e in log] == [1, None, 1]
 
 
 def test_day_sweep_matches_the_labeling_rule():

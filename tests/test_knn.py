@@ -1,10 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from domepilot.cli import load_model, save_model
 from domepilot.knn import KnnModel, default_k, distance, train_knn
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def toy_samples(rows):
@@ -24,6 +32,22 @@ def oracle_predict(train_features, train_labels, k, query):
     if 2 * ones < k:
         return 0
     return 0  # even-k exact tie falls back to closed
+
+
+def argsort_predict(model, query):
+    """The full-sort selection: stable argsort of every squared distance.
+
+    Distances are accumulated feature by feature over the row-major
+    transformed training set, so they are bit-identical to the model's.
+    """
+    q = model._transform(np.asarray(query, dtype=float))
+    train = model._transform(model.features)
+    sq = np.zeros(train.shape[0])
+    for j in range(q.size):
+        diff = q[j] - train[:, j]
+        sq += diff * diff
+    nearest = np.argsort(sq, kind="stable")[:model.k]
+    return int(model.labels[nearest].sum() * 2 > model.k)
 
 
 def random_instance(rng, n_features=6):
@@ -142,6 +166,102 @@ def test_predictions_match_the_sort_and_vote_oracle():
             expected = oracle_predict(features, labels, k, q)
             assert model.predict(q) == expected
         trials += 1
+
+
+@st.composite
+def knn_cases(draw):
+    """Small-integer features, so equal distances, duplicates and ties abound."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 30))
+    cell = st.integers(0, 3).map(float)
+    rows = draw(st.lists(st.lists(cell, min_size=d, max_size=d),
+                         min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    k = draw(st.integers(1, n))
+    scaling = draw(st.sampled_from(("none", "standardize")))
+    queries = draw(st.lists(st.lists(cell, min_size=d, max_size=d),
+                            min_size=1, max_size=4))
+    return rows, labels, k, scaling, queries
+
+
+ORIGIN = [0.0] * 6
+
+
+@given(case=knn_cases())
+@settings(max_examples=300, deadline=None)
+# Six duplicated rows outnumber k = 3; the three lowest-index ones vote 1.
+@example(case=([ORIGIN] * 6 + [[3.0] * 6],
+               [1, 1, 1, 0, 0, 0, 0], 3, "none", [ORIGIN]))
+# One row strictly closer, then four tied at the k-th distance of which
+# only the two lowest-index ones are taken.
+@example(case=([[0.0], [1.0], [-1.0], [1.0], [-1.0], [5.0]],
+               [0, 1, 1, 0, 0, 1], 3, "none", [[0.0]]))
+# k = 1 with an exact tie: the lower index wins.
+@example(case=([[2.0], [0.0]], [1, 0], 1, "none", [[1.0]]))
+# k = n: the global majority.
+@example(case=([[0.0], [1.0], [2.0], [3.0], [3.0]],
+               [1, 1, 0, 1, 0], 5, "none", [[0.0], [3.0]]))
+# Even k with an exact 2-2 vote tie predicts 0.
+@example(case=([[0.0], [1.0], [2.0], [3.0], [9.0]],
+               [1, 0, 1, 0, 1], 4, "none", [[0.0]]))
+# Standardize with a zero-variance column, which must not count.
+@example(case=([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0], [3.0, 5.0]],
+               [0, 1, 1, 0], 1, "standardize", [[1.0, 0.0], [2.0, 9.0]]))
+def test_partition_selection_matches_the_argsort_reference(case):
+    rows, labels, k, scaling, queries = case
+    model = train_knn(list(zip(map(tuple, rows), labels)), k=k, scaling=scaling)
+    for query in queries:
+        assert model.predict(query) == argsort_predict(model, query)
+
+
+def test_partition_selection_matches_scipy_on_tie_free_data():
+    spatial = pytest.importorskip("scipy.spatial")
+    rng = np.random.default_rng(17)
+    features = rng.uniform(0, 10, size=(400, 6))
+    labels = rng.integers(0, 2, size=400)
+    queries = rng.uniform(0, 10, size=(40, 6))
+    for query in queries:
+        gaps = np.diff(np.sort(np.linalg.norm(features - query, axis=1)))
+        assert gaps.min() > 1e-9  # no distance ties anywhere
+    tree = spatial.cKDTree(features)
+    for k in (1, 7, 19, 400):
+        model = train_knn(list(zip(map(tuple, features), labels)), k=k)
+        for query in queries:
+            _, nearest = tree.query(query, k=k)
+            expected = int(labels[np.atleast_1d(nearest)].sum() * 2 > k)
+            assert model.predict(query) == expected
+
+
+def test_prediction_does_not_import_scipy():
+    script = ("import sys, domepilot\n"
+              "from domepilot.knn import train_knn\n"
+              "model = train_knn([((0.0,) * 6, 0), ((1.0,) * 6, 1)], k=1)\n"
+              "assert model.predict((1.0,) * 6) == 1\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
+                                                       os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_query_features_are_rejected(bad):
+    model = train_knn(toy_samples([((0,) * 6, 0), ((1,) * 6, 1)]), k=1)
+    for column in (0, 5):
+        query = [0.5] * 6
+        query[column] = bad
+        with pytest.raises(ValueError, match="finite"):
+            model.predict(query)
+
+
+def test_standardized_overflow_is_rejected():
+    # Two infinite z-scores would meet as inf - inf, a NaN distance.
+    with pytest.raises(ValueError, match="overflow"), np.errstate(over="ignore"):
+        KnnModel(features=[[1e300, 0.0], [-1e300, 0.0]], labels=[0, 1], k=1,
+                 scaling="standardize", means=[0.0, 0.0], stds=[1e-300, 1.0])
 
 
 def test_k_equals_n_returns_the_global_majority():
