@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
-from .controller import open_sink, decide_inputs, read_frames_csv, replay
+from .controller import (
+    SignalDeliveryError,
+    decide_fail_closed,
+    open_sink,
+    read_frames_csv,
+    replay,
+)
 from .knn import KnnModel, default_k, train_knn
 from .metrics import evaluate, render_reports
 from .tree import TreeConfig, TreeModel, train_tree
@@ -249,9 +255,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"no usable frames in {frames_path}")
     with open_sink(args.sink) if args.sink is not None else nullcontext() as sink:
         log = replay(model.predict, frames, sink=sink)
-    buffer = io.StringIO()
-    log.to_jsonl(buffer)
-    _write_text_atomic(log_path, buffer.getvalue())
+        # Written before the sink closes: closing a failed sink raises too.
+        buffer = io.StringIO()
+        log.to_jsonl(buffer)
+        _write_text_atomic(log_path, buffer.getvalue())
+    if log.undelivered:
+        raise SignalDeliveryError(f"actuator sink failed on {log.undelivered} of "
+                                  f"{len(log)} frames; decision log written to {log_path}")
     opened = sum(entry.command.dome for entry in log)
     print(json.dumps({"frames": len(log), "opened": opened,
                       "closed": len(log) - opened, "log": str(log_path)}))
@@ -271,8 +281,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     rain_raw = str(_require(args.rain, "--rain")).strip().lower()
     if rain_raw not in ("0", "1"):
         raise ValueError(f"--rain must be 0 or 1, got {args.rain!r}")
-    prediction = model.predict(features)
-    command = decide_inputs(prediction, rain_raw == "1", features[0])
+    command, _, fault = decide_fail_closed(model.predict, features, rain_raw == "1",
+                                           features[0])
+    if fault is not None:
+        logger.warning("model failed, so the dome was closed: %s", fault, exc_info=fault)
     print(f"D:{command.dome} A:{command.ac}")
     return 0
 

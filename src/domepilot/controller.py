@@ -101,6 +101,25 @@ def decide(model_prediction: int, frame: SensorFrame) -> DomeCommand:
     return decide_inputs(model_prediction, frame.rain_detected, frame.observation.temp)
 
 
+def decide_fail_closed(model_predict_fn: Callable[[Sequence[float]], int],
+                       features: Sequence[float], rain_detected: bool, temp: float
+                       ) -> tuple[DomeCommand, Optional[int], Optional[Exception]]:
+    """(command, prediction, fault) for one set of inputs, whatever the model does.
+
+    A model that raises or returns anything but 0 or 1 closes the dome with
+    cause ``rain_override`` if it is raining, else ``model_error``; the
+    prediction is then None and ``fault`` holds the failure.
+    """
+    try:
+        output = model_predict_fn(features)
+        if output not in (0, 1):
+            raise ValueError(f"model returned {output!r}, not 0 or 1")
+    except Exception as exc:  # any model fault closes the dome
+        return _command(0, CAUSE_RAIN if rain_detected else CAUSE_MODEL_ERROR), None, exc
+    prediction = int(output)
+    return decide_inputs(prediction, rain_detected, temp), prediction, None
+
+
 def emit_signal(command: DomeCommand, sink: IO[str]) -> str:
     """Write exactly one wire line for the command; returns the line sent.
 
@@ -146,11 +165,18 @@ class LogEntry:
                 "cause": self.command.cause}
 
 
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 @dataclass
 class DecisionLog:
-    """One entry per input frame, in input order."""
+    """One entry per input frame, in input order.
+
+    ``undelivered`` counts the frames whose wire line the sink failed to take.
+    """
 
     entries: list[LogEntry]
+    undelivered: int = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -161,7 +187,7 @@ class DecisionLog:
     def to_jsonl(self, sink: PathOrStream) -> None:
         with _opened(sink, "w") as stream:
             for entry in self.entries:
-                stream.write(json.dumps(entry.as_dict(), sort_keys=True) + "\n")
+                stream.write(_JSON.encode(entry.as_dict()) + "\n")
 
 
 def replay(model_predict_fn: Callable[[Sequence[float]], int],
@@ -172,10 +198,10 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
 
     Frames whose condition is missing from the table are decided closed with
     cause ``unmapped_condition`` (fail-safe) and keep a null prediction. A
-    model that raises or returns anything but 0 or 1 closes its frame with
-    cause ``rain_override`` if it is raining, else ``model_error``, keeps a
-    null prediction, and the replay goes on; one warning with the first
-    failure reports how many frames failed.
+    model fault closes its frame as decide_fail_closed says, and the replay
+    goes on; so does a sink that raises SignalDeliveryError, whose frames
+    the log counts as ``undelivered``. Each kind of failure is reported by
+    one warning with its count and its first occurrence.
 
     Pure given its inputs: chunking the frame stream and concatenating the
     logs yields the same entries.
@@ -186,8 +212,9 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
         table = ConditionTable.builtin()
     entries = []
     last_tick = None
-    faults = 0
+    faults = undelivered = 0
     first_fault: Optional[Exception] = None
+    first_undelivered: Optional[SignalDeliveryError] = None
     for frame in frames:
         if last_tick is not None and frame.tick <= last_tick:
             raise ValueError(f"frame ticks must be strictly increasing, "
@@ -197,26 +224,27 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
         if frame.observation.condition not in table:
             command = _command(0, CAUSE_UNMAPPED)
         else:
-            try:
-                output = model_predict_fn(frame.observation.features())
-                if output not in (0, 1):
-                    raise ValueError(f"model returned {output!r}, not 0 or 1")
-                prediction = int(output)
-            except Exception as exc:  # any model fault closes the dome
+            command, prediction, fault = decide_fail_closed(
+                model_predict_fn, frame.observation.features(),
+                frame.rain_detected, frame.observation.temp)
+            if fault is not None:
                 faults += 1
-                first_fault = first_fault or exc
-                command = _command(0, CAUSE_RAIN if frame.rain_detected
-                                   else CAUSE_MODEL_ERROR)
-            else:
-                command = decide(prediction, frame)
+                first_fault = first_fault or fault
         if sink is not None:
-            emit_signal(command, sink)
+            try:
+                emit_signal(command, sink)
+            except SignalDeliveryError as exc:
+                undelivered += 1
+                first_undelivered = first_undelivered or exc
         entries.append(LogEntry(frame=frame, command=command, prediction=prediction))
     if faults:
         logger.warning("model failed on %d of %d frames, which were closed; "
                        "first failure: %s", faults, len(frames), first_fault,
                        exc_info=first_fault)
-    return DecisionLog(entries)
+    if undelivered:
+        logger.warning("actuator sink failed on %d of %d frames; first failure: %s",
+                       undelivered, len(frames), first_undelivered)
+    return DecisionLog(entries, undelivered)
 
 
 def read_frames_csv(source: PathOrStream) -> tuple[list[SensorFrame], CleaningReport]:

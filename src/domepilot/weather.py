@@ -16,7 +16,7 @@ import operator
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from datetime import date as Date, datetime
+from datetime import date as Date
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence, TypeVar, Union
 
@@ -261,8 +261,21 @@ class _RowRejected(Exception):
         self.reason = reason
 
 
+#: Accepted date layouts, tried in this order (slash dates day-first).
 _DATE_FORMATS = ("%Y-%m-%d", "%d-%m-%Y", "%d/%m/%Y", "%m/%d/%Y",
                  "%Y/%m/%d", "%d.%m.%Y")
+
+# strptime's own field patterns, so a cell matches exactly when strptime
+# would parse it with that format (\d over str takes any Unicode digit, and
+# int() reads those too). The day allows a space-padded single digit.
+_DATE_FIELDS = {
+    "Y": r"(?P<Y>\d\d\d\d)",
+    "m": r"(?P<m>1[0-2]|0[1-9]|[1-9])",
+    "d": r"(?P<d>3[01]|[12]\d|0[1-9]|[1-9]| [1-9])",
+}
+_DATE_PATTERNS = tuple(
+    re.compile(re.sub(r"%([Ymd])", lambda f: _DATE_FIELDS[f[1]], re.escape(fmt)))
+    for fmt in _DATE_FORMATS)
 
 _TIME_RE = re.compile(r"(\d{1,2})(?::(\d{1,2}))?(?::\d{1,2})?\s*(am|pm)?")
 _NUMBER_RE = re.compile(r"\s*([-+]?\d+(?:\.\d+)?)\s*(.*)$")
@@ -270,11 +283,15 @@ _UNIT_RE = re.compile(r"[a-z°%µ/.\s]*")
 
 
 def _parse_date(text: str) -> Date:
+    """Date of the first format in _DATE_FORMATS that reads a valid day."""
     raw = text.strip()
-    for fmt in _DATE_FORMATS:
+    for pattern in _DATE_PATTERNS:
+        m = pattern.fullmatch(raw)
+        if m is None:
+            continue
         try:
-            return datetime.strptime(raw, fmt).date()
-        except ValueError:
+            return Date(int(m["Y"]), int(m["m"]), int(m["d"]))
+        except ValueError:  # no such day, e.g. 30/02 or year 0
             continue
     raise _RowRejected("bad_date")
 

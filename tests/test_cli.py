@@ -1,10 +1,13 @@
+import contextlib
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from domepilot import cli
 from domepilot.cli import DEFAULTS, RunConfig, load_model, save_model
 from domepilot.knn import distance, train_knn
 from domepilot.synthetic import synthetic_frames, synthetic_observations, to_raw_csv
@@ -216,6 +219,27 @@ def test_predict_rejects_non_finite_numbers(workspace, flag, value):
     assert result.stdout == ""
 
 
+def leaf_label_2_model(workspace, tmp_path):
+    """The workspace tree with every leaf label set to 2, an invalid output."""
+    doc = json.loads(workspace["dt"].read_text())
+    for node in doc["nodes"]:
+        if node["type"] == "leaf":
+            node["label"] = 2
+    model = tmp_path / "leaf2.json"
+    model.write_text(json.dumps(doc))
+    return model
+
+
+@pytest.mark.parametrize("rain", ["0", "1"])
+def test_predict_with_a_faulty_model_fails_closed(workspace, tmp_path, rain):
+    args = list(PREDICT_ARGS)
+    args[args.index("--rain") + 1] = rain
+    result = run_cli("predict", "--model", leaf_label_2_model(workspace, tmp_path), *args)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "D:0 A:1\n"
+    assert "WARNING: model failed" in result.stderr and "not 0 or 1" in result.stderr
+
+
 def test_predict_validates_rain_flag(workspace):
     result = run_cli("predict", "--model", workspace["dt"], "--temp", 21,
                      "--wind", 0, "--humidity", 0.33, "--hour", 0,
@@ -248,12 +272,7 @@ def test_simulate_writes_log_and_sink(workspace, tmp_path):
 
 def test_simulate_with_a_faulty_model_closes_and_still_writes_the_log(workspace,
                                                                       tmp_path):
-    doc = json.loads(workspace["dt"].read_text())
-    for node in doc["nodes"]:
-        if node["type"] == "leaf":
-            node["label"] = 2
-    model = tmp_path / "leaf2.json"
-    model.write_text(json.dumps(doc))
+    model = leaf_label_2_model(workspace, tmp_path)
     log = tmp_path / "log.jsonl"
     result = run_cli("simulate", "--model", model, "--frames", workspace["frames"],
                      "--log", log)
@@ -266,6 +285,36 @@ def test_simulate_with_a_faulty_model_closes_and_still_writes_the_log(workspace,
     assert any(r["cause"] == "model_error" for r in records)
     assert all(r["prediction"] is None and r["dome"] == 0 for r in records)
     assert "model failed on" in result.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_simulate_into_a_full_device_writes_the_log_and_exits_2(workspace, tmp_path):
+    reference = tmp_path / "reference.jsonl"
+    assert run_cli("simulate", "--model", workspace["dt"], "--frames", workspace["frames"],
+                   "--log", reference).returncode == 0
+    log = tmp_path / "log.jsonl"
+    result = run_cli("simulate", "--model", workspace["dt"], "--frames",
+                     workspace["frames"], "--log", log, "--sink", "/dev/full")
+    assert result.returncode == 2
+    assert "actuator sink failed on 30 of 30 frames" in result.stderr
+    assert "domepilot: error:" in result.stderr and "Traceback" not in result.stderr
+    assert log.read_bytes() == reference.read_bytes()
+
+
+def test_simulate_with_a_failing_sink_writes_the_log_and_exits_2(workspace, tmp_path,
+                                                                 monkeypatch, capsys):
+    class Broken:
+        def write(self, line):
+            raise OSError("wire cut")
+
+    monkeypatch.setattr(cli, "open_sink", lambda spec: contextlib.nullcontext(Broken()))
+    log = tmp_path / "log.jsonl"
+    code = cli.main(["simulate", "--model", str(workspace["dt"]), "--frames",
+                     str(workspace["frames"]), "--log", str(log), "--sink", "wire"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "domepilot: error: actuator sink failed on 30 of 30 frames" in err
+    assert len(log.read_text().splitlines()) == 30
 
 
 # ---------------------------------------------------------------- config file

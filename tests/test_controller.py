@@ -17,6 +17,7 @@ from domepilot.controller import (
     SensorFrame,
     SignalDeliveryError,
     decide,
+    decide_fail_closed,
     decide_inputs,
     emit_signal,
     open_sink,
@@ -194,6 +195,41 @@ def test_a_model_fault_on_one_frame_spares_the_others():
     assert [e.prediction for e in log] == [1, None, 1]
 
 
+@pytest.mark.parametrize("rain,cause", [(False, CAUSE_MODEL_ERROR), (True, CAUSE_RAIN)])
+def test_decide_fail_closed_closes_on_a_model_fault(rain, cause):
+    features = observation().features()
+    command, prediction, fault = decide_fail_closed(failing_model, features, rain, 20.0)
+    assert (command.dome, command.ac, command.cause) == (0, 1, cause)
+    assert prediction is None and str(fault) == "model fault"
+    command, prediction, fault = decide_fail_closed(constant_model(1), features, rain,
+                                                    20.0)
+    assert command == decide_inputs(1, rain, 20.0)
+    assert (prediction, fault) == (1, None)
+
+
+def test_a_failing_sink_is_counted_and_the_replay_goes_on(caplog):
+    class Flaky:  # fails on the second and third frame only
+        def __init__(self):
+            self.calls, self.lines = 0, []
+
+        def write(self, line):
+            self.calls += 1
+            if self.calls in (2, 3):
+                raise OSError("wire cut")
+            self.lines.append(line)
+
+    frames = [frame(tick=t, rain=(t == 3)) for t in range(5)]
+    sink = Flaky()
+    log = replay(constant_model(1), frames, sink=sink)
+    assert log.entries == replay(constant_model(1), frames).entries
+    assert log.undelivered == 2
+    assert sink.lines == ["D:1 A:0\n", "D:0 A:1\n", "D:1 A:0\n"]
+    warnings = [r for r in caplog.records if r.name == "domepilot.controller"]
+    assert len(warnings) == 1
+    assert "2 of 5 frames" in warnings[0].getMessage()
+    assert "wire cut" in warnings[0].getMessage()
+
+
 def test_day_sweep_matches_the_labeling_rule():
     # Temp ramp 10 -> 35 over 24 frames under an always-open model: the
     # controller must open exactly where the temperature gate allows.
@@ -230,7 +266,9 @@ def test_replay_emits_to_sink_and_logs_jsonl(tmp_path):
     assert sink.getvalue() == "D:1 A:0\nD:0 A:1\n"
     path = tmp_path / "log.jsonl"
     log.to_jsonl(path)
-    records = [json.loads(line) for line in path.read_text().splitlines()]
+    text = path.read_text()
+    assert text == "".join(json.dumps(e.as_dict(), sort_keys=True) + "\n" for e in log)
+    records = [json.loads(line) for line in text.splitlines()]
     assert [r["tick"] for r in records] == [0, 1]
     assert records[0] == {"tick": 0, "features": [20.0, 2.0, 0.4, 0.0, 16.0, 1015.0],
                           "prediction": 1, "dome": 1, "ac": 0, "cause": "model"}

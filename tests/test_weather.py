@@ -1,11 +1,15 @@
+import _strptime
+import datetime
 import io
 import logging
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from domepilot.controller import read_frames_csv
 from domepilot.weather import (
+    _DATE_FORMATS,
     FEATURE_NAMES,
     CleaningReport,
     ConditionTable,
@@ -167,6 +171,109 @@ def test_column_order_is_free_and_header_case_insensitive():
     observations, _ = parse_dataset(stream)
     assert observations[0].city == "B"
     assert observations[0].condition == "Clear"
+
+
+# ---------------------------------------------------------------- dates
+
+def strptime_date(cell):
+    """Reference: the first of _DATE_FORMATS that strptime accepts, else None."""
+    for fmt in _DATE_FORMATS:
+        try:
+            return datetime.datetime.strptime(cell.strip(), fmt).date()
+        except ValueError:
+            continue
+    return None
+
+
+def parsed_date(cell):
+    observations, _ = parse_dataset(raw_csv(f'A,"{cell}",01:00,20,0,40%,1015,10,Clear'))
+    return observations[0].date if observations else None
+
+
+_DIGIT_SETS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+               "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+
+
+@st.composite
+def date_cells(draw):
+    def field(value, widths):
+        text = str(value).zfill(draw(st.sampled_from(widths)))
+        digits = draw(st.sampled_from(_DIGIT_SETS))
+        return "".join(digits[int(c)] for c in text)
+
+    year = field(draw(st.integers(0, 10_000)), (0, 4))
+    month = field(draw(st.integers(0, 13)), (0, 2))
+    day = draw(st.one_of(st.integers(0, 32).map(lambda d: field(d, (0, 2))),
+                         st.integers(0, 9).map(lambda d: f" {d}")))
+    order = draw(st.sampled_from([(year, month, day), (day, month, year),
+                                  (month, day, year), (year, day, month)]))
+    cell = draw(st.sampled_from("-/. ")).join(order)
+    return (draw(st.sampled_from(["", " ", "x", "0"])) + cell
+            + draw(st.sampled_from(["", " ", "x", "0", "/1"])))
+
+
+@pytest.mark.parametrize("cell,expected", [
+    ("2017-02-01", datetime.date(2017, 2, 1)),
+    ("01-02-2017", datetime.date(2017, 2, 1)),
+    ("01/02/2017", datetime.date(2017, 2, 1)),    # slash dates read day first
+    ("02/13/2017", datetime.date(2017, 2, 13)),   # month first where day first fails
+    ("2017/2/1", datetime.date(2017, 2, 1)),
+    ("1.2.2017", datetime.date(2017, 2, 1)),
+    ("29/02/2016", datetime.date(2016, 2, 29)),
+    ("2017-02- 1", datetime.date(2017, 2, 1)),    # space-padded day
+    (" 01/02/2017 ", datetime.date(2017, 2, 1)),
+    ("\u0662\u0660\u0661\u0667-02-1\u0665", datetime.date(2017, 2, 15)),
+    ("30/02/2017", None),
+    ("29/02/2017", None),
+    ("0000-01-01", None),
+    ("2017-01-01x", None),
+    ("2017-13-01", None),
+    ("17-01-01", None),
+    ("", None),
+])
+def test_date_formats_and_their_order(cell, expected):
+    assert strptime_date(cell) == expected
+    assert parsed_date(cell) == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(date_cells(), st.text(alphabet="0123456789-/. x\u0663", max_size=12)))
+@example("01/02/2017")
+@example("02/13/2017")
+@example("30/02/2017")
+@example("29/02/2016")
+@example("29/02/2017")
+@example("\u0662\u0660\u0661\u0667-\u0660\u0661-\u0660\u0662")
+@example("1/ 2/2017")
+@example("0000-01-01")
+@example("2017-01-01 junk")
+def test_date_parsing_matches_the_strptime_cascade(cell):
+    assert parsed_date(cell) == strptime_date(cell)
+
+
+def test_dates_parse_without_strptime(monkeypatch, tmp_path):
+    # Every datetime.strptime and time.strptime call goes through these two
+    # functions; parsing must not reach them, whatever the date format.
+    def no_strptime(*args):
+        raise AssertionError("strptime called")
+
+    monkeypatch.setattr(_strptime, "_strptime_datetime", no_strptime)
+    monkeypatch.setattr(_strptime, "_strptime_time", no_strptime)
+    cells = ["2017-02-01", "01-02-2017", "01/02/2017", "02/13/2017", "2017/02/01",
+             "01.02.2017"]
+    expected = [datetime.date(2017, 2, 1)] * 3 + [datetime.date(2017, 2, 13),
+                                                  datetime.date(2017, 2, 1),
+                                                  datetime.date(2017, 2, 1)]
+    rows = [f"A,{cell},0{i}:00,20,0,40%,1015,10,Clear" for i, cell in enumerate(cells)]
+    observations, report = parse_dataset(raw_csv(*rows))
+    assert report.rejected == 0
+    assert [o.date for o in observations] == expected
+    frames_csv = tmp_path / "frames.csv"
+    frames_csv.write_text(RAW_HEADER.replace("\n", ",rain\n")
+                          + "".join(row + ",0\n" for row in rows))
+    frames, report = read_frames_csv(frames_csv)
+    assert report.rejected == 0
+    assert [f.observation.date for f in frames] == expected
 
 
 # ---------------------------------------------------------------- city filter
