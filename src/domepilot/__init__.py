@@ -16,8 +16,6 @@ from .controller import (
     SensorFrame,
     SignalDeliveryError,
     decide,
-    decide_fail_closed,
-    decide_inputs,
     emit_signal,
     parse_signal,
     replay,

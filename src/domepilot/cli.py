@@ -22,7 +22,8 @@ from typing import Union
 
 from .controller import (
     SignalDeliveryError,
-    decide_fail_closed,
+    decide,
+    emit_signal,
     open_sink,
     read_frames_csv,
     replay,
@@ -71,7 +72,10 @@ def save_model(model: Union[TreeModel, KnnModel], path: Union[str, Path]) -> Non
 
 def load_model(path: Union[str, Path]) -> Union[TreeModel, KnnModel]:
     """Model saved by save_model; a malformed document raises ValueError."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a model document")
     try:
@@ -281,11 +285,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     rain_raw = str(_require(args.rain, "--rain")).strip().lower()
     if rain_raw not in ("0", "1"):
         raise ValueError(f"--rain must be 0 or 1, got {args.rain!r}")
-    command, _, fault = decide_fail_closed(model.predict, features, rain_raw == "1",
-                                           features[0])
+    command, _, fault = decide(model.predict, features, rain_raw == "1", features[0])
     if fault is not None:
         logger.warning("model failed, so the dome was closed: %s", fault, exc_info=fault)
-    print(f"D:{command.dome} A:{command.ac}")
+    emit_signal(command, sys.stdout)
     return 0
 
 

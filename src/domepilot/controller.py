@@ -4,8 +4,9 @@ The rain sensor is a hard, stateless override: any positive forces the dome
 closed for that frame, whatever the model does. A model that raises or
 returns anything but 0 or 1 closes the dome for that frame. The temperature
 gate is re-checked at decision time as defense in depth even though the
-model was trained on gated labels. Air conditioning is interlocked to run
-exactly when the dome is closed.
+model was trained on gated labels. A command stores only the dome bit; the
+air conditioning bit is derived from it, so the AC runs exactly when the
+dome is closed.
 
 Actuator wire protocol: one newline-delimited ASCII line per decision,
 ``D:<0|1> A:<0|1>`` (dome, ac).
@@ -13,6 +14,7 @@ Actuator wire protocol: one newline-delimited ASCII line per decision,
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import socket
@@ -22,17 +24,17 @@ from dataclasses import dataclass
 from typing import IO, Callable, Optional, Sequence
 
 from .weather import (
+    RAW_COLUMNS,
     TEMP_OPEN_HIGH,
     TEMP_OPEN_LOW,
     CleaningReport,
     ConditionTable,
     PathOrStream,
     WeatherObservation,
+    _clean_rows,
     _observation_from_row,
     _opened,
-    _read_rows,
     _RowRejected,
-    RAW_COLUMNS,
 )
 
 CAUSE_MODEL = "model"
@@ -64,60 +66,46 @@ class SensorFrame:
 @dataclass(frozen=True)
 class DomeCommand:
     dome: int  # 1 = open, 0 = close
-    ac: int    # 1 = on, 0 = off
     cause: str
 
     def __post_init__(self):
         if self.dome not in (0, 1):
             raise ValueError(f"dome must be 0 or 1, got {self.dome!r}")
-        if self.ac != 1 - self.dome:
-            raise ValueError("interlock violated: ac must run exactly when closed")
         if self.cause not in CAUSES:
             raise ValueError(f"unknown cause {self.cause!r}")
 
-
-def _command(dome: int, cause: str) -> DomeCommand:
-    return DomeCommand(dome=dome, ac=1 - dome, cause=cause)
-
-
-def decide_inputs(model_prediction: int, rain_detected: bool, temp: float,
-                  low: float = TEMP_OPEN_LOW, high: float = TEMP_OPEN_HIGH) -> DomeCommand:
-    """Core decision rule on bare sensor inputs.
-
-    Rain wins over everything; a temperature outside the open interval wins
-    over the model; otherwise the model's prediction drives the dome.
-    """
-    if model_prediction not in (0, 1):
-        raise ValueError(f"model_prediction must be 0 or 1, got {model_prediction!r}")
-    if rain_detected:
-        return _command(0, CAUSE_RAIN)
-    if not low < temp < high:
-        return _command(0, CAUSE_TEMP)
-    return _command(model_prediction, CAUSE_MODEL)
+    @property
+    def ac(self) -> int:
+        """1 = on, 0 = off: the AC runs exactly when the dome is closed."""
+        return 1 - self.dome
 
 
-def decide(model_prediction: int, frame: SensorFrame) -> DomeCommand:
-    """Decision for one sensor frame; see decide_inputs for the rule order."""
-    return decide_inputs(model_prediction, frame.rain_detected, frame.observation.temp)
+def decide(model_predict_fn: Callable[[Sequence[float]], int],
+           features: Sequence[float], rain_detected: bool, temp: float
+           ) -> tuple[DomeCommand, Optional[int], Optional[Exception]]:
+    """(command, prediction, fault) for one set of sensor inputs.
 
-
-def decide_fail_closed(model_predict_fn: Callable[[Sequence[float]], int],
-                       features: Sequence[float], rain_detected: bool, temp: float
-                       ) -> tuple[DomeCommand, Optional[int], Optional[Exception]]:
-    """(command, prediction, fault) for one set of inputs, whatever the model does.
-
-    A model that raises or returns anything but 0 or 1 closes the dome with
-    cause ``rain_override`` if it is raining, else ``model_error``; the
-    prediction is then None and ``fault`` holds the failure.
+    The model is always asked first. If it raises or returns anything but 0
+    or 1, the dome closes with cause ``rain_override`` if it is raining,
+    else ``model_error``; the prediction is then None and ``fault`` holds
+    the failure. Otherwise rain closes the dome, then a temperature outside
+    the open interval (TEMP_OPEN_LOW, TEMP_OPEN_HIGH) does, and only then
+    does the model's prediction drive it.
     """
     try:
         output = model_predict_fn(features)
         if output not in (0, 1):
             raise ValueError(f"model returned {output!r}, not 0 or 1")
     except Exception as exc:  # any model fault closes the dome
-        return _command(0, CAUSE_RAIN if rain_detected else CAUSE_MODEL_ERROR), None, exc
+        return DomeCommand(0, CAUSE_RAIN if rain_detected else CAUSE_MODEL_ERROR), None, exc
     prediction = int(output)
-    return decide_inputs(prediction, rain_detected, temp), prediction, None
+    if rain_detected:
+        command = DomeCommand(0, CAUSE_RAIN)
+    elif not TEMP_OPEN_LOW < temp < TEMP_OPEN_HIGH:
+        command = DomeCommand(0, CAUSE_TEMP)
+    else:
+        command = DomeCommand(prediction, CAUSE_MODEL)
+    return command, prediction, None
 
 
 def emit_signal(command: DomeCommand, sink: IO[str]) -> str:
@@ -198,10 +186,10 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
 
     Frames whose condition is missing from the table are decided closed with
     cause ``unmapped_condition`` (fail-safe) and keep a null prediction. A
-    model fault closes its frame as decide_fail_closed says, and the replay
-    goes on; so does a sink that raises SignalDeliveryError, whose frames
-    the log counts as ``undelivered``. Each kind of failure is reported by
-    one warning with its count and its first occurrence.
+    model fault closes its frame as decide says, and the replay goes on;
+    so does a sink that raises SignalDeliveryError, whose frames the log
+    counts as ``undelivered``. Each kind of failure is reported by one
+    warning with its count and its first occurrence.
 
     Pure given its inputs: chunking the frame stream and concatenating the
     logs yields the same entries.
@@ -222,9 +210,9 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
         last_tick = frame.tick
         prediction: Optional[int] = None
         if frame.observation.condition not in table:
-            command = _command(0, CAUSE_UNMAPPED)
+            command = DomeCommand(0, CAUSE_UNMAPPED)
         else:
-            command, prediction, fault = decide_fail_closed(
+            command, prediction, fault = decide(
                 model_predict_fn, frame.observation.features(),
                 frame.rain_detected, frame.observation.temp)
             if fault is not None:
@@ -252,20 +240,12 @@ def read_frames_csv(source: PathOrStream) -> tuple[list[SensorFrame], CleaningRe
 
     Ticks number the accepted frames sequentially from 0.
     """
-    report = CleaningReport()
-    frames: list[SensorFrame] = []
-    for _, cells in _read_rows(source, FRAME_COLUMNS):
-        report.rows_read += 1
-        try:
-            observation = _observation_from_row(cells)
-            rain = _parse_rain(cells[-1])
-        except _RowRejected as rej:
-            report.reject(rej.reason)
-            continue
-        frames.append(SensorFrame(observation=observation, rain_detected=rain,
-                                  tick=len(frames)))
-        report.kept += 1
-    return frames, report
+    ticks = itertools.count()
+    # The tick is drawn last, after both parses succeed, so rejected rows
+    # leave no gap in the numbering.
+    return _clean_rows(source, FRAME_COLUMNS, lambda cells: SensorFrame(
+        observation=_observation_from_row(cells), rain_detected=_parse_rain(cells[-1]),
+        tick=next(ticks)))
 
 
 def _parse_rain(text: str) -> bool:

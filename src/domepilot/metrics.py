@@ -153,7 +153,7 @@ def evaluate(model_predict_fn: Callable[[Sequence[float]], int],
         f1_class1=scores[1],
         f1_class0=scores[0],
         weighted_f1=weighted_f1(matrix),
-        mse=mse(predictions, labels),
+        mse=(matrix.fp + matrix.fn) / len(labels),  # mse() of 0/1 values
         n_test=len(labels),
         model_id=model_id,
         # F1 is 0 exactly when the class has no true positive, i.e. when

@@ -15,7 +15,7 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .controller import SensorFrame
+from .controller import FRAME_COLUMNS, SensorFrame
 from .weather import RAW_COLUMNS, WeatherObservation
 
 
@@ -91,7 +91,7 @@ def synthetic_frames(n: int, seed: int = 20170101, rain_rate: float = 0.1,
 def to_raw_csv(observations: Sequence[WeatherObservation], sink: IO[str],
                rain: Optional[Sequence[bool]] = None) -> None:
     """Write observations in the raw input schema; add a rain column if given."""
-    columns = RAW_COLUMNS + ("rain",) if rain is not None else RAW_COLUMNS
+    columns = FRAME_COLUMNS if rain is not None else RAW_COLUMNS
     writer = csv.writer(sink)
     writer.writerow(columns)
     for i, obs in enumerate(observations):

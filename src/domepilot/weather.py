@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date as Date
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, TypeVar, Union
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 logger = logging.getLogger(__name__)
 
@@ -165,13 +165,12 @@ class ConditionTable:
         return cls(pairs)
 
 
-def derive_state(flag: int, temp: float,
-                 low: float = TEMP_OPEN_LOW, high: float = TEMP_OPEN_HIGH) -> int:
-    """Final dome state: 1 iff ``flag`` is 1 and ``low < temp < high``.
+def derive_state(flag: int, temp: float) -> int:
+    """Final dome state: 1 iff ``flag`` is 1 and TEMP_OPEN_LOW < temp < TEMP_OPEN_HIGH.
 
     Both boundaries are excluded (closed at exactly 16 and 27 degrees).
     """
-    return 1 if flag == 1 and low < temp < high else 0
+    return 1 if flag == 1 and TEMP_OPEN_LOW < temp < TEMP_OPEN_HIGH else 0
 
 
 @dataclass(frozen=True)
@@ -356,24 +355,42 @@ def _read_rows(source: PathOrStream,
 
     Header names match case-insensitively, in any order; extra columns are
     ignored and a missing one raises SchemaError. Short rows read as empty
-    cells.
+    cells. Bytes that are not UTF-8 raise a ValueError naming the file.
     """
     with _opened(source) as stream:
         reader = csv.reader(stream)
-        header = next(reader, None) or []
-        by_name = {name.strip().lower(): i for i, name in enumerate(header) if name}
-        missing = [col for col in columns if col not in by_name]
-        if missing:
-            raise SchemaError(f"missing required column(s): {', '.join(missing)}")
-        positions = [by_name[col] for col in columns]
-        pick = operator.itemgetter(*positions)
-        width = max(positions) + 1
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            yield reader.line_num, pick(row)
+        try:
+            header = next(reader, None) or []
+            by_name = {name.strip().lower(): i for i, name in enumerate(header) if name}
+            missing = [col for col in columns if col not in by_name]
+            if missing:
+                raise SchemaError(f"missing required column(s): {', '.join(missing)}")
+            positions = [by_name[col] for col in columns]
+            pick = operator.itemgetter(*positions)
+            width = max(positions) + 1
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                yield reader.line_num, pick(row)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{getattr(stream, 'name', source)}: {exc}") from None
+
+
+def _clean_rows(source: PathOrStream, columns: Sequence[str],
+                parse: Callable[[tuple[str, ...]], T]) -> tuple[list[T], CleaningReport]:
+    """``parse`` applied to each row; a row it rejects is counted, not kept."""
+    report = CleaningReport()
+    kept: list[T] = []
+    for _, cells in _read_rows(source, columns):
+        report.rows_read += 1
+        try:
+            kept.append(parse(cells))
+        except _RowRejected as rej:
+            report.reject(rej.reason)
+    report.kept = len(kept)
+    return kept, report
 
 
 def parse_dataset(source: PathOrStream) -> tuple[list[WeatherObservation], CleaningReport]:
@@ -384,16 +401,7 @@ def parse_dataset(source: PathOrStream) -> tuple[list[WeatherObservation], Clean
     out-of-range cells are dropped and counted, never fatal. Row order is
     preserved.
     """
-    report = CleaningReport()
-    observations: list[WeatherObservation] = []
-    for _, cells in _read_rows(source, RAW_COLUMNS):
-        report.rows_read += 1
-        try:
-            observations.append(_observation_from_row(cells))
-            report.kept += 1
-        except _RowRejected as rej:
-            report.reject(rej.reason)
-    return observations, report
+    return _clean_rows(source, RAW_COLUMNS, _observation_from_row)
 
 
 def filter_city(observations: Sequence[WeatherObservation],

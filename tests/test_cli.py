@@ -382,6 +382,36 @@ def test_model_version_mismatch_names_both_versions(workspace, tmp_path):
     assert "99" in result.stderr and "version 2" in result.stderr
 
 
+@pytest.mark.parametrize("content", [b"not json\n", b'{"kind": "tree\xff"}'],
+                         ids=["not-json", "not-utf8"])
+def test_undecodable_model_exits_2_naming_the_file(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    result = run_cli("predict", "--model", path, *PREDICT_ARGS)
+    assert result.returncode == 2
+    assert result.stderr.startswith("domepilot: error:") and str(path) in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
+@pytest.mark.parametrize("source,args", [
+    ("raw", lambda ws, bad, out: ["prepare", "--data", bad, "--out", out]),
+    ("labeled", lambda ws, bad, out: ["train", "--data", bad, "--out", out]),
+    ("frames", lambda ws, bad, out: ["simulate", "--model", ws["dt"], "--frames", bad,
+                                     "--log", out]),
+], ids=["prepare", "train", "simulate"])
+def test_non_utf8_csv_exits_2_naming_the_file(workspace, tmp_path, source, args):
+    data = workspace[source].read_bytes()
+    bad = tmp_path / f"bad-{source}.csv"
+    bad.write_bytes(data[:300] + b"\xff" + data[300:])
+    out = tmp_path / "out"
+    result = run_cli(*args(workspace, bad, out))
+    assert result.returncode == 2
+    assert result.stderr.splitlines()[-1].startswith("domepilot: error:")
+    assert str(bad) in result.stderr and "utf-8" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- save/load
 
 def test_save_and_load_round_trip_knn(tmp_path):

@@ -1,6 +1,7 @@
 import datetime
 import io
 import json
+import math
 import socket
 import socketserver
 import threading
@@ -17,8 +18,6 @@ from domepilot.controller import (
     SensorFrame,
     SignalDeliveryError,
     decide,
-    decide_fail_closed,
-    decide_inputs,
     emit_signal,
     open_sink,
     parse_signal,
@@ -45,72 +44,108 @@ def frame(temp=20.0, rain=False, condition="Clear", tick=0):
                        rain_detected=rain, tick=tick)
 
 
+def constant_model(prediction):
+    return lambda features: prediction
+
+
+def failing_model(features):
+    raise RuntimeError("model fault")
+
+
+def decide_with(model, rain=False, temp=20.0):
+    """decide() on the features of one observation at ``temp``."""
+    return decide(model, observation(temp=temp).features(), rain, temp)
+
+
+def command_for(prediction, rain=False, temp=20.0):
+    """The command decide() gives under a model that always returns ``prediction``."""
+    return decide_with(constant_model(prediction), rain, temp)[0]
+
+
 # ---------------------------------------------------------------- decide
 
 def test_rain_overrides_an_open_prediction():
-    command = decide(1, frame(temp=20.0, rain=True))
+    command = command_for(1, rain=True)
     assert (command.dome, command.ac, command.cause) == (0, 1, CAUSE_RAIN)
 
 
 def test_model_opens_when_gates_allow():
-    command = decide(1, frame(temp=20.0, rain=False))
+    command = command_for(1)
     assert (command.dome, command.ac, command.cause) == (1, 0, CAUSE_MODEL)
 
 
 def test_temp_gate_closes_despite_open_prediction():
-    command = decide(1, frame(temp=30.0, rain=False))
+    command = command_for(1, temp=30.0)
     assert (command.dome, command.ac, command.cause) == (0, 1, CAUSE_TEMP)
 
 
 def test_model_close_keeps_model_cause():
-    command = decide(0, frame(temp=20.0, rain=False))
+    command = command_for(0)
     assert (command.dome, command.cause) == (0, CAUSE_MODEL)
 
 
 def test_decide_rejects_non_binary_predictions():
-    with pytest.raises(ValueError):
-        decide_inputs(2, False, 20.0)
+    # A model returning 2 fails closed instead of driving the dome.
+    command, prediction, fault = decide_with(constant_model(2))
+    assert (command.dome, command.ac, command.cause) == (0, 1, CAUSE_MODEL_ERROR)
+    assert prediction is None
+    assert isinstance(fault, ValueError) and "returned 2" in str(fault)
 
 
 def test_exhaustive_safety_cube():
-    temps = (10.0, 16.0, 16.5, 20.0, 26.9, 27.0, 30.0)
-    for prediction in (0, 1):
+    temps = (10.0, 16.0, 16.5, 20.0, 26.9, 27.0, 30.0, math.nan, math.inf, -math.inf)
+    models = {0: constant_model(0), 1: constant_model(1), 2: constant_model(2),
+              None: constant_model(None), "raises": failing_model}
+    for output, model in models.items():
+        faulty = output not in (0, 1)
         for rain in (True, False):
             for temp in temps:
-                command = decide_inputs(prediction, rain, temp)
-                if rain:
+                command, prediction, fault = decide_with(model, rain, temp)
+                if faulty:
+                    assert command.dome == 0 and prediction is None and fault is not None
+                    assert command.cause == (CAUSE_RAIN if rain else CAUSE_MODEL_ERROR)
+                elif rain:
                     assert command.dome == 0 and command.cause == CAUSE_RAIN
                 elif not 16.0 < temp < 27.0:
                     assert command.dome == 0 and command.cause == CAUSE_TEMP
                 else:
-                    assert command.dome == prediction
+                    assert command.dome == output
                     assert command.cause == CAUSE_MODEL
+                if not faulty:
+                    assert (prediction, fault) == (output, None)
+                if not math.isfinite(temp):
+                    assert command.dome == 0
                 assert command.ac == 1 - command.dome
                 line = emit_signal(command, io.StringIO())
                 assert line == f"D:{command.dome} A:{command.ac}\n"
 
 
 def test_interlock_is_unconstructible_otherwise():
-    with pytest.raises(ValueError):
+    for dome in (0, 1):
+        command = DomeCommand(dome, CAUSE_MODEL)
+        assert command.ac == 1 - dome
+        with pytest.raises(AttributeError):
+            command.ac = dome
+    with pytest.raises(TypeError):
         DomeCommand(dome=1, ac=1, cause=CAUSE_MODEL)
     with pytest.raises(ValueError):
-        DomeCommand(dome=0, ac=0, cause=CAUSE_MODEL)
+        DomeCommand(dome=2, cause=CAUSE_MODEL)
     with pytest.raises(ValueError):
-        DomeCommand(dome=1, ac=0, cause="gremlins")
+        DomeCommand(dome=1, cause="gremlins")
 
 
 # ---------------------------------------------------------------- wire protocol
 
 def test_emit_writes_exact_bytes():
     sink = io.StringIO()
-    emit_signal(decide_inputs(1, False, 20.0), sink)
-    emit_signal(decide_inputs(0, False, 20.0), sink)
+    emit_signal(command_for(1), sink)
+    emit_signal(command_for(0), sink)
     assert sink.getvalue() == "D:1 A:0\nD:0 A:1\n"
 
 
 def test_parse_round_trips_both_constructible_commands():
     for prediction in (0, 1):
-        command = decide_inputs(prediction, False, 20.0)
+        command = command_for(prediction)
         line = emit_signal(command, io.StringIO())
         assert parse_signal(line) == (command.dome, command.ac)
     for bad in ("", "D:2 A:0\n", "A:1 D:0\n", "D:1A:0\n", "D:1 A:0 X\n"):
@@ -123,7 +158,7 @@ def test_failing_sink_raises_retriable_error_then_recovers():
         def write(self, line):
             raise OSError("wire cut")
 
-    command = decide_inputs(1, False, 20.0)
+    command = command_for(1)
     with pytest.raises(SignalDeliveryError):
         emit_signal(command, Broken())
     closed = io.StringIO()
@@ -135,10 +170,6 @@ def test_failing_sink_raises_retriable_error_then_recovers():
 
 
 # ---------------------------------------------------------------- replay
-
-def constant_model(prediction):
-    return lambda features: prediction
-
 
 def test_replay_three_clear_frames_open():
     frames = [frame(tick=t) for t in range(3)]
@@ -161,10 +192,6 @@ def test_unmapped_condition_frame_fails_safe():
     assert middle.command.dome == 0
     assert middle.command.cause == CAUSE_UNMAPPED
     assert middle.prediction is None
-
-
-def failing_model(features):
-    raise RuntimeError("model fault")
 
 
 @pytest.mark.parametrize("model", [failing_model, constant_model(2),
@@ -196,14 +223,12 @@ def test_a_model_fault_on_one_frame_spares_the_others():
 
 
 @pytest.mark.parametrize("rain,cause", [(False, CAUSE_MODEL_ERROR), (True, CAUSE_RAIN)])
-def test_decide_fail_closed_closes_on_a_model_fault(rain, cause):
-    features = observation().features()
-    command, prediction, fault = decide_fail_closed(failing_model, features, rain, 20.0)
+def test_decide_closes_on_a_model_fault(rain, cause):
+    command, prediction, fault = decide_with(failing_model, rain)
     assert (command.dome, command.ac, command.cause) == (0, 1, cause)
     assert prediction is None and str(fault) == "model fault"
-    command, prediction, fault = decide_fail_closed(constant_model(1), features, rain,
-                                                    20.0)
-    assert command == decide_inputs(1, rain, 20.0)
+    command, prediction, fault = decide_with(constant_model(1), rain)
+    assert command == (DomeCommand(0, CAUSE_RAIN) if rain else DomeCommand(1, CAUSE_MODEL))
     assert (prediction, fault) == (1, None)
 
 
@@ -291,10 +316,11 @@ def test_read_frames_csv_parses_and_ticks(tmp_path):
     path = tmp_path / "frames.csv"
     path.write_text(FRAME_HEADER
                     + "A,2019-01-01,00:00,20,1,40%,1015,16,Clear,0\n"
-                    + "A,2019-01-01,01:00,21,1,41%,1015,16,Clear,true\n"
+                    + "A,2019-01-01,03:00,22,1,43%,1015,16,Clear,maybe\n"
                     + "A,2019-01-01,02:00,oops,1,42%,1015,16,Clear,0\n"
-                    + "A,2019-01-01,03:00,22,1,43%,1015,16,Clear,maybe\n")
+                    + "A,2019-01-01,01:00,21,1,41%,1015,16,Clear,true\n")
     frames, report = read_frames_csv(path)
+    # Rejected rows in between take no tick.
     assert [f.tick for f in frames] == [0, 1]
     assert [f.rain_detected for f in frames] == [False, True]
     assert report.rejected == 2
@@ -313,13 +339,13 @@ def test_read_frames_csv_requires_rain_column(tmp_path):
 def test_file_sink_receives_lines(tmp_path):
     path = tmp_path / "wire.txt"
     with open_sink(str(path)) as sink:
-        emit_signal(decide_inputs(1, False, 20.0), sink)
+        emit_signal(command_for(1), sink)
     assert path.read_text() == "D:1 A:0\n"
 
 
 def test_stdout_sink(capsys):
     with open_sink("-") as sink:
-        emit_signal(decide_inputs(0, False, 30.0), sink)
+        emit_signal(command_for(0, temp=30.0), sink)
     assert capsys.readouterr().out == "D:0 A:1\n"
 
 
@@ -339,8 +365,8 @@ def test_tcp_sink_delivers_lines():
     thread.start()
     try:
         with open_sink(f"tcp:127.0.0.1:{port}") as sink:
-            emit_signal(decide_inputs(1, False, 20.0), sink)
-            emit_signal(decide_inputs(1, True, 20.0), sink)
+            emit_signal(command_for(1), sink)
+            emit_signal(command_for(1, rain=True), sink)
         assert done.wait(timeout=5.0)
         assert received == ["D:1 A:0\n", "D:0 A:1\n"]
     finally:
