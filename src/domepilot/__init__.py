@@ -3,7 +3,13 @@
 Labeling pipeline (condition table + temperature gate), from-scratch
 decision tree and k-NN classifiers, evaluation reports, and a dome
 controller with a hard rain override and AC interlock.
+
+Tree growth and k-NN compute with numpy, so their names are imported on
+first access; labeling, loading a tree, predicting with it and the
+controller never import numpy.
 """
+
+from importlib import import_module
 
 from .controller import (
     CAUSE_MODEL,
@@ -20,7 +26,6 @@ from .controller import (
     parse_signal,
     replay,
 )
-from .knn import KnnModel, default_k, distance, train_knn
 from .metrics import (
     ConfusionMatrix,
     EvalReport,
@@ -31,7 +36,7 @@ from .metrics import (
     mse,
     weighted_f1,
 )
-from .tree import TreeConfig, TreeModel, best_split, impurity, train_tree
+from .treemodel import TreeConfig, TreeModel
 from .weather import (
     FEATURE_NAMES,
     TEMP_OPEN_HIGH,
@@ -51,3 +56,15 @@ from .weather import (
 )
 
 __version__ = "0.1.0"
+
+# Name -> module of the names that need numpy (PEP 562).
+_NUMPY_NAMES = {
+    "KnnModel": "knn", "default_k": "knn", "distance": "knn", "train_knn": "knn",
+    "best_split": "tree", "impurity": "tree", "train_tree": "tree",
+}
+
+
+def __getattr__(name: str):
+    if name not in _NUMPY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_NUMPY_NAMES[name]}", __name__), name)

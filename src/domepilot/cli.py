@@ -2,23 +2,23 @@
 
 Every flag can also come from an optional ``key = value`` config file
 (--config); explicit flags win. Output artifacts are written atomically so
-a failing command leaves nothing half-written behind.
+a failing command leaves nothing half-written behind. Only training and
+k-NN import numpy, when they run; the other commands never load it.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import logging
 import math
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
+from typing import IO, TYPE_CHECKING, Iterator, Union
 
 from .controller import (
     SignalDeliveryError,
@@ -28,12 +28,12 @@ from .controller import (
     read_frames_csv,
     replay,
 )
-from .knn import KnnModel, default_k, train_knn
 from .metrics import evaluate, render_reports
-from .tree import TreeConfig, TreeModel, train_tree
+from .treemodel import TreeConfig, TreeModel
 from .weather import (
     ConditionTable,
     SplitSpec,
+    _opened,
     filter_city,
     parse_dataset,
     read_labeled_csv,
@@ -41,6 +41,9 @@ from .weather import (
     to_samples,
     write_labeled_csv,
 )
+
+if TYPE_CHECKING:
+    from .knn import KnnModel
 
 logger = logging.getLogger(__name__)
 
@@ -66,22 +69,39 @@ class RunConfig:
 DEFAULTS = RunConfig()
 
 
+def train_tree(samples, config: TreeConfig) -> TreeModel:
+    """``tree.train_tree``, whose module (numpy) is imported on first use."""
+    from .tree import train_tree as grow
+    return grow(samples, config)
+
+
+def train_knn(samples, k: int, scaling: str) -> KnnModel:
+    """``knn.train_knn``, whose module (numpy) is imported on first use."""
+    from .knn import train_knn as fit
+    return fit(samples, k, scaling)
+
+
 def save_model(model: Union[TreeModel, KnnModel], path: Union[str, Path]) -> None:
-    _write_text_atomic(Path(path), json.dumps(model.to_dict(), sort_keys=True) + "\n")
+    with _atomic_writer(Path(path)) as stream:
+        stream.write(json.dumps(model.to_dict(), sort_keys=True) + "\n")
 
 
 def load_model(path: Union[str, Path]) -> Union[TreeModel, KnnModel]:
     """Model saved by save_model; a malformed document raises ValueError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8 or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a model document")
-    try:
-        loader = {"tree": TreeModel.from_dict, "knn": KnnModel.from_dict}[doc.get("kind")]
-    except (KeyError, TypeError):
-        raise ValueError(f"{path}: unrecognized model kind {doc.get('kind')!r}") from None
+    kind = doc.get("kind")
+    if kind == "tree":
+        loader = TreeModel.from_dict
+    elif kind == "knn":
+        from .knn import KnnModel
+        loader = KnnModel.from_dict
+    else:
+        raise ValueError(f"{path}: unrecognized model kind {kind!r}")
     try:
         return loader(doc)
     except ValueError as exc:
@@ -97,11 +117,14 @@ def _model_id(model: Union[TreeModel, KnnModel]) -> str:
     return f"knn(k={model.k},scaling={model.scaling})"
 
 
-def _write_text_atomic(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_writer(path: Path) -> Iterator[IO[str]]:
+    """Text stream into a temp file that replaces ``path`` if the block succeeds."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
-        tmp.write_text(text, encoding="utf-8", newline="")
+        with open(tmp, "w", encoding="utf-8", newline="") as stream:
+            yield stream
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -133,7 +156,9 @@ def _require(value, flag: str):
 def load_config_file(path: Union[str, Path]) -> dict[str, str]:
     """Flat ``key = value`` file; # starts a comment anywhere on a line."""
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    with _opened(path) as stream:
+        text = stream.read()
+    for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -178,9 +203,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     observations, parse_report = parse_dataset(data)
     in_city = filter_city(observations, city)
     samples, label_report = to_samples(in_city, table)
-    buffer = io.StringIO()
-    write_labeled_csv(samples, buffer)
-    _write_text_atomic(out, buffer.getvalue())
+    with _atomic_writer(out) as stream:
+        write_labeled_csv(samples, stream)
     print(json.dumps({
         "input_rows": parse_report.rows_read,
         "parsed": parse_report.kept,
@@ -217,7 +241,11 @@ def cmd_train(args: argparse.Namespace) -> int:
                  "leaf_count": model.leaf_count}
     else:
         k_arg = args.k if args.k is not None else DEFAULTS.knn_k
-        k = default_k(len(train_set)) if str(k_arg) == "auto" else _as_int(k_arg, "--k")
+        if str(k_arg) == "auto":
+            from .knn import default_k
+            k = default_k(len(train_set))
+        else:
+            k = _as_int(k_arg, "--k")
         scaling = args.scaling if args.scaling is not None else DEFAULTS.knn_scaling
         model = train_knn(train_set, k, scaling)
         extra = {"k": k, "scaling": scaling}
@@ -241,7 +269,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluate(model.predict, test_set, model_id=_model_id(model))
     doc = {"split": {"test_fraction": spec.test_fraction, "seed": spec.seed},
            **report.as_dict()}
-    _write_text_atomic(report_path, json.dumps(doc, sort_keys=True) + "\n")
+    with _atomic_writer(report_path) as stream:
+        stream.write(json.dumps(doc, sort_keys=True) + "\n")
     print(render_reports([report]), end="")
     return 0
 
@@ -260,9 +289,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     with open_sink(args.sink) if args.sink is not None else nullcontext() as sink:
         log = replay(model.predict, frames, sink=sink)
         # Written before the sink closes: closing a failed sink raises too.
-        buffer = io.StringIO()
-        log.to_jsonl(buffer)
-        _write_text_atomic(log_path, buffer.getvalue())
+        with _atomic_writer(log_path) as stream:
+            log.to_jsonl(stream)
     if log.undelivered:
         raise SignalDeliveryError(f"actuator sink failed on {log.undelivered} of "
                                   f"{len(log)} frames; decision log written to {log_path}")

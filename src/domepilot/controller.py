@@ -17,7 +17,9 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
 import socket
+import struct
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -46,6 +48,11 @@ CAUSES = (CAUSE_MODEL, CAUSE_RAIN, CAUSE_TEMP, CAUSE_UNMAPPED, CAUSE_MODEL_ERROR
 
 #: Columns of a frames CSV: the raw weather schema plus a rain flag.
 FRAME_COLUMNS = RAW_COLUMNS + ("rain",)
+
+#: Seconds a ``tcp:`` sink may take to connect or to accept one wire line; a
+#: peer that stops reading then fails that frame's delivery, and the sink
+#: drops the connection, instead of blocking the loop.
+TCP_TIMEOUT_S = 5.0
 
 logger = logging.getLogger(__name__)
 
@@ -80,6 +87,11 @@ class DomeCommand:
         return 1 - self.dome
 
 
+# Commands are frozen, so decide hands out these shared instances.
+_CLOSED = {cause: DomeCommand(0, cause) for cause in CAUSES}
+_OPEN = DomeCommand(1, CAUSE_MODEL)
+
+
 def decide(model_predict_fn: Callable[[Sequence[float]], int],
            features: Sequence[float], rain_detected: bool, temp: float
            ) -> tuple[DomeCommand, Optional[int], Optional[Exception]]:
@@ -97,14 +109,14 @@ def decide(model_predict_fn: Callable[[Sequence[float]], int],
         if output not in (0, 1):
             raise ValueError(f"model returned {output!r}, not 0 or 1")
     except Exception as exc:  # any model fault closes the dome
-        return DomeCommand(0, CAUSE_RAIN if rain_detected else CAUSE_MODEL_ERROR), None, exc
+        return _CLOSED[CAUSE_RAIN if rain_detected else CAUSE_MODEL_ERROR], None, exc
     prediction = int(output)
     if rain_detected:
-        command = DomeCommand(0, CAUSE_RAIN)
+        command = _CLOSED[CAUSE_RAIN]
     elif not TEMP_OPEN_LOW < temp < TEMP_OPEN_HIGH:
-        command = DomeCommand(0, CAUSE_TEMP)
+        command = _CLOSED[CAUSE_TEMP]
     else:
-        command = DomeCommand(prediction, CAUSE_MODEL)
+        command = _OPEN if prediction else _CLOSED[CAUSE_MODEL]
     return command, prediction, None
 
 
@@ -112,7 +124,8 @@ def emit_signal(command: DomeCommand, sink: IO[str]) -> str:
     """Write exactly one wire line for the command; returns the line sent.
 
     A failing sink raises SignalDeliveryError; nothing else changes, so the
-    caller may simply retry on the next frame.
+    caller may simply try again on the next frame (a ``tcp:`` sink that
+    failed once fails every later frame too).
     """
     line = f"D:{command.dome} A:{command.ac}\n"
     try:
@@ -156,6 +169,25 @@ class LogEntry:
 _JSON = json.JSONEncoder(sort_keys=True)
 
 
+def _jsonl_line(entry: LogEntry) -> str:
+    """``json.dumps(entry.as_dict(), sort_keys=True)`` plus a newline.
+
+    Entries whose fields all print the same through ``repr`` as through
+    json (int tick and dome, 0/1/None prediction, finite plain floats) are
+    formatted directly; any other goes through the encoder.
+    """
+    tick, command, prediction = entry.frame.tick, entry.command, entry.prediction
+    features = entry.frame.observation.features()
+    if (type(tick) is int and type(command.dome) is int
+            and (prediction is None or (type(prediction) is int and prediction in (0, 1)))
+            and all(type(v) is float and math.isfinite(v) for v in features)):
+        return (f'{{"ac": {command.ac}, "cause": "{command.cause}", '
+                f'"dome": {command.dome}, "features": [{", ".join(map(repr, features))}], '
+                f'"prediction": {"null" if prediction is None else prediction}, '
+                f'"tick": {tick}}}\n')
+    return _JSON.encode(entry.as_dict()) + "\n"
+
+
 @dataclass
 class DecisionLog:
     """One entry per input frame, in input order.
@@ -174,8 +206,7 @@ class DecisionLog:
 
     def to_jsonl(self, sink: PathOrStream) -> None:
         with _opened(sink, "w") as stream:
-            for entry in self.entries:
-                stream.write(_JSON.encode(entry.as_dict()) + "\n")
+            stream.writelines(map(_jsonl_line, self.entries))
 
 
 def replay(model_predict_fn: Callable[[Sequence[float]], int],
@@ -210,7 +241,7 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
         last_tick = frame.tick
         prediction: Optional[int] = None
         if frame.observation.condition not in table:
-            command = DomeCommand(0, CAUSE_UNMAPPED)
+            command = _CLOSED[CAUSE_UNMAPPED]
         else:
             command, prediction, fault = decide(
                 model_predict_fn, frame.observation.features(),
@@ -257,6 +288,42 @@ def _parse_rain(text: str) -> bool:
     raise _RowRejected("bad_rain")
 
 
+class _TcpSink:
+    """A ``tcp:`` actuator sink that sends each wire line unbuffered.
+
+    The first failed send drops the connection and every later write fails,
+    so no line counted undelivered, nor a later one, can reach the peer
+    afterwards out of order. A send that times out queued nothing, and the
+    socket is closed normally: lines sent before still arrive, then EOF. A
+    send the kernel took only part of resets the connection instead, which
+    discards what is still queued for the peer, the partial line included.
+    """
+
+    def __init__(self, conn: socket.socket):
+        self._conn: Optional[socket.socket] = conn
+
+    def write(self, text: str) -> int:
+        conn = self._conn
+        if conn is None:
+            raise OSError("tcp sink connection dropped after an earlier send failure")
+        data = text.encode("ascii")
+        try:
+            sent = conn.send(data)
+        except OSError:
+            self._drop(reset=False)
+            raise
+        if sent < len(data):
+            self._drop(reset=True)
+            raise OSError(f"tcp sink took only {sent} of {len(data)} bytes")
+        return sent
+
+    def _drop(self, reset: bool) -> None:
+        conn, self._conn = self._conn, None
+        if reset:
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        conn.close()
+
+
 @contextmanager
 def open_sink(spec: str):
     """Open an actuator sink: a file path, ``tcp:host:port``, or ``-`` (stdout)."""
@@ -268,12 +335,8 @@ def open_sink(spec: str):
         host, sep, port = rest.rpartition(":")
         if not sep or not host or not port.isdigit():
             raise ValueError(f"bad tcp sink spec {spec!r}; expected tcp:host:port")
-        with socket.create_connection((host, int(port))) as conn:
-            stream = conn.makefile("w", newline="")
-            try:
-                yield stream
-            finally:
-                stream.close()
+        with socket.create_connection((host, int(port)), timeout=TCP_TIMEOUT_S) as conn:
+            yield _TcpSink(conn)
         return
     with open(spec, "w", encoding="ascii", newline="") as stream:
         yield stream

@@ -4,56 +4,19 @@ Growth keeps a priority queue of splittable leaves keyed by size-weighted
 impurity decrease and expands the best one until the leaf budget is reached
 or no leaf has a strictly positive gain. Everything is deterministic: equal
 gains tie-break on (feature index, threshold), equal priorities on node
-creation order.
+creation order. The trained model (nodes, routing, JSON document) lives in
+``domepilot.treemodel``, which needs no numpy; its names are re-exported
+here.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-CRITERIA = ("gini", "entropy")
-
-#: Version of the JSON model document this build reads and writes.
-FORMAT_VERSION = 2
-
-
-@dataclass(frozen=True)
-class TreeConfig:
-    criterion: str = "gini"
-    max_leaf_nodes: int = 50
-    min_samples_leaf: int = 1
-
-    def __post_init__(self):
-        if self.criterion not in CRITERIA:
-            raise ValueError(f"criterion must be one of {CRITERIA}, got {self.criterion!r}")
-        if self.max_leaf_nodes < 1:
-            raise ValueError(f"max_leaf_nodes must be >= 1, got {self.max_leaf_nodes}")
-        if self.min_samples_leaf < 1:
-            raise ValueError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
-
-
-@dataclass
-class Split:
-    """Internal node: go left iff feature value <= threshold."""
-
-    feature: int
-    threshold: float
-    left: int
-    right: int
-    impurity: float
-    n: int
-
-
-@dataclass
-class Leaf:
-    """Terminal node predicting its training majority (tie -> class 0)."""
-
-    label: int
-    counts: tuple[int, int]  # (n class 0, n class 1)
+from .treemodel import CRITERIA, Leaf, Split, TreeConfig, TreeModel
 
 
 def _impurity_values(n0, n1, criterion: str):
@@ -157,72 +120,6 @@ def best_split(samples_at_node: Sequence, criterion: str = "gini",
     """
     X, y = _as_arrays(samples_at_node)
     return _best_split(X, y, criterion, min_samples_leaf)
-
-
-@dataclass
-class TreeModel:
-    """Trained tree: a node array rooted at index 0."""
-
-    config: TreeConfig
-    nodes: list
-    n_features: int
-
-    def predict(self, features: Sequence[float]) -> int:
-        """Route from the root (left iff value <= threshold) to a leaf class."""
-        x = tuple(float(v) for v in features)
-        if len(x) != self.n_features:
-            raise ValueError(f"expected {self.n_features} features, got {len(x)}")
-        node = self.nodes[0]
-        while isinstance(node, Split):
-            node = self.nodes[node.left if x[node.feature] <= node.threshold else node.right]
-        return node.label
-
-    @property
-    def leaf_count(self) -> int:
-        return sum(isinstance(node, Leaf) for node in self.nodes)
-
-    def to_dict(self) -> dict:
-        nodes = []
-        for i, node in enumerate(self.nodes):
-            if isinstance(node, Split):
-                nodes.append({"id": i, "type": "split", **asdict(node)})
-            else:
-                nodes.append({"id": i, "type": "leaf", "label": node.label,
-                              "counts": list(node.counts)})
-        return {"version": FORMAT_VERSION, "kind": "tree",
-                "config": asdict(self.config), "n_features": self.n_features,
-                "nodes": nodes}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TreeModel":
-        version = doc.get("version")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported tree model version {version!r}; "
-                             f"this build reads version {FORMAT_VERSION}")
-        n_features = int(doc["n_features"])
-        nodes: list = [None] * len(doc["nodes"])
-        for rec in doc["nodes"]:
-            i = int(rec["id"])
-            if not 0 <= i < len(nodes):
-                raise ValueError(f"tree node id {i} out of range")
-            if rec["type"] == "split":
-                node = Split(feature=int(rec["feature"]), threshold=float(rec["threshold"]),
-                             left=int(rec["left"]), right=int(rec["right"]),
-                             impurity=float(rec["impurity"]), n=int(rec["n"]))
-                # Children are created after their parent, so ids only grow
-                # along a path: no cycles, and routing always ends in a leaf.
-                if not (i < node.left < len(nodes) and i < node.right < len(nodes)):
-                    raise ValueError(f"tree node {i}: child ids must lie in "
-                                     f"({i}, {len(nodes)})")
-                if not 0 <= node.feature < n_features:
-                    raise ValueError(f"tree node {i}: feature {node.feature} is not "
-                                     f"below n_features {n_features}")
-            else:
-                node = Leaf(label=int(rec["label"]), counts=tuple(rec["counts"]))
-            nodes[i] = node
-        if not nodes or any(n is None for n in nodes):
-            raise ValueError("tree model document has missing node ids")
-        return cls(config=TreeConfig(**doc["config"]), nodes=nodes, n_features=n_features)
 
 
 def train_tree(train_samples: Sequence, config: TreeConfig = TreeConfig()) -> TreeModel:

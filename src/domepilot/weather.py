@@ -10,6 +10,7 @@ open (1) only when the flag is 1 and the temperature lies strictly between
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 import operator
@@ -38,6 +39,13 @@ TEMP_OPEN_HIGH = 27.0
 
 PathOrStream = Union[str, Path, IO[str]]
 
+# Entries kept by each per-cell parse memo below. Columns repeat few
+# distinct cells (a 50,000-frame file holds 24-278 per numeric column), so
+# parsing each once saves most of the row cost; the bound keeps a file of
+# all-distinct cells from growing the memo without limit. Only results are
+# kept: a cell that raises is parsed, rejected and counted every time.
+_CELL_CACHE_SIZE = 4096
+
 
 class SchemaError(ValueError):
     """Input CSV is missing a required column."""
@@ -51,6 +59,7 @@ class UnmappedConditionError(LookupError):
         self.condition = condition
 
 
+@functools.lru_cache(maxsize=_CELL_CACHE_SIZE)
 def normalize_condition(condition: str) -> str:
     """Case-fold a condition string and collapse internal whitespace."""
     return " ".join(condition.split()).casefold()
@@ -281,6 +290,7 @@ _NUMBER_RE = re.compile(r"\s*([-+]?\d+(?:\.\d+)?)\s*(.*)$")
 _UNIT_RE = re.compile(r"[a-z°%µ/.\s]*")
 
 
+@functools.lru_cache(maxsize=_CELL_CACHE_SIZE)
 def _parse_date(text: str) -> Date:
     """Date of the first format in _DATE_FORMATS that reads a valid day."""
     raw = text.strip()
@@ -295,6 +305,7 @@ def _parse_date(text: str) -> Date:
     raise _RowRejected("bad_date")
 
 
+@functools.lru_cache(maxsize=_CELL_CACHE_SIZE)
 def _parse_hour(text: str) -> int:
     m = _TIME_RE.fullmatch(text.strip().lower())
     if not m:
@@ -312,6 +323,7 @@ def _parse_hour(text: str) -> int:
     return hour
 
 
+@functools.lru_cache(maxsize=_CELL_CACHE_SIZE)
 def _parse_number(text: str, column: str) -> float:
     """Parse a numeric cell, tolerating a short unit suffix ('21 °c', '7 km/h')."""
     raw = text.strip().lower()
@@ -355,27 +367,24 @@ def _read_rows(source: PathOrStream,
 
     Header names match case-insensitively, in any order; extra columns are
     ignored and a missing one raises SchemaError. Short rows read as empty
-    cells. Bytes that are not UTF-8 raise a ValueError naming the file.
+    cells.
     """
     with _opened(source) as stream:
         reader = csv.reader(stream)
-        try:
-            header = next(reader, None) or []
-            by_name = {name.strip().lower(): i for i, name in enumerate(header) if name}
-            missing = [col for col in columns if col not in by_name]
-            if missing:
-                raise SchemaError(f"missing required column(s): {', '.join(missing)}")
-            positions = [by_name[col] for col in columns]
-            pick = operator.itemgetter(*positions)
-            width = max(positions) + 1
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < width:
-                    row += [""] * (width - len(row))
-                yield reader.line_num, pick(row)
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{getattr(stream, 'name', source)}: {exc}") from None
+        header = next(reader, None) or []
+        by_name = {name.strip().lower(): i for i, name in enumerate(header) if name}
+        missing = [col for col in columns if col not in by_name]
+        if missing:
+            raise SchemaError(f"missing required column(s): {', '.join(missing)}")
+        positions = [by_name[col] for col in columns]
+        pick = operator.itemgetter(*positions)
+        width = max(positions) + 1
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            yield reader.line_num, pick(row)
 
 
 def _clean_rows(source: PathOrStream, columns: Sequence[str],
@@ -515,9 +524,17 @@ def read_labeled_csv(source: PathOrStream) -> list[LabeledSample]:
 
 @contextmanager
 def _opened(source: PathOrStream, mode: str = "r") -> Iterator[IO[str]]:
-    """Open paths for the caller, pass streams through unchanged."""
-    if isinstance(source, (str, Path)):
-        with open(source, mode, encoding="utf-8", newline="") as stream:
-            yield stream
-    else:
-        yield source
+    """Open paths for the caller, pass streams through unchanged.
+
+    Bytes that are not UTF-8 raise a ValueError naming the file.
+    """
+    is_path = isinstance(source, (str, Path))
+    try:
+        if is_path:
+            with open(source, mode, encoding="utf-8", newline="") as stream:
+                yield stream
+        else:
+            yield source
+    except UnicodeDecodeError as exc:
+        name = source if is_path else getattr(source, "name", source)
+        raise ValueError(f"{name}: {exc}") from None

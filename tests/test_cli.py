@@ -1,18 +1,24 @@
 import contextlib
+import csv
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from domepilot import cli
 from domepilot.cli import DEFAULTS, RunConfig, load_model, save_model
+from domepilot.controller import read_frames_csv, replay
 from domepilot.knn import distance, train_knn
 from domepilot.synthetic import synthetic_frames, synthetic_observations, to_raw_csv
 from domepilot.tree import TreeConfig
 from domepilot.weather import SplitSpec
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*args, cwd=None):
@@ -270,6 +276,27 @@ def test_simulate_writes_log_and_sink(workspace, tmp_path):
         assert line == f"D:{record['dome']} A:{record['ac']}"
 
 
+def test_simulate_logs_an_overflowing_cell_as_infinity(workspace, tmp_path):
+    with open(workspace["frames"], newline="") as stream:
+        rows = list(csv.reader(stream))
+    rows[3][[name.lower() for name in rows[0]].index("temp")] = "9" * 400
+    frames = tmp_path / "frames.csv"
+    with open(frames, "w", newline="") as stream:
+        csv.writer(stream).writerows(rows)
+    log = tmp_path / "log.jsonl"
+    result = run_cli("simulate", "--model", workspace["dt"], "--frames", frames,
+                     "--log", log)
+    assert result.returncode == 0, result.stderr
+    expected = replay(load_model(workspace["dt"]).predict, read_frames_csv(frames)[0])
+    reference = "".join(json.dumps(entry.as_dict(), sort_keys=True) + "\n"
+                        for entry in expected)
+    assert log.read_bytes() == reference.encode()
+    overflowed = [line for line in log.read_text().splitlines() if "Infinity" in line]
+    assert len(overflowed) == 1
+    assert '"features": [Infinity, ' in overflowed[0]
+    assert '"dome": 0' in overflowed[0]
+
+
 def test_simulate_with_a_faulty_model_closes_and_still_writes_the_log(workspace,
                                                                       tmp_path):
     model = leaf_label_2_model(workspace, tmp_path)
@@ -336,6 +363,21 @@ def test_config_file_supplies_values_and_flags_win(workspace, tmp_path):
                      "--city", "Al Madina", "--out", out)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["labeled_rows"] == 900  # flag beat config
+
+
+@pytest.mark.parametrize("flag,content", [("--table", b"condition,flag\nClear,1\nHaz\xffe,0\n"),
+                                          ("--config", b"city = Al Madina\xff\n")],
+                         ids=["table", "config"])
+def test_non_utf8_table_or_config_exits_2_naming_the_file(workspace, tmp_path, flag,
+                                                         content):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    out = tmp_path / "out.csv"
+    result = run_cli("prepare", "--data", workspace["raw"], "--out", out, flag, bad)
+    assert result.returncode == 2
+    assert result.stderr.splitlines()[-1].startswith(f"domepilot: error: {bad}: ")
+    assert "utf-8" in result.stderr and "Traceback" not in result.stderr
+    assert not out.exists()
 
 
 def test_malformed_config_is_an_error(workspace, tmp_path):
@@ -410,6 +452,52 @@ def test_non_utf8_csv_exits_2_naming_the_file(workspace, tmp_path, source, args)
     assert str(bad) in result.stderr and "utf-8" in result.stderr
     assert "Traceback" not in result.stderr
     assert not out.exists()
+
+
+def test_deeply_nested_model_exits_2_naming_the_file(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    result = run_cli("predict", "--model", path, *PREDICT_ARGS)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"domepilot: error: {path}: ")
+    assert "recursion" in result.stderr and "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+# ---------------------------------------------------------------- imports
+
+NUMPY_PROBE = ("import sys\n"
+               "from domepilot import cli\n"
+               "code = cli.main(sys.argv[1:])\n"
+               "print(code, 'numpy' in sys.modules)\n")
+
+
+def exit_code_and_numpy(*args):
+    """(exit code, whether numpy got imported) of one in-process CLI run."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
+                                                       os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *map(str, args)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
+
+def test_only_training_and_knn_import_numpy(workspace, tmp_path):
+    dt = workspace["dt"]
+    no_numpy = {
+        "prepare": ["prepare", "--data", workspace["raw"], "--out", tmp_path / "l.csv"],
+        "evaluate": ["evaluate", "--model", dt, "--data", workspace["labeled"],
+                     "--report", tmp_path / "report.json"],
+        "simulate": ["simulate", "--model", dt, "--frames", workspace["frames"],
+                     "--log", tmp_path / "log.jsonl", "--sink", tmp_path / "wire.txt"],
+        "predict": ["predict", "--model", dt, *PREDICT_ARGS],
+    }
+    for name, args in no_numpy.items():
+        assert exit_code_and_numpy(*args) == "0 False", name
+    for kind in ("dt", "knn"):
+        assert exit_code_and_numpy("train", "--data", workspace["labeled"], "--model", kind,
+                                   "--out", tmp_path / f"{kind}.json") == "0 True", kind
 
 
 # ---------------------------------------------------------------- save/load

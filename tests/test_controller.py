@@ -4,17 +4,26 @@ import json
 import math
 import socket
 import socketserver
+import struct
 import threading
+import time
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from domepilot import controller
 from domepilot.controller import (
     CAUSE_MODEL,
     CAUSE_MODEL_ERROR,
     CAUSE_RAIN,
     CAUSE_TEMP,
     CAUSE_UNMAPPED,
+    CAUSES,
+    DecisionLog,
     DomeCommand,
+    LogEntry,
     SensorFrame,
     SignalDeliveryError,
     decide,
@@ -118,6 +127,12 @@ def test_exhaustive_safety_cube():
                 assert command.ac == 1 - command.dome
                 line = emit_signal(command, io.StringIO())
                 assert line == f"D:{command.dome} A:{command.ac}\n"
+
+
+def test_decide_hands_out_shared_commands():
+    assert command_for(1) is command_for(1)
+    assert command_for(0, rain=True) is command_for(1, rain=True)
+    assert decide_with(failing_model)[0] is decide_with(constant_model(2))[0]
 
 
 def test_interlock_is_unconstructible_otherwise():
@@ -374,7 +389,125 @@ def test_tcp_sink_delivers_lines():
         server.server_close()
 
 
+def test_a_stalled_tcp_peer_gets_no_undelivered_line(monkeypatch, caplog):
+    monkeypatch.setattr(controller, "TCP_TIMEOUT_S", 0.5)
+    # The peer is accepted but reads nothing until the sink is closed: once
+    # the socket buffers are full, a send waits out the timeout.
+    with socket.socket() as listener:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        port = listener.getsockname()[1]
+        frames = [frame(tick=t) for t in range(3)]
+        with open_sink(f"tcp:127.0.0.1:{port}") as sink:
+            peer, _ = listener.accept()
+            delivered = 0
+            with pytest.raises(SignalDeliveryError):
+                for _ in range(1 << 23):  # at most 64 MiB
+                    emit_signal(command_for(0, rain=True), sink)
+                    delivered += 1
+            start = time.monotonic()
+            log = replay(constant_model(1), frames, sink=sink)
+            elapsed = time.monotonic() - start
+        with peer:
+            peer.settimeout(5.0)
+            received = b"".join(iter(lambda: peer.recv(1 << 16), b""))
+    assert log.undelivered == 3 and len(log) == 3
+    assert elapsed < 0.5  # the dropped connection fails without a wait
+    assert "actuator sink failed on 3 of 3 frames" in caplog.text
+    # Every line sent before the timeout arrives, whole and in order; the
+    # timed-out close and the three opens after it never do.
+    assert received == b"D:0 A:1\n" * delivered
+
+
+def test_a_partial_tcp_send_resets_the_connection():
+    class PartialConn:
+        sent = []
+        options = []
+        closed = False
+
+        def send(self, data):
+            self.sent.append(data)
+            return 3
+
+        def setsockopt(self, *option):
+            self.options.append(option)
+
+        def close(self):
+            self.closed = True
+
+    conn = PartialConn()
+    sink = controller._TcpSink(conn)
+    with pytest.raises(SignalDeliveryError, match="only 3 of 8 bytes"):
+        emit_signal(command_for(1), sink)
+    assert conn.closed
+    assert conn.options == [(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))]
+    with pytest.raises(SignalDeliveryError, match="dropped"):
+        emit_signal(command_for(0, rain=True), sink)
+    assert conn.sent == [b"D:1 A:0\n"]
+
+
 def test_bad_tcp_spec_is_rejected():
     with pytest.raises(ValueError):
         with open_sink("tcp:nowhere"):
             pass
+
+
+# ---------------------------------------------------------------- log writer
+
+def reference_jsonl(entries):
+    """The log as the generic JSON encoder writes it."""
+    return "".join(json.dumps(entry.as_dict(), sort_keys=True) + "\n" for entry in entries)
+
+
+def written_jsonl(entries):
+    buffer = io.StringIO()
+    DecisionLog(list(entries)).to_jsonl(buffer)
+    return buffer.getvalue()
+
+
+def log_entry(temp=20.0, wind=2.0, humidity=0.4, hour=0, visibility=16.0,
+              barometer=1015.0, dome=0, cause=CAUSE_MODEL, prediction=0, tick=0):
+    obs = WeatherObservation(city="Al Madina", date=datetime.date(2019, 5, 1), hour=hour,
+                             temp=temp, wind=wind, humidity=humidity,
+                             barometer=barometer, visibility=visibility, condition="Clear")
+    return LogEntry(frame=SensorFrame(observation=obs, rain_detected=False, tick=tick),
+                    command=DomeCommand(dome, cause), prediction=prediction)
+
+
+_any_number = st.one_of(st.floats(), st.floats().map(np.float64),
+                        st.integers(-10**30, 10**30), st.booleans())
+
+
+@st.composite
+def log_entries(draw):
+    return log_entry(temp=draw(_any_number), wind=draw(_any_number),
+                     humidity=draw(st.floats(0.0, 1.0)), hour=draw(st.integers(0, 23)),
+                     visibility=draw(st.floats(min_value=0.0)),
+                     barometer=draw(st.floats(min_value=0.0, exclude_min=True)),
+                     dome=draw(st.sampled_from([0, 1])), cause=draw(st.sampled_from(CAUSES)),
+                     prediction=draw(st.sampled_from([None, 0, 1, True, False])),
+                     tick=draw(st.integers(0, 10**12)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(log_entries(), max_size=5))
+@example([log_entry(temp=math.inf), log_entry(temp=-math.inf), log_entry(wind=math.nan),
+          log_entry(visibility=math.inf), log_entry(barometer=math.inf)])
+@example([log_entry(temp=-0.0), log_entry(wind=1e16), log_entry(temp=1e-7),
+          log_entry(barometer=1.7976931348623157e308)])
+@example([log_entry(temp=21), log_entry(wind=np.float64(2.5)), log_entry(temp=True),
+          log_entry(prediction=True), log_entry(prediction=False)])
+@example([log_entry(dome=0, cause=cause, prediction=None) for cause in CAUSES]
+         + [log_entry(dome=1, cause=CAUSE_MODEL, prediction=1)])
+def test_log_writer_matches_the_json_encoder(entries):
+    assert written_jsonl(entries) == reference_jsonl(entries)
+
+
+def test_replayed_log_matches_the_json_encoder():
+    frames = [frame(temp=t, rain=t % 3 == 0, condition=c, tick=i)
+              for i, (t, c) in enumerate([(20.0, "Clear"), (15.5, "Clear"), (21.0, "Hail"),
+                                          (-0.0, "Fog"), (22.0, "Nowhere"), (math.inf, "Clear")])]
+    for model in (constant_model(1), constant_model(0), failing_model):
+        log = replay(model, frames)
+        assert written_jsonl(log) == reference_jsonl(log)

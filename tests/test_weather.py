@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from domepilot import weather
 from domepilot.controller import read_frames_csv
 from domepilot.weather import (
     _DATE_FORMATS,
@@ -36,6 +37,17 @@ RAW_HEADER = "city,date,time,temp,wind,humidity,barometer,visibility,weather\n"
 
 def raw_csv(*rows):
     return io.StringIO(RAW_HEADER + "".join(row + "\n" for row in rows))
+
+
+CELL_MEMOS = (weather._parse_date, weather._parse_hour, weather._parse_number,
+              weather.normalize_condition)
+
+
+@pytest.fixture
+def cold_cell_memos():
+    """Empty per-cell parse memos, so the test parses every cell afresh."""
+    for memo in CELL_MEMOS:
+        memo.cache_clear()
 
 
 # ---------------------------------------------------------------- condition table
@@ -251,7 +263,7 @@ def test_date_parsing_matches_the_strptime_cascade(cell):
     assert parsed_date(cell) == strptime_date(cell)
 
 
-def test_dates_parse_without_strptime(monkeypatch, tmp_path):
+def test_dates_parse_without_strptime(monkeypatch, tmp_path, cold_cell_memos):
     # Every datetime.strptime and time.strptime call goes through these two
     # functions; parsing must not reach them, whatever the date format.
     def no_strptime(*args):
@@ -274,6 +286,53 @@ def test_dates_parse_without_strptime(monkeypatch, tmp_path):
     frames, report = read_frames_csv(frames_csv)
     assert report.rejected == 0
     assert [f.observation.date for f in frames] == expected
+
+
+# ---------------------------------------------------------------- cell memos
+
+def write_frames(path, rows):
+    path.write_text(RAW_HEADER.replace("\n", ",rain\n") + "".join(row + "\n" for row in rows))
+    return path
+
+
+def test_cell_memos_are_bounded():
+    for memo in CELL_MEMOS:
+        maxsize = memo.cache_info().maxsize
+        assert isinstance(maxsize, int) and 0 < maxsize < 1_000_000, memo
+
+
+def test_repeated_bad_cells_are_rejected_every_time(tmp_path, cold_cell_memos):
+    good = "A,2017-02-01,01:00,20,3,40%,1015,10,Clear,0"
+    rows = [good, "A,2017-02-01,01:00,hot,3,40%,1015,10,Clear,0",
+            "A,31/02/2017,01:00,20,3,40%,1015,10,Clear,0", good,
+            "A,2017-02-01,01:00,hot,3,40%,1015,10,Clear,0",
+            "A,2017-02-01,25:00,20,3,40%,1015,10,Clear,0",
+            "A,31/02/2017,01:00,20,3,40%,1015,10,Clear,0",
+            "A,2017-02-01,25:00,20,3,40%,1015,10,Clear,0"]
+    path = write_frames(tmp_path / "frames.csv", rows)
+    for _ in range(2):  # the second read meets every cell in the memos
+        frames, report = read_frames_csv(path)
+        assert len(frames) == 2 and [f.tick for f in frames] == [0, 1]
+        assert report.as_dict() == {"rows_read": 8, "kept": 2, "rejected": 6,
+                                    "reasons": {"bad_date": 2, "bad_temp": 2,
+                                                "bad_time": 2}}
+
+
+def test_cold_and_warm_memos_parse_equal_frames(tmp_path, cold_cell_memos):
+    rows = [f"Al Madina,{day}/0{1 + i % 9}/2017,{i % 12 + 1}:00 {'pm' if i % 2 else 'am'},"
+            f"{15 + i % 13} °c,{i % 4} km/h,{30 + i % 50}%,{1000 + i % 20}mbar,{i % 16},"
+            f"{'Clear' if i % 3 else 'Rain Partly sunny'},{i % 2}"
+            for i, day in enumerate([1, 2, 3, 12, 28] * 8)]
+    path = write_frames(tmp_path / "frames.csv", rows)
+    cold = read_frames_csv(path)
+    hits = [memo.cache_info().hits for memo in CELL_MEMOS[:3]]
+    warm = read_frames_csv(path)
+    assert all(memo.cache_info().hits > before
+               for memo, before in zip(CELL_MEMOS, hits))
+    assert cold[0] == warm[0] and len(cold[0]) == len(rows)
+    assert cold[1] == warm[1]
+    observations = parse_dataset(raw_csv(*(row.rsplit(",", 1)[0] for row in rows)))[0]
+    assert [f.observation for f in cold[0]] == observations
 
 
 # ---------------------------------------------------------------- city filter
