@@ -31,6 +31,7 @@ from .controller import (
 from .metrics import evaluate, render_reports
 from .treemodel import TreeConfig, TreeModel
 from .weather import (
+    FEATURE_NAMES,
     ConditionTable,
     SplitSpec,
     _opened,
@@ -61,9 +62,6 @@ class RunConfig:
     knn_scaling: str = "none"
     dt_split: SplitSpec = field(default_factory=lambda: SplitSpec(0.33, 324))
     knn_split: SplitSpec = field(default_factory=lambda: SplitSpec(0.30, 101))
-
-    def split_for(self, kind: str) -> SplitSpec:
-        return self.dt_split if kind == "dt" else self.knn_split
 
 
 DEFAULTS = RunConfig()
@@ -302,14 +300,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(Path(_require(args.model, "--model")))
-    features = (
-        _as_float(_require(args.temp, "--temp"), "--temp"),
-        _as_float(_require(args.wind, "--wind"), "--wind"),
-        _as_float(_require(args.humidity, "--humidity"), "--humidity"),
-        float(_as_int(_require(args.hour, "--hour"), "--hour")),
-        _as_float(_require(args.visibility, "--visibility"), "--visibility"),
-        _as_float(_require(args.barometer, "--barometer"), "--barometer"),
-    )
+    features = tuple(_reading(args, name) for name in FEATURE_NAMES)
     rain_raw = str(_require(args.rain, "--rain")).strip().lower()
     if rain_raw not in ("0", "1"):
         raise ValueError(f"--rain must be 0 or 1, got {args.rain!r}")
@@ -320,8 +311,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reading(args: argparse.Namespace, name: str) -> float:
+    flag = f"--{name}"
+    value = _require(getattr(args, name), flag)
+    return float(_as_int(value, flag)) if name == "hour" else _as_float(value, flag)
+
+
 def _split_spec(args: argparse.Namespace, kind: str) -> SplitSpec:
-    base = DEFAULTS.split_for(kind)
+    base = DEFAULTS.dt_split if kind == "dt" else DEFAULTS.knn_split
     fraction = (_as_float(args.test_frac, "--test-frac")
                 if args.test_frac is not None else base.test_fraction)
     seed = _as_int(args.seed, "--seed") if args.seed is not None else base.seed
@@ -380,12 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pred = commands.add_parser("predict", help="one-shot dome command")
     pred.add_argument("--model", help="model JSON")
-    pred.add_argument("--temp")
-    pred.add_argument("--wind")
-    pred.add_argument("--humidity")
-    pred.add_argument("--hour")
-    pred.add_argument("--visibility")
-    pred.add_argument("--barometer")
+    for name in FEATURE_NAMES:
+        pred.add_argument(f"--{name}")
     pred.add_argument("--rain", help="rain sensor: 0 or 1")
     common(pred)
     pred.set_defaults(func=cmd_predict)

@@ -36,6 +36,7 @@ from .weather import (
     _clean_rows,
     _observation_from_row,
     _opened,
+    _read_rows,
     _RowRejected,
 )
 
@@ -274,7 +275,8 @@ def read_frames_csv(source: PathOrStream) -> tuple[list[SensorFrame], CleaningRe
     ticks = itertools.count()
     # The tick is drawn last, after both parses succeed, so rejected rows
     # leave no gap in the numbering.
-    return _clean_rows(source, FRAME_COLUMNS, lambda cells: SensorFrame(
+    rows = (cells for _, cells in _read_rows(source, FRAME_COLUMNS))
+    return _clean_rows(rows, lambda cells: SensorFrame(
         observation=_observation_from_row(cells), rain_detected=_parse_rain(cells[-1]),
         tick=next(ticks)))
 

@@ -8,7 +8,7 @@ mse == 1 - accuracy up to floating-point rounding.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 
@@ -119,18 +119,10 @@ class EvalReport:
     degenerate_f1_classes: tuple[int, ...] = ()
 
     def as_dict(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "n_test": self.n_test,
-            "confusion": {"tp": self.matrix.tp, "tn": self.matrix.tn,
-                          "fp": self.matrix.fp, "fn": self.matrix.fn},
-            "f1_class1": self.f1_class1,
-            "f1_class0": self.f1_class0,
-            "weighted_f1": self.weighted_f1,
-            "mse": self.mse,
-            "accuracy": self.accuracy,
-            "degenerate_f1_classes": list(self.degenerate_f1_classes),
-        }
+        doc = asdict(self)
+        doc["confusion"] = doc.pop("matrix")
+        doc["degenerate_f1_classes"] = list(self.degenerate_f1_classes)
+        return doc
 
 
 def evaluate(model_predict_fn: Callable[[Sequence[float]], int],

@@ -74,13 +74,8 @@ class TreeModel:
         return sum(isinstance(node, Leaf) for node in self.nodes)
 
     def to_dict(self) -> dict:
-        nodes = []
-        for i, node in enumerate(self.nodes):
-            if isinstance(node, Split):
-                nodes.append({"id": i, "type": "split", **asdict(node)})
-            else:
-                nodes.append({"id": i, "type": "leaf", "label": node.label,
-                              "counts": list(node.counts)})
+        nodes = [{"id": i, "type": "split" if isinstance(node, Split) else "leaf",
+                  **asdict(node)} for i, node in enumerate(self.nodes)]
         return {"version": FORMAT_VERSION, "kind": "tree",
                 "config": asdict(self.config), "n_features": self.n_features,
                 "nodes": nodes}

@@ -16,7 +16,7 @@ import math
 import operator
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date as Date
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar, Union
@@ -116,7 +116,6 @@ class ConditionTable:
     """
 
     def __init__(self, pairs: Iterable[tuple[str, int]]):
-        entries: list[tuple[int, str, int]] = []
         flags: dict[str, int] = {}
         for i, (condition, flag) in enumerate(pairs, start=1):
             key = normalize_condition(condition)
@@ -126,15 +125,13 @@ class ConditionTable:
                 raise ValueError(f"entry {i}: flag must be 0 or 1, got {flag!r}")
             if key in flags:
                 raise ValueError(f"entry {i}: duplicate condition {condition!r}")
-            entries.append((i, condition, int(flag)))
             flags[key] = int(flag)
-        if not entries:
+        if not flags:
             raise ValueError("condition table is empty")
-        self.entries = tuple(entries)
         self._flags = flags
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._flags)
 
     def __contains__(self, condition: str) -> bool:
         return normalize_condition(condition) in self._flags
@@ -257,8 +254,7 @@ class CleaningReport:
         self.reasons[reason] = self.reasons.get(reason, 0) + 1
 
     def as_dict(self) -> dict:
-        return {"rows_read": self.rows_read, "kept": self.kept,
-                "rejected": self.rejected, "reasons": dict(sorted(self.reasons.items()))}
+        return {**asdict(self), "reasons": dict(sorted(self.reasons.items()))}
 
 
 class _RowRejected(Exception):
@@ -387,15 +383,17 @@ def _read_rows(source: PathOrStream,
             yield reader.line_num, pick(row)
 
 
-def _clean_rows(source: PathOrStream, columns: Sequence[str],
-                parse: Callable[[tuple[str, ...]], T]) -> tuple[list[T], CleaningReport]:
+T = TypeVar("T")
+
+
+def _clean_rows(rows: Iterable, parse: Callable[..., T]) -> tuple[list[T], CleaningReport]:
     """``parse`` applied to each row; a row it rejects is counted, not kept."""
     report = CleaningReport()
     kept: list[T] = []
-    for _, cells in _read_rows(source, columns):
+    for row in rows:
         report.rows_read += 1
         try:
-            kept.append(parse(cells))
+            kept.append(parse(row))
         except _RowRejected as rej:
             report.reject(rej.reason)
     report.kept = len(kept)
@@ -410,7 +408,8 @@ def parse_dataset(source: PathOrStream) -> tuple[list[WeatherObservation], Clean
     out-of-range cells are dropped and counted, never fatal. Row order is
     preserved.
     """
-    return _clean_rows(source, RAW_COLUMNS, _observation_from_row)
+    rows = (cells for _, cells in _read_rows(source, RAW_COLUMNS))
+    return _clean_rows(rows, _observation_from_row)
 
 
 def filter_city(observations: Sequence[WeatherObservation],
@@ -432,18 +431,14 @@ def to_samples(observations: Sequence[WeatherObservation],
     Rows with conditions missing from the table are rejected and counted;
     |samples| + report.rejected == |observations|.
     """
-    report = CleaningReport()
-    samples: list[LabeledSample] = []
-    for obs in observations:
-        report.rows_read += 1
+    def label(obs: WeatherObservation) -> LabeledSample:
         try:
             flag = table.flag(obs.condition)
         except UnmappedConditionError:
-            report.reject("unmapped_condition")
-            continue
-        samples.append(LabeledSample(obs.features(), derive_state(flag, obs.temp)))
-        report.kept += 1
-    return samples, report
+            raise _RowRejected("unmapped_condition") from None
+        return LabeledSample(obs.features(), derive_state(flag, obs.temp))
+
+    return _clean_rows(observations, label)
 
 
 class SplitMix64:
@@ -474,9 +469,6 @@ def permutation(n: int, seed: int) -> list[int]:
         j = rng.next_uint64() % (i + 1)
         order[i], order[j] = order[j], order[i]
     return order
-
-
-T = TypeVar("T")
 
 
 def split(samples: Sequence[T], spec: SplitSpec) -> tuple[list[T], list[T]]:
