@@ -22,6 +22,7 @@ from typing import IO, TYPE_CHECKING, Iterator, Union
 
 from .controller import (
     SignalDeliveryError,
+    _parse_rain,
     decide,
     emit_signal,
     open_sink,
@@ -35,6 +36,9 @@ from .weather import (
     ConditionTable,
     SplitSpec,
     _opened,
+    _parse_hour,
+    _parse_number,
+    _RowRejected,
     filter_city,
     parse_dataset,
     read_labeled_csv,
@@ -101,12 +105,17 @@ def load_model(path: Union[str, Path]) -> Union[TreeModel, KnnModel]:
     else:
         raise ValueError(f"{path}: unrecognized model kind {kind!r}")
     try:
-        return loader(doc)
+        model = loader(doc)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     except (KeyError, TypeError, AttributeError, IndexError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed {doc['kind']} model: "
                          f"{type(exc).__name__}: {exc}") from None
+    # Every command feeds a model the FEATURE_NAMES vector, nothing else.
+    if model.n_features != len(FEATURE_NAMES):
+        raise ValueError(f"{path}: model takes {model.n_features} features, not the "
+                         f"{len(FEATURE_NAMES)} of {', '.join(FEATURE_NAMES)}")
+    return model
 
 
 def _model_id(model: Union[TreeModel, KnnModel]) -> str:
@@ -128,21 +137,13 @@ def _atomic_writer(path: Path) -> Iterator[IO[str]]:
         tmp.unlink(missing_ok=True)
 
 
-def _as_int(value, name: str) -> int:
+def _as_number(value, name: str, kind: type = int):
+    """``kind(value)`` for the flag ``name``; range checks are the caller's."""
     try:
-        return int(str(value))
+        return kind(str(value))
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _as_float(value, name: str) -> float:
-    try:
-        number = float(str(value))
-    except ValueError:
-        number = math.nan
-    if not math.isfinite(number):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return number
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {value!r}") from None
 
 
 def _require(value, flag: str):
@@ -230,7 +231,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if kind == "dt":
         config = TreeConfig(
             criterion=args.criterion if args.criterion is not None else DEFAULTS.tree.criterion,
-            max_leaf_nodes=(_as_int(args.max_leaves, "--max-leaves")
+            max_leaf_nodes=(_as_number(args.max_leaves, "--max-leaves")
                             if args.max_leaves is not None else DEFAULTS.tree.max_leaf_nodes),
             min_samples_leaf=DEFAULTS.tree.min_samples_leaf,
         )
@@ -243,7 +244,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             from .knn import default_k
             k = default_k(len(train_set))
         else:
-            k = _as_int(k_arg, "--k")
+            k = _as_number(k_arg, "--k")
         scaling = args.scaling if args.scaling is not None else DEFAULTS.knn_scaling
         model = train_knn(train_set, k, scaling)
         extra = {"k": k, "scaling": scaling}
@@ -301,10 +302,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(Path(_require(args.model, "--model")))
     features = tuple(_reading(args, name) for name in FEATURE_NAMES)
-    rain_raw = str(_require(args.rain, "--rain")).strip().lower()
-    if rain_raw not in ("0", "1"):
-        raise ValueError(f"--rain must be 0 or 1, got {args.rain!r}")
-    command, _, fault = decide(model.predict, features, rain_raw == "1", features[0])
+    rain = _require(args.rain, "--rain")
+    try:
+        rain_detected = _parse_rain(rain)
+    except _RowRejected:
+        raise ValueError(f"--rain must be 0/1, no/yes or false/true, got {rain!r}") from None
+    command, _, fault = decide(model.predict, features, rain_detected, features[0])
     if fault is not None:
         logger.warning("model failed, so the dome was closed: %s", fault, exc_info=fault)
     emit_signal(command, sys.stdout)
@@ -312,16 +315,23 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _reading(args: argparse.Namespace, name: str) -> float:
-    flag = f"--{name}"
-    value = _require(getattr(args, name), flag)
-    return float(_as_int(value, flag)) if name == "hour" else _as_float(value, flag)
+    """The ``predict`` flag of feature ``name``, read as a frames CSV cell is."""
+    text = _require(getattr(args, name), f"--{name}")
+    try:
+        value = float(_parse_hour(text)) if name == "hour" else _parse_number(text, name)
+    except _RowRejected:
+        value = math.nan
+    if not math.isfinite(value):
+        expected = "an hour of the day" if name == "hour" else "a finite number"
+        raise ValueError(f"--{name} must be {expected}, got {text!r}")
+    return value
 
 
 def _split_spec(args: argparse.Namespace, kind: str) -> SplitSpec:
     base = DEFAULTS.dt_split if kind == "dt" else DEFAULTS.knn_split
-    fraction = (_as_float(args.test_frac, "--test-frac")
+    fraction = (_as_number(args.test_frac, "--test-frac", float)
                 if args.test_frac is not None else base.test_fraction)
-    seed = _as_int(args.seed, "--seed") if args.seed is not None else base.seed
+    seed = _as_number(args.seed, "--seed") if args.seed is not None else base.seed
     return SplitSpec(test_fraction=fraction, seed=seed)
 
 

@@ -105,8 +105,19 @@ class TreeModel:
                     raise ValueError(f"tree node {i}: feature {node.feature} is not "
                                      f"below n_features {n_features}")
             else:
-                node = Leaf(label=int(rec["label"]), counts=tuple(rec["counts"]))
+                counts = tuple(rec["counts"])
+                if len(counts) != 2 or not all(type(c) is int and c >= 0 for c in counts):
+                    raise ValueError(f"tree node {i}: counts must be two non-negative "
+                                     f"integers, got {rec['counts']!r}")
+                node = Leaf(label=1 if counts[1] > counts[0] else 0, counts=counts)
+                if rec["label"] != node.label:
+                    raise ValueError(f"tree node {i}: label {rec['label']!r} is not the "
+                                     f"majority {node.label} of its counts {list(counts)}")
             nodes[i] = node
         if not nodes or any(n is None for n in nodes):
             raise ValueError("tree model document has missing node ids")
+        children = [c for n in nodes if isinstance(n, Split) for c in (n.left, n.right)]
+        if sorted(children) != list(range(1, len(nodes))):
+            raise ValueError("tree model document is not a tree: every node but "
+                             "the root must be the child of exactly one split")
         return cls(config=TreeConfig(**doc["config"]), nodes=nodes, n_features=n_features)

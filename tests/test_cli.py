@@ -14,7 +14,7 @@ from domepilot.cli import DEFAULTS, RunConfig, load_model, save_model
 from domepilot.controller import read_frames_csv, replay
 from domepilot.knn import distance, train_knn
 from domepilot.synthetic import synthetic_frames, synthetic_observations, to_raw_csv
-from domepilot.tree import TreeConfig
+from domepilot.tree import TreeConfig, train_tree
 from domepilot.weather import SplitSpec
 
 
@@ -40,11 +40,12 @@ def workspace(tmp_path_factory):
     labeled = root / "labeled.csv"
     result = run_cli("prepare", "--data", raw, "--out", labeled)
     assert result.returncode == 0, result.stderr
-    model = root / "dt.json"
-    result = run_cli("train", "--data", labeled, "--model", "dt", "--out", model)
-    assert result.returncode == 0, result.stderr
-    return {"root": root, "raw": raw, "frames": frames, "labeled": labeled,
-            "dt": model}
+    models = {}
+    for kind in ("dt", "knn"):
+        models[kind] = root / f"{kind}.json"
+        result = run_cli("train", "--data", labeled, "--model", kind, "--out", models[kind])
+        assert result.returncode == 0, result.stderr
+    return {"root": root, "raw": raw, "frames": frames, "labeled": labeled, **models}
 
 
 # ---------------------------------------------------------------- defaults
@@ -236,14 +237,41 @@ def leaf_label_2_model(workspace, tmp_path):
     return model
 
 
+@pytest.mark.parametrize("command", ["predict-rain-0", "predict-rain-1", "simulate"])
+def test_leaf_label_2_model_exits_2_naming_the_file(workspace, tmp_path, command):
+    model = leaf_label_2_model(workspace, tmp_path)
+    if command == "simulate":
+        args = ("simulate", "--model", model, "--frames", workspace["frames"],
+                "--log", tmp_path / "log.jsonl")
+    else:
+        predict = list(PREDICT_ARGS)
+        predict[predict.index("--rain") + 1] = command[-1]
+        args = ("predict", "--model", model, *predict)
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"domepilot: error: {model}: tree node ")
+    assert "label 2 is not the majority" in result.stderr
+    assert result.stdout == ""
+    assert not (tmp_path / "log.jsonl").exists()
+
+
+class RaisingModel:
+    n_features = 6
+
+    def predict(self, features):
+        raise RuntimeError("model exploded")
+
+
 @pytest.mark.parametrize("rain", ["0", "1"])
-def test_predict_with_a_faulty_model_fails_closed(workspace, tmp_path, rain):
+def test_predict_with_a_faulty_model_fails_closed(monkeypatch, capsys, caplog, rain):
+    monkeypatch.setattr(cli, "load_model", lambda path: RaisingModel())
     args = list(PREDICT_ARGS)
     args[args.index("--rain") + 1] = rain
-    result = run_cli("predict", "--model", leaf_label_2_model(workspace, tmp_path), *args)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "D:0 A:1\n"
-    assert "WARNING: model failed" in result.stderr and "not 0 or 1" in result.stderr
+    code = cli.main(["predict", "--model", "model.json", *map(str, args)])
+    assert code == 0
+    assert capsys.readouterr().out == "D:0 A:1\n"
+    assert any(record.levelname == "WARNING" and "model failed" in record.getMessage()
+               for record in caplog.records)
 
 
 def test_predict_validates_rain_flag(workspace):
@@ -251,6 +279,62 @@ def test_predict_validates_rain_flag(workspace):
                      "--wind", 0, "--humidity", 0.33, "--hour", 0,
                      "--visibility", 16, "--barometer", 1020, "--rain", "wet")
     assert result.returncode != 0 and "--rain" in result.stderr
+
+
+class RecordingModel:
+    n_features = 6
+
+    def __init__(self):
+        self.seen = []
+
+    def predict(self, features):
+        self.seen.append(tuple(features))
+        return 1
+
+
+def predict_in_process(monkeypatch, **flags):
+    """(exit code, model) of ``cli.main(["predict", ...])`` with PREDICT_ARGS
+    overridden by ``flags``, on a model that records what it is given."""
+    model = RecordingModel()
+    monkeypatch.setattr(cli, "load_model", lambda path: model)
+    args = list(map(str, PREDICT_ARGS))
+    for name, value in flags.items():
+        args[args.index(f"--{name}") + 1] = value
+    return cli.main(["predict", "--model", "model.json", *args]), model
+
+
+@pytest.mark.parametrize("humidity", ["40", "40 %", "0.4"])
+def test_predict_reads_humidity_as_a_frames_cell_does(monkeypatch, capsys, humidity):
+    code, model = predict_in_process(monkeypatch, humidity=humidity)
+    assert code == 0
+    assert model.seen == [(21.0, 0.0, 0.4, 0.0, 16.0, 1020.0)]
+    assert capsys.readouterr().out == "D:1 A:0\n"
+
+
+def test_predict_reads_units_and_clock_times(monkeypatch, capsys):
+    code, model = predict_in_process(monkeypatch, temp="21 °c", wind="calm",
+                                     hour="1:00 pm", barometer="1020 hpa")
+    assert code == 0
+    assert model.seen == [(21.0, 0.0, 0.33, 13.0, 16.0, 1020.0)]
+
+
+@pytest.mark.parametrize("hour", ["99", "25:00", "noon"])
+def test_predict_rejects_an_hour_outside_the_day(monkeypatch, capsys, hour):
+    code, model = predict_in_process(monkeypatch, hour=hour)
+    assert code == 2
+    assert model.seen == []
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.startswith("domepilot: error: --hour ")
+
+
+@pytest.mark.parametrize("rain,expected", [("yes", "D:0 A:1\n"), ("TRUE", "D:0 A:1\n"),
+                                           ("no", "D:1 A:0\n"), ("false", "D:1 A:0\n")])
+def test_predict_accepts_the_rain_words_of_a_frames_cell(monkeypatch, capsys, rain,
+                                                          expected):
+    code, _ = predict_in_process(monkeypatch, rain=rain)
+    assert code == 0
+    assert capsys.readouterr().out == expected
 
 
 # ---------------------------------------------------------------- simulate
@@ -299,19 +383,27 @@ def test_simulate_logs_an_overflowing_cell_as_infinity(workspace, tmp_path):
 
 def test_simulate_with_a_faulty_model_closes_and_still_writes_the_log(workspace,
                                                                       tmp_path):
-    model = leaf_label_2_model(workspace, tmp_path)
+    # An overflowing visibility cell reads as inf, on which KnnModel.predict
+    # raises; the first dry row gets it, so its frame is a model fault.
+    with open(workspace["frames"], newline="") as stream:
+        rows = list(csv.reader(stream))
+    header = [name.lower() for name in rows[0]]
+    dry = next(i for i, row in enumerate(rows[1:], 1) if row[header.index("rain")] == "0")
+    rows[dry][header.index("visibility")] = "9" * 400
+    frames = tmp_path / "frames.csv"
+    with open(frames, "w", newline="") as stream:
+        csv.writer(stream).writerows(rows)
     log = tmp_path / "log.jsonl"
-    result = run_cli("simulate", "--model", model, "--frames", workspace["frames"],
+    result = run_cli("simulate", "--model", workspace["knn"], "--frames", frames,
                      "--log", log)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout)["opened"] == 0
     records = [json.loads(line) for line in log.read_text().splitlines()]
     assert len(records) == 30
-    assert {r["cause"] for r in records} <= {"model_error", "rain_override",
-                                             "unmapped_condition"}
-    assert any(r["cause"] == "model_error" for r in records)
-    assert all(r["prediction"] is None and r["dome"] == 0 for r in records)
-    assert "model failed on" in result.stderr
+    faulty = [r for r in records if r["cause"] == "model_error"]
+    assert [r["tick"] for r in faulty] == [dry - 1]
+    assert faulty[0]["features"][4] == float("inf")
+    assert faulty[0]["prediction"] is None and faulty[0]["dome"] == 0
+    assert "model failed on 1 of 30 frames" in result.stderr
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -513,6 +605,17 @@ def test_save_and_load_round_trip_knn(tmp_path):
     assert distance(samples[0][0], samples[0][0], "standardize", stats) == 0.0
     assert [loaded.predict(f) for f, _ in samples] == [model.predict(f)
                                                        for f, _ in samples]
+
+
+@pytest.mark.parametrize("kind", ["dt", "knn"])
+def test_load_rejects_a_model_of_another_arity(tmp_path, kind):
+    samples = [((float(i), 1.0), i % 2) for i in range(10)]
+    model = train_knn(samples, k=3) if kind == "knn" else train_tree(samples)
+    path = tmp_path / f"{kind}.json"
+    save_model(model, path)
+    with pytest.raises(ValueError, match="model takes 2 features, not the 6") as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_load_rejects_unrecognized_documents(tmp_path):

@@ -356,3 +356,54 @@ def test_split_feature_must_be_below_n_features():
     doc["nodes"][0]["feature"] = 6
     with pytest.raises(ValueError, match="n_features"):
         TreeModel.from_dict(doc)
+
+
+@pytest.mark.parametrize("label,counts", [(0, [1, 0]), (1, [0, 1]), (0, [2, 2]),
+                                          (0, [0, 0]), (1.0, [0, 1])])
+def test_leaf_label_must_be_the_majority_of_its_counts(label, counts):
+    doc = stump_document()
+    doc["nodes"][1].update(label=label, counts=counts)
+    assert TreeModel.from_dict(doc).nodes[1] == Leaf(label=label, counts=tuple(counts))
+    doc["nodes"][1]["label"] = 1 - label
+    with pytest.raises(ValueError, match="tree node 1: label .* is not the majority"):
+        TreeModel.from_dict(doc)
+
+
+@pytest.mark.parametrize("label", [2, -1, None, "1", [1]])
+def test_leaf_label_outside_its_majority_is_rejected(label):
+    doc = stump_document()
+    doc["nodes"][1]["label"] = label
+    with pytest.raises(ValueError, match="tree node 1: label"):
+        TreeModel.from_dict(doc)
+
+
+@pytest.mark.parametrize("counts", [[0, 1, 0], [1], [], [-1, 2], [0.0, 1], [True, 2],
+                                    ["0", "1"], "01"])
+def test_leaf_counts_must_be_two_non_negative_ints(counts):
+    doc = stump_document()
+    doc["nodes"][1]["counts"] = counts
+    with pytest.raises(ValueError, match="tree node 1: counts must be two"):
+        TreeModel.from_dict(doc)
+
+
+def two_split_document():
+    nodes = [Split(feature=0, threshold=20.0, left=1, right=2, impurity=0.5, n=4),
+             Split(feature=1, threshold=5.0, left=3, right=4, impurity=0.5, n=2),
+             Leaf(label=0, counts=(2, 0)), Leaf(label=1, counts=(0, 1)),
+             Leaf(label=0, counts=(1, 0))]
+    return TreeModel(config=TreeConfig(), nodes=nodes, n_features=6).to_dict()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda nodes: nodes[1].update(left=2),   # node 2 has two parents, 3 none
+    lambda nodes: nodes[1].update(right=3),  # both children of node 1 are node 3
+    lambda nodes: nodes[0].update(right=3),  # node 3 has two parents, 2 none
+    lambda nodes: nodes.append({"id": 5, "type": "leaf", "label": 0,
+                                "counts": [1, 0]}),  # node 5 has no parent
+], ids=["shared-child", "same-child-twice", "cross-link", "orphan"])
+def test_every_node_but_the_root_has_exactly_one_parent(edit):
+    doc = two_split_document()
+    assert TreeModel.from_dict(doc).predict((25.0, 0, 0, 0, 0, 0)) == 0
+    edit(doc["nodes"])
+    with pytest.raises(ValueError, match="not a tree"):
+        TreeModel.from_dict(doc)
