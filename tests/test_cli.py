@@ -256,19 +256,32 @@ def test_leaf_label_2_model_exits_2_naming_the_file(workspace, tmp_path, command
 
 
 class RaisingModel:
-    n_features = 6
-
     def predict(self, features):
         raise RuntimeError("model exploded")
 
 
+class RecordingModel:
+    def __init__(self):
+        self.seen = []
+
+    def predict(self, features):
+        self.seen.append(tuple(features))
+        return 1
+
+
+def predict_in_process(monkeypatch, model, **flags):
+    """Exit code of ``cli.main(["predict", ...])`` on ``model``, with the
+    PREDICT_ARGS values of ``flags`` replaced."""
+    monkeypatch.setattr(cli, "load_model", lambda path: model)
+    args = list(map(str, PREDICT_ARGS))
+    for name, value in flags.items():
+        args[args.index(f"--{name}") + 1] = value
+    return cli.main(["predict", "--model", "model.json", *args])
+
+
 @pytest.mark.parametrize("rain", ["0", "1"])
 def test_predict_with_a_faulty_model_fails_closed(monkeypatch, capsys, caplog, rain):
-    monkeypatch.setattr(cli, "load_model", lambda path: RaisingModel())
-    args = list(PREDICT_ARGS)
-    args[args.index("--rain") + 1] = rain
-    code = cli.main(["predict", "--model", "model.json", *map(str, args)])
-    assert code == 0
+    assert predict_in_process(monkeypatch, RaisingModel(), rain=rain) == 0
     assert capsys.readouterr().out == "D:0 A:1\n"
     assert any(record.levelname == "WARNING" and "model failed" in record.getMessage()
                for record in caplog.records)
@@ -281,59 +294,36 @@ def test_predict_validates_rain_flag(workspace):
     assert result.returncode != 0 and "--rain" in result.stderr
 
 
-class RecordingModel:
-    n_features = 6
-
-    def __init__(self):
-        self.seen = []
-
-    def predict(self, features):
-        self.seen.append(tuple(features))
-        return 1
-
-
-def predict_in_process(monkeypatch, **flags):
-    """(exit code, model) of ``cli.main(["predict", ...])`` with PREDICT_ARGS
-    overridden by ``flags``, on a model that records what it is given."""
-    model = RecordingModel()
-    monkeypatch.setattr(cli, "load_model", lambda path: model)
-    args = list(map(str, PREDICT_ARGS))
-    for name, value in flags.items():
-        args[args.index(f"--{name}") + 1] = value
-    return cli.main(["predict", "--model", "model.json", *args]), model
-
-
 @pytest.mark.parametrize("humidity", ["40", "40 %", "0.4"])
 def test_predict_reads_humidity_as_a_frames_cell_does(monkeypatch, capsys, humidity):
-    code, model = predict_in_process(monkeypatch, humidity=humidity)
-    assert code == 0
+    model = RecordingModel()
+    assert predict_in_process(monkeypatch, model, humidity=humidity) == 0
     assert model.seen == [(21.0, 0.0, 0.4, 0.0, 16.0, 1020.0)]
     assert capsys.readouterr().out == "D:1 A:0\n"
 
 
 def test_predict_reads_units_and_clock_times(monkeypatch, capsys):
-    code, model = predict_in_process(monkeypatch, temp="21 °c", wind="calm",
-                                     hour="1:00 pm", barometer="1020 hpa")
-    assert code == 0
+    model = RecordingModel()
+    assert predict_in_process(monkeypatch, model, temp="21 °c", wind="calm",
+                              hour="1:00 pm", barometer="1020 hpa") == 0
     assert model.seen == [(21.0, 0.0, 0.33, 13.0, 16.0, 1020.0)]
 
 
 @pytest.mark.parametrize("hour", ["99", "25:00", "noon"])
 def test_predict_rejects_an_hour_outside_the_day(monkeypatch, capsys, hour):
-    code, model = predict_in_process(monkeypatch, hour=hour)
-    assert code == 2
+    model = RecordingModel()
+    assert predict_in_process(monkeypatch, model, hour=hour) == 2
     assert model.seen == []
-    err = capsys.readouterr()
-    assert err.out == ""
-    assert err.err.startswith("domepilot: error: --hour ")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domepilot: error: --hour ")
 
 
 @pytest.mark.parametrize("rain,expected", [("yes", "D:0 A:1\n"), ("TRUE", "D:0 A:1\n"),
                                            ("no", "D:1 A:0\n"), ("false", "D:1 A:0\n")])
 def test_predict_accepts_the_rain_words_of_a_frames_cell(monkeypatch, capsys, rain,
                                                           expected):
-    code, _ = predict_in_process(monkeypatch, rain=rain)
-    assert code == 0
+    assert predict_in_process(monkeypatch, RecordingModel(), rain=rain) == 0
     assert capsys.readouterr().out == expected
 
 
