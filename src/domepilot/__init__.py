@@ -4,9 +4,10 @@ Labeling pipeline (condition table + temperature gate), from-scratch
 decision tree and k-NN classifiers, evaluation reports, and a dome
 controller with a hard rain override and AC interlock.
 
-Tree growth and k-NN compute with numpy, so their names are imported on
-first access; labeling, loading a tree, predicting with it and the
-controller never import numpy.
+Tree growth and the k-NN distance compute with numpy, so their names are
+imported on first access; labeling, both models' documents, k-NN training
+without standardization, tree prediction and the controller never import
+numpy.
 """
 
 from importlib import import_module
@@ -26,6 +27,7 @@ from .controller import (
     parse_signal,
     replay,
 )
+from .knnmodel import KnnModel, default_k, train_knn
 from .metrics import (
     ConfusionMatrix,
     EvalReport,
@@ -59,8 +61,7 @@ __version__ = "0.1.0"
 
 # Name -> module of the names that need numpy (PEP 562).
 _NUMPY_NAMES = {
-    "KnnModel": "knn", "default_k": "knn", "distance": "knn", "train_knn": "knn",
-    "best_split": "tree", "impurity": "tree", "train_tree": "tree",
+    "distance": "knn", "best_split": "tree", "impurity": "tree", "train_tree": "tree",
 }
 
 

@@ -2,8 +2,10 @@
 
 Every flag can also come from an optional ``key = value`` config file
 (--config); explicit flags win. Output artifacts are written atomically so
-a failing command leaves nothing half-written behind. Only training and
-k-NN import numpy, when they run; the other commands never load it.
+a failing command leaves nothing half-written behind. Only tree training,
+k-NN standardization and k-NN documents import numpy, when they run; the
+other commands, and ``train --model knn`` without standardization, never
+load it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterator, Union
+from typing import IO, Iterator, Union
 
 from .controller import (
     SignalDeliveryError,
@@ -29,6 +31,7 @@ from .controller import (
     read_frames_csv,
     replay,
 )
+from .knnmodel import KnnModel, default_k, train_knn
 from .metrics import evaluate, render_reports
 from .treemodel import TreeConfig, TreeModel
 from .weather import (
@@ -46,9 +49,6 @@ from .weather import (
     to_samples,
     write_labeled_csv,
 )
-
-if TYPE_CHECKING:
-    from .knn import KnnModel
 
 logger = logging.getLogger(__name__)
 
@@ -77,12 +77,6 @@ def train_tree(samples, config: TreeConfig) -> TreeModel:
     return grow(samples, config)
 
 
-def train_knn(samples, k: int, scaling: str) -> KnnModel:
-    """``knn.train_knn``, whose module (numpy) is imported on first use."""
-    from .knn import train_knn as fit
-    return fit(samples, k, scaling)
-
-
 def save_model(model: Union[TreeModel, KnnModel], path: Union[str, Path]) -> None:
     with _atomic_writer(Path(path)) as stream:
         stream.write(json.dumps(model.to_dict(), sort_keys=True) + "\n")
@@ -100,7 +94,9 @@ def load_model(path: Union[str, Path]) -> Union[TreeModel, KnnModel]:
     if kind == "tree":
         loader = TreeModel.from_dict
     elif kind == "knn":
-        from .knn import KnnModel
+        # A k-NN model predicts with numpy; loading it here keeps that import
+        # out of the first prediction.
+        from . import knn
         loader = KnnModel.from_dict
     else:
         raise ValueError(f"{path}: unrecognized model kind {kind!r}")
@@ -241,7 +237,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         k_arg = args.k if args.k is not None else DEFAULTS.knn_k
         if str(k_arg) == "auto":
-            from .knn import default_k
             k = default_k(len(train_set))
         else:
             k = _as_number(k_arg, "--k")
@@ -389,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--model", help="model JSON")
     for name in FEATURE_NAMES:
         pred.add_argument(f"--{name}")
-    pred.add_argument("--rain", help="rain sensor: 0 or 1")
+    pred.add_argument("--rain", help="rain sensor: 0/1, no/yes or false/true")
     common(pred)
     pred.set_defaults(func=cmd_predict)
 

@@ -1,0 +1,131 @@
+"""A k-nearest-neighbors model: its stored rows, checks and JSON document.
+
+k-NN is a lazy learner, so training only stores the labeled rows, here as
+tuples of floats, and nothing in this module imports numpy: ``train --model
+knn`` without standardization never loads it. The exact distance kernel is
+in ``domepilot.knn``; a model builds it on its first ``predict``.
+Standardization computes its stats with numpy and builds the kernel with
+the model, since an overflowing z-score shows only there.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Any, Optional, Sequence
+
+from .weather import _features_and_labels
+
+SCALINGS = ("none", "standardize")
+
+#: Version of the JSON model document this build reads and writes.
+FORMAT_VERSION = 1
+
+
+def default_k(n: int) -> int:
+    """floor(sqrt(n)), decremented to odd so binary votes cannot tie."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    k = math.isqrt(n)
+    if k % 2 == 0:
+        k -= 1
+    return max(k, 1)
+
+
+@dataclass
+class KnnModel:
+    features: Sequence[Sequence[float]]  # n rows of d features, kept as float tuples
+    labels: Sequence[int]                # n labels in {0, 1}
+    k: int
+    scaling: str
+    means: Optional[Sequence[float]] = None
+    stds: Optional[Sequence[float]] = None
+    _kernel: Any = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.features = tuple(tuple(map(float, row)) for row in self.features)
+        labels = tuple(self.labels)
+        widths = {len(row) for row in self.features}
+        if len(widths) > 1:
+            raise ValueError("feature rows must share one length")
+        if not widths or len(self.features) != len(labels):
+            raise ValueError("features and labels must align")
+        if not all(label in (0, 1) for label in labels):
+            raise ValueError("labels must be binary 0/1")
+        self.labels = tuple(map(int, labels))
+        if not 1 <= self.k <= len(labels):
+            raise ValueError(f"k must be in [1, {len(labels)}], got {self.k}")
+        if self.scaling not in SCALINGS:
+            raise ValueError(f"scaling must be one of {SCALINGS}, got {self.scaling!r}")
+        if not all(map(math.isfinite, chain.from_iterable(self.features))):
+            raise ValueError("features must be finite")
+        if self.scaling == "standardize":
+            if self.means is None or self.stds is None:
+                raise ValueError("standardize scaling requires means and stds")
+            self.means = tuple(map(float, self.means))
+            self.stds = tuple(map(float, self.stds))
+            for name, stat in (("means", self.means), ("stds", self.stds)):
+                if len(stat) != self.n_features:
+                    raise ValueError(f"{name} must hold one value per feature "
+                                     f"({self.n_features}), got {len(stat)}")
+                if not all(map(math.isfinite, stat)):
+                    raise ValueError(f"{name} must be finite")
+            if any(std < 0 for std in self.stds):
+                raise ValueError("stds must be >= 0")
+            # A z-score can overflow to infinity; building the kernel rejects that.
+            self._build_kernel()
+
+    @property
+    def n_features(self) -> int:
+        return len(self.features[0])
+
+    def _build_kernel(self):
+        from .knn import Kernel  # numpy
+        self._kernel = Kernel(self)
+        return self._kernel
+
+    def predict(self, query: Sequence[float]) -> int:
+        """Majority label among the k nearest, ties on distance by lower index.
+
+        An exact vote tie (possible only with an even k) predicts 0. A NaN or
+        infinite query feature, or a query of another arity, raises
+        ValueError. See ``knn.Kernel.vote`` for the selection.
+        """
+        return (self._kernel or self._build_kernel()).vote(query)
+
+    def to_dict(self) -> dict:
+        doc = {"version": FORMAT_VERSION, "kind": "knn", "k": self.k,
+               "scaling": self.scaling,
+               "data": [[*row, label] for row, label in zip(self.features, self.labels)]}
+        if self.scaling == "standardize":
+            doc["stats"] = {"means": list(self.means), "stds": list(self.stds)}
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "KnnModel":
+        version = doc.get("version")
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported knn model version {version!r}; "
+                             f"this build reads version {FORMAT_VERSION}")
+        rows = doc["data"]
+        if not (isinstance(rows, list) and rows
+                and all(isinstance(row, list) and len(row) >= 2 for row in rows)):
+            raise ValueError("knn model data must be rows of features plus a label")
+        stats = doc.get("stats") or {}
+        means, stds = stats.get("means"), stats.get("stds")
+        if not all(stat is None or isinstance(stat, list) for stat in (means, stds)):
+            raise ValueError("knn model stats must be lists of numbers")
+        return cls(features=[row[:-1] for row in rows], labels=[row[-1] for row in rows],
+                   k=int(doc["k"]), scaling=doc["scaling"], means=means, stds=stds)
+
+
+def train_knn(samples: Sequence, k: int, scaling: str = "none") -> KnnModel:
+    """Store the training rows as they are; compute scaling stats if requested."""
+    features, labels = _features_and_labels(samples)
+    means = stds = None
+    if scaling == "standardize":
+        from .knn import standardize_stats  # numpy
+        means, stds = standardize_stats(features)
+    return KnnModel(features=features, labels=labels, k=k,
+                    scaling=scaling, means=means, stds=stds)

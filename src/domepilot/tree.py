@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .treemodel import CRITERIA, Leaf, Split, TreeConfig, TreeModel
+from .weather import _features_and_labels
 
 
 def _impurity_values(n0, n1, criterion: str):
@@ -46,24 +47,13 @@ def impurity(class_counts: tuple[int, int], criterion: str = "gini") -> float:
 
 
 def _as_arrays(samples: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Accept LabeledSample-likes or (features, label) pairs."""
-    if len(samples) == 0:
-        raise ValueError("empty training set")
-    feats, labels = [], []
-    for s in samples:
-        if hasattr(s, "features"):
-            f, y = s.features, s.label
-        else:
-            f, y = s
-        feats.append(tuple(float(v) for v in f))
-        labels.append(int(y))
-    X = np.asarray(feats, dtype=float)
+    """(n, d) float features and (n,) int64 labels of LabeledSample-likes or
+    (features, label) pairs, converted by one ``np.array`` call each."""
+    feats, labels = _features_and_labels(samples)
+    X = np.array(feats, dtype=float)
     if X.ndim != 2:
         raise ValueError("samples must share one feature arity")
-    y = np.asarray(labels, dtype=np.int64)
-    if not set(labels) <= {0, 1}:
-        raise ValueError("labels must be binary 0/1")
-    return X, y
+    return X, np.array(labels, dtype=np.int64)
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, criterion: str,

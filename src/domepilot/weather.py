@@ -226,6 +226,24 @@ class LabeledSample:
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
 
 
+def _features_and_labels(samples: Sequence) -> tuple[list, list[int]]:
+    """Feature rows as given and int labels of LabeledSample-likes or
+    (features, label) pairs; the models check and convert the rows."""
+    if len(samples) == 0:
+        raise ValueError("empty training set")
+    feats, labels = [], []
+    for s in samples:
+        if hasattr(s, "features"):
+            f, y = s.features, s.label
+        else:
+            f, y = s
+        feats.append(f)
+        labels.append(int(y))
+    if not set(labels) <= {0, 1}:
+        raise ValueError("labels must be binary 0/1")
+    return feats, labels
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Seeded holdout split: round(n * test_fraction) samples go to test."""
@@ -281,7 +299,7 @@ _DATE_PATTERNS = tuple(
     re.compile(re.sub(r"%([Ymd])", lambda f: _DATE_FIELDS[f[1]], re.escape(fmt)))
     for fmt in _DATE_FORMATS)
 
-_TIME_RE = re.compile(r"(\d{1,2})(?::(\d{1,2}))?(?::\d{1,2})?\s*(am|pm)?")
+_TIME_RE = re.compile(r"(\d{1,2})(?::(\d{1,2}))?(?::(\d{1,2}))?\s*(am|pm)?")
 _NUMBER_RE = re.compile(r"\s*([-+]?\d+(?:\.\d+)?)\s*(.*)$")
 _UNIT_RE = re.compile(r"[a-z°%µ/.\s]*")
 
@@ -303,18 +321,19 @@ def _parse_date(text: str) -> Date:
 
 @functools.lru_cache(maxsize=_CELL_CACHE_SIZE)
 def _parse_hour(text: str) -> int:
+    """Hour of a time cell; its minutes and seconds must be below 60."""
     m = _TIME_RE.fullmatch(text.strip().lower())
     if not m:
         raise _RowRejected("bad_time")
-    hour = int(m.group(1))
-    meridiem = m.group(3)
+    hour, minutes, seconds = (int(part or 0) for part in m.group(1, 2, 3))
+    meridiem = m.group(4)
     if meridiem == "am":
         hour = 0 if hour == 12 else hour
     elif meridiem == "pm":
         hour = 12 if hour == 12 else hour + 12
-    if hour == 24:  # "24:00" rows are canonicalized to hour 0
+    if hour == 24 and minutes == seconds == 0:  # "24:00" rows are canonicalized to hour 0
         hour = 0
-    if not 0 <= hour <= 23:
+    if not (0 <= hour <= 23 and minutes < 60 and seconds < 60):
         raise _RowRejected("bad_time")
     return hour
 
@@ -363,24 +382,29 @@ def _read_rows(source: PathOrStream,
 
     Header names match case-insensitively, in any order; extra columns are
     ignored and a missing one raises SchemaError. Short rows read as empty
-    cells.
+    cells. Both errors, and text the csv module cannot split (such as a cell
+    over its field size limit), name the file.
     """
     with _opened(source) as stream:
         reader = csv.reader(stream)
-        header = next(reader, None) or []
-        by_name = {name.strip().lower(): i for i, name in enumerate(header) if name}
-        missing = [col for col in columns if col not in by_name]
-        if missing:
-            raise SchemaError(f"missing required column(s): {', '.join(missing)}")
-        positions = [by_name[col] for col in columns]
-        pick = operator.itemgetter(*positions)
-        width = max(positions) + 1
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            yield reader.line_num, pick(row)
+        try:
+            header = next(reader, None) or []
+            by_name = {name.strip().lower(): i for i, name in enumerate(header) if name}
+            missing = [col for col in columns if col not in by_name]
+            if missing:
+                raise SchemaError(_named(source, "missing required column(s): "
+                                                 + ", ".join(missing)))
+            positions = [by_name[col] for col in columns]
+            pick = operator.itemgetter(*positions)
+            width = max(positions) + 1
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                yield reader.line_num, pick(row)
+        except csv.Error as exc:
+            raise ValueError(_named(source, f"line {reader.line_num}: {exc}")) from None
 
 
 T = TypeVar("T")
@@ -500,7 +524,7 @@ def read_labeled_csv(source: PathOrStream) -> list[LabeledSample]:
     """Read a labeled CSV produced by write_labeled_csv.
 
     Features must be finite numbers and the state 0 or 1; any other cell is
-    a ValueError naming its line.
+    a ValueError naming its file and line.
     """
     samples = []
     for line, cells in _read_rows(source, LABELED_COLUMNS):
@@ -510,7 +534,7 @@ def read_labeled_csv(source: PathOrStream) -> list[LabeledSample]:
                 raise ValueError(f"non-finite feature in {cells[:-1]}")
             samples.append(LabeledSample(features, int(cells[-1])))
         except ValueError as exc:
-            raise ValueError(f"labeled CSV line {line}: {exc}") from None
+            raise ValueError(_named(source, f"labeled CSV line {line}: {exc}")) from None
     return samples
 
 
@@ -528,5 +552,10 @@ def _opened(source: PathOrStream, mode: str = "r") -> Iterator[IO[str]]:
         else:
             yield source
     except UnicodeDecodeError as exc:
-        name = source if is_path else getattr(source, "name", source)
-        raise ValueError(f"{name}: {exc}") from None
+        raise ValueError(_named(source, str(exc))) from None
+
+
+def _named(source: PathOrStream, message: str) -> str:
+    """``message`` after the file name of ``source``, if it has one."""
+    name = source if isinstance(source, (str, Path)) else getattr(source, "name", None)
+    return message if name is None else f"{name}: {message}"

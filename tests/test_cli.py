@@ -309,7 +309,7 @@ def test_predict_reads_units_and_clock_times(monkeypatch, capsys):
     assert model.seen == [(21.0, 0.0, 0.33, 13.0, 16.0, 1020.0)]
 
 
-@pytest.mark.parametrize("hour", ["99", "25:00", "noon"])
+@pytest.mark.parametrize("hour", ["99", "25:00", "noon", "24:30", "7:99"])
 def test_predict_rejects_an_hour_outside_the_day(monkeypatch, capsys, hour):
     model = RecordingModel()
     assert predict_in_process(monkeypatch, model, hour=hour) == 2
@@ -536,6 +536,25 @@ def test_non_utf8_csv_exits_2_naming_the_file(workspace, tmp_path, source, args)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["prepare", "train", "simulate"])
+def test_a_cell_over_the_csv_field_limit_exits_2_naming_the_file(workspace, tmp_path,
+                                                                 command):
+    source = {"prepare": "raw", "train": "labeled", "simulate": "frames"}[command]
+    text = workspace[source].read_text().splitlines(keepends=True)
+    bad = tmp_path / f"{source}.csv"
+    bad.write_text("".join(text[:2]) + '"' + "1" * 200_000 + '"\n' + "".join(text[2:]))
+    out = tmp_path / "out"
+    args = {"prepare": ["--data", bad, "--out", out],
+            "train": ["--data", bad, "--out", out],
+            "simulate": ["--model", workspace["dt"], "--frames", bad, "--log", out]}[command]
+    result = run_cli(command, *args)
+    assert result.returncode == 2
+    assert result.stderr.splitlines()[-1].startswith(f"domepilot: error: {bad}: line 3: ")
+    assert "field larger than field limit" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 def test_deeply_nested_model_exits_2_naming_the_file(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000)
@@ -565,21 +584,34 @@ def exit_code_and_numpy(*args):
     return result.stdout.splitlines()[-1]
 
 
-def test_only_training_and_knn_import_numpy(workspace, tmp_path):
-    dt = workspace["dt"]
+def test_numpy_is_imported_only_where_it_computes(workspace, tmp_path):
+    def model_runs(kind):
+        model = workspace[kind]
+        return {
+            f"evaluate {kind}": ["evaluate", "--model", model, "--data", workspace["labeled"],
+                                 "--report", tmp_path / "report.json"],
+            f"simulate {kind}": ["simulate", "--model", model, "--frames", workspace["frames"],
+                                 "--log", tmp_path / "log.jsonl",
+                                 "--sink", tmp_path / "wire.txt"],
+            f"predict {kind}": ["predict", "--model", model, *PREDICT_ARGS],
+        }
+
+    train = ["train", "--data", workspace["labeled"], "--out", tmp_path / "model.json",
+             "--model"]
     no_numpy = {
         "prepare": ["prepare", "--data", workspace["raw"], "--out", tmp_path / "l.csv"],
-        "evaluate": ["evaluate", "--model", dt, "--data", workspace["labeled"],
-                     "--report", tmp_path / "report.json"],
-        "simulate": ["simulate", "--model", dt, "--frames", workspace["frames"],
-                     "--log", tmp_path / "log.jsonl", "--sink", tmp_path / "wire.txt"],
-        "predict": ["predict", "--model", dt, *PREDICT_ARGS],
+        "train knn": [*train, "knn"],
+        **model_runs("dt"),
+    }
+    with_numpy = {
+        "train dt": [*train, "dt"],
+        "train knn standardize": [*train, "knn", "--scaling", "standardize"],
+        **model_runs("knn"),
     }
     for name, args in no_numpy.items():
         assert exit_code_and_numpy(*args) == "0 False", name
-    for kind in ("dt", "knn"):
-        assert exit_code_and_numpy("train", "--data", workspace["labeled"], "--model", kind,
-                                   "--out", tmp_path / f"{kind}.json") == "0 True", kind
+    for name, args in with_numpy.items():
+        assert exit_code_and_numpy(*args) == "0 True", name
 
 
 # ---------------------------------------------------------------- save/load

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domepilot.cli import load_model, save_model
-from domepilot.knn import KnnModel, default_k, distance, train_knn
+from domepilot.knn import KnnModel, _standardize, default_k, distance, train_knn
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -40,14 +40,17 @@ def argsort_predict(model, query):
     Distances are accumulated feature by feature over the row-major
     transformed training set, so they are bit-identical to the model's.
     """
-    q = model._transform(np.asarray(query, dtype=float))
-    train = model._transform(model.features)
+    q = np.asarray(query, dtype=float)
+    train = np.asarray(model.features)
+    if model.scaling == "standardize":
+        stats = np.asarray(model.means), np.asarray(model.stds)
+        q, train = _standardize(q, *stats), _standardize(train, *stats)
     sq = np.zeros(train.shape[0])
     for j in range(q.size):
         diff = q[j] - train[:, j]
         sq += diff * diff
     nearest = np.argsort(sq, kind="stable")[:model.k]
-    return int(model.labels[nearest].sum() * 2 > model.k)
+    return int(np.asarray(model.labels)[nearest].sum() * 2 > model.k)
 
 
 def random_instance(rng, n_features=6):
@@ -78,9 +81,15 @@ def test_training_stores_the_data_verbatim():
     samples = toy_samples([((1, 0, 0, 0, 0, 0), 0), ((2, 0, 0, 0, 0, 0), 1),
                            ((3, 0, 0, 0, 0, 0), 1)])
     model = train_knn(samples, k=3)
-    assert model.features.shape == (3, 6)
-    assert list(model.labels) == [0, 1, 1]
+    assert model.features == tuple(features for features, _ in samples)
+    assert all(type(v) is float for row in model.features for v in row)
+    assert model.labels == (0, 1, 1)
     assert model.k == 3
+
+
+def test_ragged_rows_are_rejected():
+    with pytest.raises(ValueError, match="one length"):
+        train_knn([((0.0,) * 6, 0), ((1.0,) * 5, 1)], k=1)
 
 
 def test_k_bounds_are_enforced():

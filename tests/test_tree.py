@@ -11,6 +11,7 @@ from domepilot.tree import (
     Split,
     TreeConfig,
     TreeModel,
+    _as_arrays,
     best_split,
     impurity,
     train_tree,
@@ -188,6 +189,27 @@ def test_empty_training_set_is_an_error():
         train_tree([], TreeConfig())
     with pytest.raises(ValueError):
         train_tree([((1.0,), 2)], TreeConfig())
+
+
+def test_sample_arrays_hold_float_rows_and_int64_labels():
+    samples = labeled_set(200, seed=2)
+    pairs = [((1, np.float32(0.5), True), 1.0), ([2.5, -1, 0], np.int64(0))]
+    X, y = _as_arrays(samples)
+    assert X.dtype == np.float64 and y.dtype == np.int64
+    assert X.tolist() == [list(map(float, s.features)) for s in samples]
+    assert y.tolist() == [s.label for s in samples]
+    X, y = _as_arrays(pairs)
+    assert X.tolist() == [[1.0, 0.5, 1.0], [2.5, -1.0, 0.0]] and y.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("samples,message", [
+    ([], "empty training set"),
+    ([((1.0, 2.0), 0), ((3.0,), 1)], "sequence"),
+    ([((1.0,), 0), ((2.0,), 2)], "0/1"),
+], ids=["empty", "ragged", "label-2"])
+def test_sample_arrays_reject_bad_sets(samples, message):
+    with pytest.raises(ValueError, match=message):
+        _as_arrays(samples)
 
 
 def test_leaf_budget_is_respected_and_one_leaf_is_majority():

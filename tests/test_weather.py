@@ -176,6 +176,23 @@ def test_out_of_range_values_are_rejected_not_fatal():
     assert report.reasons == {"bad_time": 1, "invalid_values": 1}
 
 
+@pytest.mark.parametrize("cell", ["24:30", "24:59", "24:00:01", "7:99", "7:05:60"])
+def test_minutes_or_seconds_past_the_hour_reject_the_row(tmp_path, cell):
+    row = f"A,2018-01-01,{cell},20,0,40%,1015,10,Clear"
+    observations, report = parse_dataset(raw_csv(row))
+    assert observations == [] and report.reasons == {"bad_time": 1}
+    frames, report = read_frames_csv(write_frames(tmp_path / "frames.csv", [row + ",0"]))
+    assert frames == [] and report.reasons == {"bad_time": 1}
+
+
+def test_midnight_and_full_clock_times_read_their_hour():
+    observations, report = parse_dataset(raw_csv(
+        *(f"A,2018-01-01,{cell},20,0,40%,1015,10,Clear"
+          for cell in ("24:00", "24:00:00", "7:59:59", "12:30 am"))))
+    assert report.rejected == 0
+    assert [obs.hour for obs in observations] == [0, 0, 7, 0]
+
+
 def test_column_order_is_free_and_header_case_insensitive():
     stream = io.StringIO(
         "Weather,CITY,date,time,temp,wind,humidity,barometer,visibility\n"
