@@ -4,10 +4,11 @@ Labeling pipeline (condition table + temperature gate), from-scratch
 decision tree and k-NN classifiers, evaluation reports, and a dome
 controller with a hard rain override and AC interlock.
 
-Tree growth and the k-NN distance compute with numpy, so their names are
-imported on first access; labeling, both models' documents, k-NN training
-without standardization, tree prediction and the controller never import
-numpy.
+Tree growth, the k-NN model and the k-NN distance are imported on first
+access, so a command compiles only the modules it runs. Only the k-NN
+distance and standardization compute with numpy: labeling, tree growth and
+prediction, the models' documents, k-NN training without standardization
+and the controller never import it.
 """
 
 from importlib import import_module
@@ -27,7 +28,6 @@ from .controller import (
     parse_signal,
     replay,
 )
-from .knnmodel import KnnModel, default_k, train_knn
 from .metrics import (
     ConfusionMatrix,
     EvalReport,
@@ -59,13 +59,14 @@ from .weather import (
 
 __version__ = "0.1.0"
 
-# Name -> module of the names that need numpy (PEP 562).
-_NUMPY_NAMES = {
+# Name -> module of the names imported on first access (PEP 562).
+_LAZY_NAMES = {
     "distance": "knn", "best_split": "tree", "impurity": "tree", "train_tree": "tree",
+    "KnnModel": "knnmodel", "default_k": "knnmodel", "train_knn": "knnmodel",
 }
 
 
 def __getattr__(name: str):
-    if name not in _NUMPY_NAMES:
+    if name not in _LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_NUMPY_NAMES[name]}", __name__), name)
+    return getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)

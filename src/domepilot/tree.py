@@ -4,99 +4,104 @@ Growth keeps a priority queue of splittable leaves keyed by size-weighted
 impurity decrease and expands the best one until the leaf budget is reached
 or no leaf has a strictly positive gain. Everything is deterministic: equal
 gains tie-break on (feature index, threshold), equal priorities on node
-creation order. The trained model (nodes, routing, JSON document) lives in
-``domepilot.treemodel``, which needs no numpy; its names are re-exported
-here.
+creation order.
+
+Growth is plain Python: one float list per feature, and a node counts its
+rows per (distinct value, label) of a feature, then walks the sorted values
+(whole degrees, percents and millibars: few per node) with running class
+counts. The trained model lives in ``domepilot.treemodel``, re-exported here.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
+from itertools import repeat
+from math import log2
+from operator import add
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .treemodel import CRITERIA, Leaf, Split, TreeConfig, TreeModel
 from .weather import _features_and_labels
 
 
-def _impurity_values(n0, n1, criterion: str):
-    """Vectorized impurity from class counts; counts may be arrays."""
-    n0 = np.asarray(n0, dtype=float)
-    n1 = np.asarray(n1, dtype=float)
-    total = n0 + n1
-    p0 = np.divide(n0, total, out=np.zeros_like(total), where=total > 0)
-    p1 = np.divide(n1, total, out=np.zeros_like(total), where=total > 0)
-    if criterion == "gini":
-        return 1.0 - p0 * p0 - p1 * p1
-    log0 = np.zeros_like(p0)
-    log1 = np.zeros_like(p1)
-    np.log2(p0, out=log0, where=p0 > 0)
-    np.log2(p1, out=log1, where=p1 > 0)
-    return -(p0 * log0 + p1 * log1)
+def _gini(n0: int, n1: int) -> float:
+    p0, p1 = n0 / (n0 + n1), n1 / (n0 + n1)
+    return 1.0 - p0 * p0 - p1 * p1
+
+
+def _entropy(n0: int, n1: int) -> float:
+    p0, p1 = n0 / (n0 + n1), n1 / (n0 + n1)
+    return -(p0 * (log2(p0) if p0 > 0 else 0.0) + p1 * (log2(p1) if p1 > 0 else 0.0))
+
+
+def _impurity_of(criterion: str):
+    """The impurity function (class counts -> float) of ``criterion``."""
+    if criterion not in CRITERIA:
+        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+    return _gini if criterion == "gini" else _entropy
 
 
 def impurity(class_counts: tuple[int, int], criterion: str = "gini") -> float:
     """Gini (1 - p0^2 - p1^2) or entropy (-sum p log2 p, 0*log0 = 0)."""
-    if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+    imp = _impurity_of(criterion)
     n0, n1 = class_counts
     if n0 < 0 or n1 < 0 or n0 + n1 < 1:
         raise ValueError(f"class counts must be nonnegative and nonempty, got {class_counts}")
-    return float(_impurity_values(n0, n1, criterion))
+    return float(imp(n0, n1))
 
 
-def _as_arrays(samples: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """(n, d) float features and (n,) int64 labels of LabeledSample-likes or
-    (features, label) pairs, converted by one ``np.array`` call each."""
+def _columns(samples: Sequence) -> tuple[list, list, list[int]]:
+    """One float list per feature, each feature's scan (its sorted distinct values and
+    each row's key ``2 * rank of its value + label``, NaN last) and the int labels."""
     feats, labels = _features_and_labels(samples)
-    X = np.array(feats, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("samples must share one feature arity")
-    return X, np.array(labels, dtype=np.int64)
+    try:
+        if len(set(map(len, feats))) != 1:
+            raise ValueError("samples must share one feature arity")
+        columns = [list(map(float, column)) for column in zip(*feats)]
+    except TypeError:  # a feature row or value that is not a number sequence
+        raise ValueError("samples must be rows of numbers") from None
+    scans = []
+    for column in columns:
+        values = sorted(v for v in set(column) if v == v)
+        rank = {v: 2 * r for r, v in enumerate(values)}
+        keys = map(add, map(rank.get, column, repeat(2 * len(values))), labels)
+        scans.append((values, list(keys)))
+    return columns, scans, labels
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, criterion: str,
+def _best_split(scans: list, y: list, rows: list, imp,
                 min_samples_leaf: int) -> Optional[tuple[int, float, float]]:
-    """Best (feature, threshold, gain) with gain > 0, or None.
+    """Best (feature, threshold, gain) with gain > 0 over ``rows``, or None.
 
     Candidate thresholds are midpoints of consecutive distinct sorted values.
     Gain is the weighted impurity decrease relative to the node.
     """
-    n = y.size
-    if n < 2:
-        return None
-    c1 = int(y.sum())
+    n = len(rows)
+    c1 = sum(map(y.__getitem__, rows))
     c0 = n - c1
-    if c0 == 0 or c1 == 0:
+    if c0 == 0 or c1 == 0:  # also every node of fewer than two rows
         return None
-    parent = float(_impurity_values(c0, c1, criterion))
-    best = None
-    best_gain = 0.0
-    for feature in range(X.shape[1]):
-        order = np.argsort(X[:, feature], kind="stable")
-        values = X[order, feature]
-        cum1 = np.cumsum(y[order])
-        cuts = np.nonzero(values[:-1] < values[1:])[0]
-        if cuts.size == 0:
-            continue
-        n_left = cuts + 1
-        keep = (n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)
-        cuts = cuts[keep]
-        if cuts.size == 0:
-            continue
-        n_left = cuts + 1
-        n_right = n - n_left
-        l1 = cum1[cuts]
-        l0 = n_left - l1
-        children = ((n_left / n) * _impurity_values(l0, l1, criterion)
-                    + (n_right / n) * _impurity_values(c0 - l0, c1 - l1, criterion))
-        gains = parent - children
-        pos = int(np.argmax(gains))  # first max -> lowest threshold on ties
-        if gains[pos] > best_gain:  # strict -> lowest feature index on ties
-            threshold = float((values[cuts[pos]] + values[cuts[pos] + 1]) / 2.0)
-            best = (feature, threshold, float(gains[pos]))
-            best_gain = float(gains[pos])
+    parent = imp(c0, c1)
+    best, best_gain = None, 0.0
+    for feature, (values, keys) in enumerate(scans):
+        counts = Counter(map(keys.__getitem__, rows))
+        ranks = sorted({key >> 1 for key in counts})
+        if ranks[-1] == len(values):
+            ranks.pop()  # NaN rows: counted in n, never left of a cut
+        n_left = l1 = 0
+        for rank, upper in zip(ranks, ranks[1:]):
+            ones = counts[2 * rank + 1]
+            n_left += counts[2 * rank] + ones
+            l1 += ones
+            n_right = n - n_left
+            if n_left < min_samples_leaf or n_right < min_samples_leaf:
+                continue
+            l0 = n_left - l1
+            gain = parent - ((n_left / n) * imp(l0, l1)
+                             + (n_right / n) * imp(c0 - l0, c1 - l1))
+            if gain > best_gain:  # strict -> lowest feature, then threshold, on ties
+                best, best_gain = (feature, (values[rank] + values[upper]) / 2.0, gain), gain
     return best
 
 
@@ -108,8 +113,9 @@ def best_split(samples_at_node: Sequence, criterion: str = "gini",
     weighted impurity decrease with both children >= min_samples_leaf, or
     None when no candidate strictly decreases impurity.
     """
-    X, y = _as_arrays(samples_at_node)
-    return _best_split(X, y, criterion, min_samples_leaf)
+    _, scans, y = _columns(samples_at_node)
+    return _best_split(scans, y, list(range(len(y))), _impurity_of(criterion),
+                       min_samples_leaf)
 
 
 def train_tree(train_samples: Sequence, config: TreeConfig = TreeConfig()) -> TreeModel:
@@ -119,45 +125,38 @@ def train_tree(train_samples: Sequence, config: TreeConfig = TreeConfig()) -> Tr
     leaf replaces it in place and appends its two children, so node ids
     record creation order.
     """
-    X, y = _as_arrays(train_samples)
+    columns, scans, y = _columns(train_samples)
+    imp = _impurity_of(config.criterion)
     nodes: list = []
-    frontier: list = []  # (-priority, node_id, feature, threshold, gain, indices)
+    frontier: list = []  # (-priority, node_id, feature, threshold, gain, rows)
 
-    def leaf_for(indices: np.ndarray) -> Leaf:
-        c1 = int(y[indices].sum())
-        c0 = int(indices.size) - c1
-        return Leaf(label=1 if c1 > c0 else 0, counts=(c0, c1))
+    def leaf_for(rows: list) -> Leaf:
+        c1 = sum(map(y.__getitem__, rows))
+        return Leaf(label=1 if 2 * c1 > len(rows) else 0, counts=(len(rows) - c1, c1))
 
-    def enqueue(node_id: int, indices: np.ndarray) -> None:
-        found = _best_split(X[indices], y[indices],
-                            config.criterion, config.min_samples_leaf)
+    def enqueue(node_id: int, rows: list) -> None:
+        found = _best_split(scans, y, rows, imp, config.min_samples_leaf)
         if found is not None:
             feature, threshold, gain = found
-            heapq.heappush(frontier,
-                           (-gain * indices.size, node_id, feature, threshold, gain, indices))
+            heapq.heappush(frontier, (-gain * len(rows), node_id, feature, threshold, gain, rows))
 
-    root_indices = np.arange(y.size)
-    nodes.append(leaf_for(root_indices))
+    root_rows = list(range(len(y)))
+    nodes.append(leaf_for(root_rows))
     n_leaves = 1
     if config.max_leaf_nodes >= 2:
-        enqueue(0, root_indices)
+        enqueue(0, root_rows)
 
     while frontier and n_leaves < config.max_leaf_nodes:
-        _, node_id, feature, threshold, gain, indices = heapq.heappop(frontier)
-        goes_left = X[indices, feature] <= threshold
-        left_indices = indices[goes_left]
-        right_indices = indices[~goes_left]
-        left_id = len(nodes)
-        nodes.append(leaf_for(left_indices))
-        right_id = len(nodes)
-        nodes.append(leaf_for(right_indices))
-        counts = nodes[node_id].counts
-        nodes[node_id] = Split(feature=feature, threshold=threshold,
-                               left=left_id, right=right_id,
-                               impurity=impurity(counts, config.criterion),
-                               n=int(indices.size))
+        _, node_id, feature, threshold, gain, rows = heapq.heappop(frontier)
+        column = columns[feature]  # left iff value <= threshold, as TreeModel routes
+        left_rows = [i for i in rows if column[i] <= threshold]
+        right_rows = [i for i in rows if not column[i] <= threshold]
+        left_id, right_id = len(nodes), len(nodes) + 1
+        nodes += [leaf_for(left_rows), leaf_for(right_rows)]
+        nodes[node_id] = Split(feature=feature, threshold=threshold, left=left_id, right=right_id,
+                               impurity=imp(*nodes[node_id].counts), n=len(rows))
         n_leaves += 1
-        enqueue(left_id, left_indices)
-        enqueue(right_id, right_indices)
+        enqueue(left_id, left_rows)
+        enqueue(right_id, right_rows)
 
-    return TreeModel(config=config, nodes=nodes, n_features=X.shape[1])
+    return TreeModel(config=config, nodes=nodes, n_features=len(columns))

@@ -1,8 +1,9 @@
 """A trained decision tree: its nodes, routing and JSON document.
 
-Nothing here imports numpy, so loading a tree and predicting with it, as
-``evaluate``, ``predict`` and ``simulate`` do, never pay for that import;
-growing a tree is in ``domepilot.tree``.
+Nothing here imports numpy. Growing a tree is in ``domepilot.tree``, which
+needs no numpy either but is imported only by ``train``, so loading a tree
+and predicting with it, as ``evaluate``, ``predict`` and ``simulate`` do,
+never compile the grower.
 """
 
 from __future__ import annotations

@@ -237,10 +237,10 @@ def _features_and_labels(samples: Sequence) -> tuple[list, list[int]]:
             f, y = s.features, s.label
         else:
             f, y = s
+        if y not in (0, 1):  # before int(), which would turn 0.5 into 0
+            raise ValueError("labels must be binary 0/1")
         feats.append(f)
         labels.append(int(y))
-    if not set(labels) <= {0, 1}:
-        raise ValueError("labels must be binary 0/1")
     return feats, labels
 
 

@@ -567,18 +567,19 @@ def test_deeply_nested_model_exits_2_naming_the_file(tmp_path):
 
 # ---------------------------------------------------------------- imports
 
-NUMPY_PROBE = ("import sys\n"
-               "from domepilot import cli\n"
-               "code = cli.main(sys.argv[1:])\n"
-               "print(code, 'numpy' in sys.modules)\n")
+PROBED_MODULES = ("numpy", "domepilot.tree", "domepilot.knnmodel")
+IMPORT_PROBE = ("import sys\n"
+                "from domepilot import cli\n"
+                "code = cli.main(sys.argv[1:])\n"
+                f"print(code, *sorted(set({PROBED_MODULES!r}) & set(sys.modules)))\n")
 
 
-def exit_code_and_numpy(*args):
-    """(exit code, whether numpy got imported) of one in-process CLI run."""
+def exit_code_and_modules(*args):
+    """'<exit code> <PROBED_MODULES imported, sorted>' of one in-process CLI run."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
                                                        os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *map(str, args)],
+    result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *map(str, args)],
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()[-1]
@@ -598,20 +599,26 @@ def test_numpy_is_imported_only_where_it_computes(workspace, tmp_path):
 
     train = ["train", "--data", workspace["labeled"], "--out", tmp_path / "model.json",
              "--model"]
-    no_numpy = {
+    runs = {
         "prepare": ["prepare", "--data", workspace["raw"], "--out", tmp_path / "l.csv"],
-        "train knn": [*train, "knn"],
-        **model_runs("dt"),
-    }
-    with_numpy = {
         "train dt": [*train, "dt"],
+        "train knn": [*train, "knn"],
         "train knn standardize": [*train, "knn", "--scaling", "standardize"],
+        **model_runs("dt"),
         **model_runs("knn"),
     }
-    for name, args in no_numpy.items():
-        assert exit_code_and_numpy(*args) == "0 False", name
-    for name, args in with_numpy.items():
-        assert exit_code_and_numpy(*args) == "0 True", name
+    # Each command imports only what it runs: tree growth to train a tree, the
+    # k-NN model for k-NN, and numpy only where a k-NN computes with it.
+    expected = {
+        "prepare": "0",
+        "train dt": "0 domepilot.tree",
+        "train knn": "0 domepilot.knnmodel",
+        "train knn standardize": "0 domepilot.knnmodel numpy",
+        **dict.fromkeys(model_runs("dt"), "0"),
+        **dict.fromkeys(model_runs("knn"), "0 domepilot.knnmodel numpy"),
+    }
+    for name, args in runs.items():
+        assert exit_code_and_modules(*args) == expected[name], name
 
 
 # ---------------------------------------------------------------- save/load

@@ -1,0 +1,131 @@
+"""Fuzz gate for frames CSV files.
+
+A frames CSV (the raw weather schema plus a ``rain`` column) gets junk,
+non-finite, missing and extra cells, rain flags other than 0/1, renamed
+header names, blank lines, bytes that are not UTF-8 and a cell longer than
+the csv module's field limit. ``simulate`` with a tree on it must either
+exit 0 with one decision-log entry and one wire line per accepted frame, or
+exit 2 with a ``domepilot: error:`` line naming the file. It never raises.
+"""
+
+import contextlib
+import csv
+import io
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from domepilot import cli
+from domepilot.controller import FRAME_COLUMNS, read_frames_csv
+from domepilot.synthetic import synthetic_observations, to_raw_csv
+from domepilot.tree import TreeConfig, train_tree
+from domepilot.weather import ConditionTable, to_samples
+
+OBSERVATIONS = synthetic_observations(40, seed=13)
+_written = io.StringIO()
+to_raw_csv(OBSERVATIONS, _written, rain=[i % 3 == 0 for i in range(len(OBSERVATIONS))])
+ROWS = list(csv.reader(io.StringIO(_written.getvalue())))
+
+NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999",
+                              "-1e999"])
+JUNK = st.one_of(
+    NON_FINITE,
+    st.sampled_from(["", " ", "abc", "1,2", '"', "1e", "--1", "0x10", "½", "1 0", "\x00",
+                     "25:00", "2017-13-01", "calm"]),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+RAIN = st.sampled_from(["2", "maybe", "-1", "1.0", " yes", "TRUE", "", "01"])
+NUMERIC = [FRAME_COLUMNS.index(name) for name in ("temp", "wind", "humidity", "barometer",
+                                                   "visibility")]
+
+
+def _mutate_cells(rows, data) -> None:
+    """One cell-level edit of the parsed rows."""
+    action = data.draw(st.sampled_from(["junk", "non-finite", "drop", "extra", "rain",
+                                        "every-rain", "header", "huge"]))
+    row = data.draw(st.integers(1, len(rows) - 1))
+    cells = rows[row]
+    col = data.draw(st.integers(0, max(len(cells) - 1, 0)))
+    if action == "junk" and cells:
+        cells[col] = data.draw(JUNK)
+    elif action == "non-finite":
+        cells[data.draw(st.sampled_from(NUMERIC))] = data.draw(NON_FINITE)
+    elif action == "drop" and cells:
+        del cells[col]
+    elif action == "extra":
+        cells.insert(data.draw(st.integers(0, len(cells))), data.draw(JUNK))
+    elif action == "rain":
+        cells[-1] = data.draw(RAIN)
+    elif action == "every-rain":  # may leave no usable frame
+        flag = data.draw(RAIN)
+        for cells in rows[1:]:
+            cells[-1:] = [flag]
+    elif action == "header":
+        header = rows[0]
+        header[data.draw(st.integers(0, len(header) - 1))] = data.draw(
+            st.one_of(JUNK, st.sampled_from([*FRAME_COLUMNS, "Rain", " temp ", "raining"])))
+    elif action == "huge" and cells:
+        cells[col] = "9" * (csv.field_size_limit() + 1)
+
+
+def _mutate_bytes(raw: bytes, data) -> bytes:
+    """Blank lines or a 0xff byte at a random place."""
+    at = data.draw(st.integers(0, len(raw)))
+    if data.draw(st.booleans(), label="blank lines"):
+        while at and raw[at - 1:at] != b"\n":
+            at -= 1
+        return raw[:at] + data.draw(st.sampled_from([b"\n", b"\r\n", b"\n\n"])) + raw[at:]
+    return raw[:at] + b"\xff" + raw[at:]
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("frames-fuzz")
+    samples, _ = to_samples(synthetic_observations(300, seed=5), ConditionTable.builtin())
+    model = root / "dt.json"
+    cli.save_model(train_tree(samples, TreeConfig()), model)
+    return model, root / "frames.csv", root / "log.jsonl", root / "wire.txt"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_frames_csv_simulates_or_fails_naming_the_file(files, data):
+    model, path, log, wire = files
+    rows = [list(row) for row in ROWS]
+    for _ in range(data.draw(st.integers(1, 3), label="cell mutations")):
+        _mutate_cells(rows, data)
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    raw = text.getvalue().encode("utf-8")
+    for _ in range(data.draw(st.integers(0, 2), label="byte mutations")):
+        raw = _mutate_bytes(raw, data)
+    path.write_bytes(raw)
+
+    try:
+        accepted = len(read_frames_csv(path)[0])
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: "), exc
+        accepted = None
+    log.unlink(missing_ok=True)
+    wire.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["simulate", "--model", str(model), "--frames", str(path),
+                         "--log", str(log), "--sink", str(wire)])
+    if code == 0:
+        assert accepted, "simulate accepted a file read_frames_csv rejects"
+        entries = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        assert len(entries) == accepted
+        assert all(math.isfinite(v) for e in entries for v in e["features"])
+        assert wire.read_text(encoding="ascii").count("\n") == accepted
+        assert json.loads(out.getvalue())["frames"] == accepted
+    else:
+        assert code == 2
+        message = err.getvalue()  # warnings may come first
+        assert "domepilot: error: " in message, message
+        assert str(path) in message[message.index("domepilot: error: "):]
+        assert "Traceback" not in message
+        assert not log.exists()

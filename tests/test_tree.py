@@ -1,17 +1,20 @@
+import heapq
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domepilot.cli import load_model, save_model
+from domepilot.knnmodel import train_knn
 from domepilot.synthetic import synthetic_observations
 from domepilot.tree import (
     Leaf,
     Split,
     TreeConfig,
     TreeModel,
-    _as_arrays,
     best_split,
     impurity,
     train_tree,
@@ -46,6 +49,97 @@ def oracle_candidates(samples, criterion="gini", min_leaf=1):
                     - (len(right) / n) * oracle_impurity(right, criterion))
             found.append((f, threshold, gain))
     return found
+
+
+def numpy_impurity(n0, n1, criterion):
+    """Vectorized impurity from class counts (arrays), as numpy computes it."""
+    n0 = np.asarray(n0, dtype=float)
+    n1 = np.asarray(n1, dtype=float)
+    total = n0 + n1
+    p0 = np.divide(n0, total, out=np.zeros_like(total), where=total > 0)
+    p1 = np.divide(n1, total, out=np.zeros_like(total), where=total > 0)
+    if criterion == "gini":
+        return 1.0 - p0 * p0 - p1 * p1
+    log0 = np.zeros_like(p0)
+    log1 = np.zeros_like(p1)
+    np.log2(p0, out=log0, where=p0 > 0)
+    np.log2(p1, out=log1, where=p1 > 0)
+    return -(p0 * log0 + p1 * log1)
+
+
+def numpy_best_split(X, y, criterion, min_samples_leaf):
+    """Best (feature, threshold, gain) by a stable argsort and cumulative
+    label sums per feature: the array grower the counting scan replaced."""
+    n = y.size
+    if n < 2:
+        return None
+    c1 = int(y.sum())
+    c0 = n - c1
+    if c0 == 0 or c1 == 0:
+        return None
+    parent = float(numpy_impurity(c0, c1, criterion))
+    best = None
+    best_gain = 0.0
+    for feature in range(X.shape[1]):
+        order = np.argsort(X[:, feature], kind="stable")
+        values = X[order, feature]
+        cum1 = np.cumsum(y[order])
+        cuts = np.nonzero(values[:-1] < values[1:])[0]
+        n_left = cuts + 1
+        cuts = cuts[(n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)]
+        if cuts.size == 0:
+            continue
+        n_left = cuts + 1
+        l1 = cum1[cuts]
+        l0 = n_left - l1
+        gains = parent - ((n_left / n) * numpy_impurity(l0, l1, criterion)
+                          + ((n - n_left) / n) * numpy_impurity(c0 - l0, c1 - l1, criterion))
+        pos = int(np.argmax(gains))
+        if gains[pos] > best_gain:
+            threshold = float((values[cuts[pos]] + values[cuts[pos] + 1]) / 2.0)
+            best = (feature, threshold, float(gains[pos]))
+            best_gain = float(gains[pos])
+    return best
+
+
+def numpy_train_tree(samples, config):
+    """Oracle: the best-first grower over numpy arrays, node for node."""
+    X = np.array([f for f, _ in samples], dtype=float)
+    y = np.array([label for _, label in samples], dtype=np.int64)
+    nodes, frontier = [], []
+
+    def leaf_for(indices):
+        c1 = int(y[indices].sum())
+        c0 = int(indices.size) - c1
+        return Leaf(label=1 if c1 > c0 else 0, counts=(c0, c1))
+
+    def enqueue(node_id, indices):
+        found = numpy_best_split(X[indices], y[indices], config.criterion,
+                                 config.min_samples_leaf)
+        if found is not None:
+            feature, threshold, gain = found
+            heapq.heappush(frontier,
+                           (-gain * indices.size, node_id, feature, threshold, gain, indices))
+
+    root = np.arange(y.size)
+    nodes.append(leaf_for(root))
+    n_leaves = 1
+    if config.max_leaf_nodes >= 2:
+        enqueue(0, root)
+    while frontier and n_leaves < config.max_leaf_nodes:
+        _, node_id, feature, threshold, _, indices = heapq.heappop(frontier)
+        goes_left = X[indices, feature] <= threshold
+        left, right = indices[goes_left], indices[~goes_left]
+        nodes += [leaf_for(left), leaf_for(right)]
+        counts = nodes[node_id].counts
+        nodes[node_id] = Split(feature=feature, threshold=threshold,
+                               left=len(nodes) - 2, right=len(nodes) - 1,
+                               impurity=float(numpy_impurity(*counts, config.criterion)),
+                               n=int(indices.size))
+        n_leaves += 1
+        enqueue(len(nodes) - 2, left)
+        enqueue(len(nodes) - 1, right)
+    return TreeModel(config=config, nodes=nodes, n_features=X.shape[1])
 
 
 def labeled_set(n, seed, temp_only=False):
@@ -191,25 +285,76 @@ def test_empty_training_set_is_an_error():
         train_tree([((1.0,), 2)], TreeConfig())
 
 
-def test_sample_arrays_hold_float_rows_and_int64_labels():
+def test_mixed_numeric_samples_train_like_their_float_version():
     samples = labeled_set(200, seed=2)
-    pairs = [((1, np.float32(0.5), True), 1.0), ([2.5, -1, 0], np.int64(0))]
-    X, y = _as_arrays(samples)
-    assert X.dtype == np.float64 and y.dtype == np.int64
-    assert X.tolist() == [list(map(float, s.features)) for s in samples]
-    assert y.tolist() == [s.label for s in samples]
-    X, y = _as_arrays(pairs)
-    assert X.tolist() == [[1.0, 0.5, 1.0], [2.5, -1.0, 0.0]] and y.tolist() == [1, 0]
+    as_pairs = [(tuple(map(float, s.features)), s.label) for s in samples]
+    config = TreeConfig(max_leaf_nodes=50)
+    assert train_tree(samples, config).to_dict() == train_tree(as_pairs, config).to_dict()
+    mixed = [((1, np.float32(0.5), True), 1.0), ([2.5, -1, 0], np.int64(0))]
+    floats = [((1.0, 0.5, 1.0), 1), ((2.5, -1.0, 0.0), 0)]
+    assert train_tree(mixed, config).to_dict() == train_tree(floats, config).to_dict()
+    assert best_split(mixed) == best_split(floats) == (0, 1.75, 0.5)
 
 
 @pytest.mark.parametrize("samples,message", [
     ([], "empty training set"),
-    ([((1.0, 2.0), 0), ((3.0,), 1)], "sequence"),
+    ([((1.0, 2.0), 0), ((3.0,), 1)], "one feature arity"),
     ([((1.0,), 0), ((2.0,), 2)], "0/1"),
 ], ids=["empty", "ragged", "label-2"])
 def test_sample_arrays_reject_bad_sets(samples, message):
     with pytest.raises(ValueError, match=message):
-        _as_arrays(samples)
+        train_tree(samples, TreeConfig())
+    with pytest.raises(ValueError, match=message):
+        best_split(samples)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda samples: train_tree(samples, TreeConfig()),
+    best_split,
+    lambda samples: train_knn(samples, k=1),
+], ids=["train_tree", "best_split", "train_knn"])
+def test_labels_are_checked_before_they_are_converted(fit):
+    rows = [(0.0,) * 6, (1.0,) * 6, (2.0,) * 6]
+    for bad in (0.5, 1.7):
+        with pytest.raises(ValueError, match="0/1"):
+            fit([(rows[0], 0), (rows[1], bad), (rows[2], 1)])
+    fit(list(zip(rows, [True, 1.0, np.int64(0)])))
+    assert train_knn(list(zip(rows, [True, 1.0, np.int64(0)])), k=1).labels == (1, 1, 0)
+
+
+# A float grid with few distinct values (as in weather data), or any floats,
+# with signed zeros and NaN mixed in.
+GRID = st.integers(0, 4).map(float)
+FLOATS = st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([0.0, -0.0]),
+                   st.just(math.nan))
+
+
+@st.composite
+def training_sets(draw):
+    width = draw(st.integers(1, 4))
+    values = draw(st.sampled_from([GRID, FLOATS]))
+    row = st.tuples(*[values] * width)
+    return draw(st.lists(st.tuples(row, st.integers(0, 1)), min_size=1, max_size=80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=training_sets(), criterion=st.sampled_from(["gini", "entropy"]),
+       max_leaf_nodes=st.sampled_from([1, 2, 10, 50]), min_samples_leaf=st.integers(1, 4))
+def test_counting_grower_matches_the_numpy_grower(samples, criterion, max_leaf_nodes,
+                                                  min_samples_leaf):
+    config = TreeConfig(criterion=criterion, max_leaf_nodes=max_leaf_nodes,
+                        min_samples_leaf=min_samples_leaf)
+    got = train_tree(samples, config).to_dict()
+    want = numpy_train_tree(samples, config).to_dict()
+    if criterion == "gini":  # + - * / only: the same doubles
+        assert got == want
+        return
+    # numpy's log2 may differ from libm's in the last bit on some CPUs.
+    got_impurities = [node.pop("impurity", None) for node in got["nodes"]]
+    want_impurities = [node.pop("impurity", None) for node in want["nodes"]]
+    assert got == want
+    for a, b in zip(got_impurities, want_impurities):
+        assert (a is None and b is None) or abs(a - b) <= math.ulp(b)
 
 
 def test_leaf_budget_is_respected_and_one_leaf_is_majority():
