@@ -43,6 +43,5 @@ k = default_k(len(knn_train))
 knn = train_knn(knn_train, k)
 knn_report = evaluate(knn.predict, knn_test, model_id=f"knn (k={k})")
 
-print(render_reports([dt_report, knn_report]))
-print("confusion matrix CSV (decision tree):")
-print(dt_report.matrix.to_csv())
+# Below the metrics table, each model's confusion counts (tp/tn/fp/fn).
+print(render_reports([dt_report, knn_report]), end="")

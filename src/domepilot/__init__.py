@@ -4,11 +4,11 @@ Labeling pipeline (condition table + temperature gate), from-scratch
 decision tree and k-NN classifiers, evaluation reports, and a dome
 controller with a hard rain override and AC interlock.
 
-Tree growth, the k-NN model and the k-NN distance are imported on first
-access, so a command compiles only the modules it runs. Only the k-NN
-distance and standardization compute with numpy: labeling, tree growth and
-prediction, the models' documents, k-NN training without standardization
-and the controller never import it.
+Tree growth and the k-NN model are imported on first access, so a command
+compiles only the modules it runs. Only k-NN prediction and standardization
+compute with numpy: labeling, tree growth and prediction, the models'
+documents, k-NN training without standardization and the controller never
+import it.
 """
 
 from importlib import import_module
@@ -35,7 +35,6 @@ from .metrics import (
     confusion,
     evaluate,
     f1,
-    mse,
     weighted_f1,
 )
 from .treemodel import TreeConfig, TreeModel
@@ -61,7 +60,7 @@ __version__ = "0.1.0"
 
 # Name -> module of the names imported on first access (PEP 562).
 _LAZY_NAMES = {
-    "distance": "knn", "best_split": "tree", "impurity": "tree", "train_tree": "tree",
+    "best_split": "tree", "impurity": "tree", "train_tree": "tree",
     "KnnModel": "knnmodel", "default_k": "knnmodel", "train_knn": "knnmodel",
 }
 

@@ -57,6 +57,18 @@ logger = logging.getLogger(__name__)
 MODEL_KINDS = ("dt", "knn")
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is when the record comes."""
+
+    def emit(self, record):
+        self.stream = sys.stderr
+        super().emit(record)
+
+
+_STDERR_HANDLER = _StderrHandler()
+_STDERR_HANDLER.setFormatter(logging.Formatter("domepilot: %(levelname)s: %(message)s"))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Default run parameters; the shipped values are the reference runs."""
@@ -102,9 +114,8 @@ def load_model(path: Union[str, Path]) -> Union[TreeModel, KnnModel]:
     if kind == "tree":
         loader = TreeModel.from_dict
     elif kind == "knn":
-        # A k-NN model predicts with numpy; loading it here keeps that import
-        # out of the first prediction.
-        from .knn import KnnModel
+        from . import knn  # noqa: F401  numpy, imported here and not in the first prediction
+        from .knnmodel import KnnModel
         loader = KnnModel.from_dict
     else:
         raise ValueError(f"{path}: unrecognized model kind {kind!r}")
@@ -401,8 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
-                        format="domepilot: %(levelname)s: %(message)s")
+    logging.getLogger("domepilot").addHandler(_STDERR_HANDLER)  # adding it again is a no-op
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

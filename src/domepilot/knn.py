@@ -2,22 +2,22 @@
 
 The model (stored rows, checks, JSON document, training and the
 square-root-of-n default k) is in ``domepilot.knnmodel``, which needs no
-numpy; its names are re-exported here. ``Kernel`` holds a model's rows as
-contiguous numpy columns and votes: it computes the squared distance to
-every training row, finds the k-th smallest with a partition, counts the
-labels of the rows strictly closer and fills the remaining slots from the
-rows at exactly the k-th distance, lowest training index first. That is the
-vote of the k nearest ordered by (distance, training index), so ties resolve
-toward the earlier training row, without sorting the distances.
+numpy. ``Kernel`` holds a model's rows as contiguous numpy columns and
+votes: it computes the squared distance to every training row, finds the
+k-th smallest with a partition, counts the labels of the rows strictly
+closer and fills the remaining slots from the rows at exactly the k-th
+distance, lowest training index first. That is the vote of the k nearest
+ordered by (distance, training index), so ties resolve toward the earlier
+training row, without sorting the distances.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .knnmodel import FORMAT_VERSION, SCALINGS, KnnModel, default_k, train_knn
+from .knnmodel import KnnModel
 
 
 def _standardize(values: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
@@ -84,21 +84,3 @@ def _squared_distances(q: np.ndarray, columns: np.ndarray) -> np.ndarray:
         out += diff
     return out
 
-
-def distance(a: Sequence[float], b: Sequence[float], scaling: str = "none",
-             stats: Optional[tuple[Sequence[float], Sequence[float]]] = None) -> float:
-    """Euclidean distance over (optionally standardized) coordinates."""
-    va = np.asarray(tuple(float(v) for v in a))
-    vb = np.asarray(tuple(float(v) for v in b))
-    if va.shape != vb.shape:
-        raise ValueError(f"arity mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    if scaling not in SCALINGS:
-        raise ValueError(f"scaling must be one of {SCALINGS}, got {scaling!r}")
-    if scaling == "standardize":
-        if stats is None:
-            raise ValueError("standardize scaling requires (means, stds) stats")
-        means = np.asarray(stats[0], dtype=float)
-        stds = np.asarray(stats[1], dtype=float)
-        va = _standardize(va, means, stds)
-        vb = _standardize(vb, means, stds)
-    return float(np.sqrt(_squared_distances(va, vb[:, None])[0]))

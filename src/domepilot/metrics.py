@@ -1,13 +1,12 @@
 """Binary classification metrics: confusion matrix, accuracy, F1, MSE.
 
 Class 1 (open) is the positive class of the confusion matrix. For binary
-0/1 predictions MSE coincides with the misclassification rate, so
+0/1 predictions MSE is the misclassification rate (fp + fn) / n, so
 mse == 1 - accuracy up to floating-point rounding.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -30,14 +29,6 @@ class ConfusionMatrix:
     def support(self, klass: int) -> int:
         """Number of true instances of a class."""
         return self.tp + self.fn if klass == 1 else self.tn + self.fp
-
-    def to_csv(self) -> str:
-        """Rows are true classes, columns predicted classes."""
-        out = io.StringIO()
-        out.write(",pred_0,pred_1\n")
-        out.write(f"true_0,{self.tn},{self.fp}\n")
-        out.write(f"true_1,{self.fn},{self.tp}\n")
-        return out.getvalue()
 
 
 def confusion(predictions: Sequence[int], labels: Sequence[int]) -> ConfusionMatrix:
@@ -95,16 +86,6 @@ def weighted_f1(matrix: ConfusionMatrix) -> float:
     return (s1 * f1(matrix, 1) + s0 * f1(matrix, 0)) / (s1 + s0)
 
 
-def mse(predictions: Sequence[int], labels: Sequence[int]) -> float:
-    """Mean squared difference; equals the error rate for 0/1 values."""
-    if len(predictions) != len(labels):
-        raise ValueError(f"length mismatch: {len(predictions)} predictions "
-                         f"vs {len(labels)} labels")
-    if len(labels) == 0:
-        raise ValueError("cannot score an empty prediction set")
-    return sum((p - y) ** 2 for p, y in zip(predictions, labels)) / len(labels)
-
-
 @dataclass(frozen=True)
 class EvalReport:
     matrix: ConfusionMatrix
@@ -145,7 +126,7 @@ def evaluate(model_predict_fn: Callable[[Sequence[float]], int],
         f1_class1=scores[1],
         f1_class0=scores[0],
         weighted_f1=weighted_f1(matrix),
-        mse=(matrix.fp + matrix.fn) / len(labels),  # mse() of 0/1 values
+        mse=(matrix.fp + matrix.fn) / len(labels),  # mean squared 0/1 error
         n_test=len(labels),
         model_id=model_id,
         # F1 is 0 exactly when the class has no true positive, i.e. when

@@ -149,14 +149,14 @@ class ConditionTable:
 
     @classmethod
     def from_csv(cls, source: PathOrStream) -> "ConditionTable":
-        """Load a user override table from ``condition,flag`` lines.
+        """Load a user override table from ``condition,flag`` lines; blank
+        lines and ``condition,flag`` header lines (any case) are skipped."""
+        rows = list(_csv_rows(source))  # read first: its errors are named already
+        line = 0
 
-        A first line reading exactly ``condition,flag`` is treated as a
-        header and skipped.
-        """
-        with _opened(source) as stream:
-            pairs = []
-            for row in csv.reader(stream):
+        def pairs() -> Iterator[tuple[str, int]]:
+            nonlocal line
+            for line, row in rows:
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if len(row) != 2:
@@ -165,10 +165,15 @@ class ConditionTable:
                 if (cond.casefold(), flag.casefold()) == ("condition", "flag"):
                     continue
                 try:
-                    pairs.append((cond, int(flag)))
+                    yield cond, int(flag)
                 except ValueError:
                     raise ValueError(f"bad flag {flag!r} for condition {cond!r}") from None
-        return cls(pairs)
+            line = 0  # past the last line, so an empty table names no line
+
+        try:
+            return cls(pairs())
+        except ValueError as exc:
+            raise ValueError(_named(source, f"line {line}: {exc}" if line else str(exc))) from None
 
 
 def derive_state(flag: int, temp: float) -> int:
@@ -376,35 +381,41 @@ def _observation_from_row(cells: Sequence[str]) -> WeatherObservation:
         raise _RowRejected("invalid_values") from exc
 
 
+def _csv_rows(source: PathOrStream) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of each CSV row, a blank row as []; bytes that are not
+    UTF-8 and text the csv module cannot split raise a ValueError naming the file."""
+    with _opened(source) as stream:
+        reader = csv.reader(stream)
+        try:
+            for row in reader:
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise ValueError(_named(source, f"line {reader.line_num}: {exc}")) from None
+
+
 def _read_rows(source: PathOrStream,
                columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
     """(line number, cells in ``columns`` order) for each non-blank CSV row.
 
     Header names match case-insensitively, in any order; extra columns are
-    ignored and a missing one raises SchemaError. Short rows read as empty
-    cells. Both errors, and text the csv module cannot split (such as a cell
-    over its field size limit), name the file.
+    ignored and a missing one raises SchemaError naming the file. Short rows
+    read as empty cells.
     """
-    with _opened(source) as stream:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader, None) or []
-            by_name = {name.strip().lower(): i for i, name in enumerate(header) if name}
-            missing = [col for col in columns if col not in by_name]
-            if missing:
-                raise SchemaError(_named(source, "missing required column(s): "
-                                                 + ", ".join(missing)))
-            positions = [by_name[col] for col in columns]
-            pick = operator.itemgetter(*positions)
-            width = max(positions) + 1
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < width:
-                    row += [""] * (width - len(row))
-                yield reader.line_num, pick(row)
-        except csv.Error as exc:
-            raise ValueError(_named(source, f"line {reader.line_num}: {exc}")) from None
+    rows = _csv_rows(source)
+    _, header = next(rows, (0, []))
+    by_name = {name.strip().lower(): i for i, name in enumerate(header) if name}
+    missing = [col for col in columns if col not in by_name]
+    if missing:
+        raise SchemaError(_named(source, "missing required column(s): " + ", ".join(missing)))
+    positions = [by_name[col] for col in columns]
+    pick = operator.itemgetter(*positions)
+    width = max(positions) + 1
+    for line, row in rows:
+        if not row:
+            continue
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        yield line, pick(row)
 
 
 T = TypeVar("T")
@@ -465,32 +476,20 @@ def to_samples(observations: Sequence[WeatherObservation],
     return _clean_rows(observations, label)
 
 
-class SplitMix64:
-    """SplitMix64: the fixed 64-bit generator behind seeded splits.
+def permutation(n: int, seed: int) -> list[int]:
+    """Fisher-Yates permutation of range(n) driven by SplitMix64.
 
     Frozen on purpose: identical (seed, n) must yield identical splits on
-    any platform, so the stream may never change.
+    any platform, so the generator's stream may never change.
     """
-
-    _MASK = (1 << 64) - 1
-
-    def __init__(self, seed: int):
-        self._state = seed & self._MASK
-
-    def next_uint64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return z ^ (z >> 31)
-
-
-def permutation(n: int, seed: int) -> list[int]:
-    """Fisher-Yates permutation of range(n) driven by SplitMix64."""
-    rng = SplitMix64(seed)
+    mask = (1 << 64) - 1
+    state = seed & mask
     order = list(range(n))
     for i in range(n - 1, 0, -1):
-        j = rng.next_uint64() % (i + 1)
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        j = (z ^ (z >> 31)) % (i + 1)
         order[i], order[j] = order[j], order[i]
     return order
 

@@ -16,12 +16,13 @@ import pytest
 
 from domepilot.cli import load_model, save_model
 from domepilot.controller import CAUSE_MODEL_ERROR, CAUSE_RAIN, SensorFrame, replay
-from domepilot.knn import KnnModel, default_k, train_knn
-from domepilot.metrics import ConfusionMatrix, accuracy, confusion, f1, mse, weighted_f1
+from domepilot.knnmodel import KnnModel, default_k, train_knn
+from domepilot.metrics import ConfusionMatrix, accuracy, confusion, evaluate, f1, weighted_f1
 from domepilot.synthetic import synthetic_observations
 from domepilot.tree import Leaf, Split, TreeConfig, TreeModel, best_split, impurity, train_tree
 from domepilot.weather import (
     ConditionTable,
+    LabeledSample,
     SplitSpec,
     WeatherObservation,
     derive_state,
@@ -142,7 +143,10 @@ def test_criterion_5_metrics_identities():
         preds = list(rng.integers(0, 2, size=n))
         labels = list(rng.integers(0, 2, size=n))
         matrix = confusion(preds, labels)
-        worst = max(worst, abs(mse(preds, labels) - (1.0 - accuracy(matrix))))
+        samples = [LabeledSample((float(i),) + (0.0,) * 5, int(y)) for i, y in enumerate(labels)]
+        report = evaluate(lambda features: preds[int(features[0])], samples)
+        squared = sum((int(p) - int(y)) ** 2 for p, y in zip(preds, labels)) / n
+        worst = max(worst, abs(report.mse - squared), abs(report.mse - (1.0 - accuracy(matrix))))
         swapped = ConfusionMatrix(tp=matrix.tn, tn=matrix.tp,
                                   fp=matrix.fn, fn=matrix.fp)
         assert f1(swapped, 1) == f1(matrix, 0)
@@ -155,7 +159,7 @@ def test_criterion_5_metrics_identities():
           and abs(spot_accuracy - 0.98) <= 1e-12
           and abs(spot_f1 - 0.5) <= 1e-12)
     check(5, name, ok,
-          f"max |mse-(1-acc)|={worst:.2e} over 500 vectors, "
+          f"max |mse-mean sq diff|, |mse-(1-acc)|={worst:.2e} over 500 vectors, "
           f"acc(49,49,1,1)={spot_accuracy}, f1(P=R=0.5)={spot_f1}")
 
 

@@ -1,6 +1,8 @@
 import contextlib
 import csv
 import hashlib
+import importlib
+import io
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ import pytest
 from domepilot import cli
 from domepilot.cli import DEFAULTS, RunConfig, load_model, save_model
 from domepilot.controller import read_frames_csv, replay
-from domepilot.knn import distance, train_knn
+from domepilot.knnmodel import train_knn
 from domepilot.synthetic import synthetic_frames, synthetic_observations, to_raw_csv
 from domepilot.tree import TreeConfig, train_tree
 from domepilot.weather import SplitSpec
@@ -350,6 +352,24 @@ def test_simulate_writes_log_and_sink(workspace, tmp_path):
         assert line == f"D:{record['dome']} A:{record['ac']}"
 
 
+def test_in_process_warnings_go_to_the_current_stderr(workspace, tmp_path):
+    with open(workspace["frames"], newline="") as stream:
+        rows = list(csv.reader(stream))
+    rows[2][[name.lower() for name in rows[0]].index("temp")] = "hot"
+    frames = tmp_path / "frames.csv"
+    with open(frames, "w", newline="") as stream:
+        csv.writer(stream).writerows(rows)
+    errs = []
+    for run in range(2):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert cli.main(["simulate", "--model", str(workspace["dt"]), "--frames",
+                             str(frames), "--log", str(tmp_path / f"log{run}.jsonl")]) == 0
+        errs.append(err.getvalue())
+    for err in errs:
+        assert err.count("domepilot: WARNING: rejected 1 malformed frame rows") == 1, errs
+
+
 def test_simulate_logs_an_overflowing_cell_as_infinity(workspace, tmp_path):
     with open(workspace["frames"], newline="") as stream:
         rows = list(csv.reader(stream))
@@ -555,6 +575,25 @@ def test_a_cell_over_the_csv_field_limit_exits_2_naming_the_file(workspace, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content,line,message", [
+    ("Clear," + "9" * 200_000 + "\n", 1, "field larger than field limit"),
+    ("Clear,1.5\n", 1, "bad flag '1.5' for condition 'Clear'"),
+    ("condition,flag\nClear,1\n\nclear ,0\n", 4, "duplicate condition 'clear'"),
+    ("Clear,1\nHaze\n", 2, "expected 'condition,flag' line"),
+], ids=["huge-cell", "flag-1.5", "duplicate", "one-cell"])
+def test_table_errors_exit_2_naming_the_file_and_line(workspace, tmp_path, content, line,
+                                                      message):
+    table = tmp_path / "table.csv"
+    table.write_text(content)
+    out = tmp_path / "out.csv"
+    result = run_cli("prepare", "--data", workspace["raw"], "--out", out, "--table", table)
+    assert result.returncode == 2
+    last = result.stderr.splitlines()[-1]
+    assert last.startswith(f"domepilot: error: {table}: line {line}: "), last
+    assert message in last and "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 def test_deeply_nested_model_exits_2_naming_the_file(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000)
@@ -621,6 +660,16 @@ def test_numpy_is_imported_only_where_it_computes(workspace, tmp_path):
         assert exit_code_and_modules(*args) == expected[name], name
 
 
+def test_every_lazy_name_of_the_package_resolves():
+    import domepilot
+
+    for name, module in domepilot._LAZY_NAMES.items():
+        assert getattr(domepilot, name) is getattr(
+            importlib.import_module(f"domepilot.{module}"), name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        domepilot.no_such_name
+
+
 # ---------------------------------------------------------------- save/load
 
 def test_save_and_load_round_trip_knn(tmp_path):
@@ -630,8 +679,7 @@ def test_save_and_load_round_trip_knn(tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.scaling == "standardize"
-    stats = (loaded.means, loaded.stds)
-    assert distance(samples[0][0], samples[0][0], "standardize", stats) == 0.0
+    assert (loaded.means, loaded.stds) == (model.means, model.stds)
     assert [loaded.predict(f) for f, _ in samples] == [model.predict(f)
                                                        for f, _ in samples]
 

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domepilot.cli import load_model, save_model
-from domepilot.knn import KnnModel, _standardize, default_k, distance, train_knn
+from domepilot.knn import _standardize
+from domepilot.knnmodel import KnnModel, default_k, train_knn
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -103,43 +104,38 @@ def test_k_bounds_are_enforced():
 
 
 def test_constant_feature_is_excluded_from_standardized_distance():
-    # Barometer constant: with standardization its contribution is zero.
+    # Barometer constant: with standardization its z-score is 0 on both sides,
+    # so a query's barometer, however far off, cannot change its neighbors.
     samples = toy_samples([((1, 2, 0.1, 4, 10, 1020), 0),
                            ((2, 1, 0.3, 5, 12, 1020), 1),
-                           ((3, 5, 0.8, 6, 14, 1020), 1)])
+                           ((3, 5, 0.8, 6, 14, 1020), 1),
+                           ((9, 9, 0.9, 9, 19, 1020), 0)])
     model = train_knn(samples, k=1, scaling="standardize")
     assert model.stds[5] == 0.0
-    a = (1, 2, 0.1, 4, 10, 900)
-    b = (1, 2, 0.1, 4, 10, 1100)
-    assert distance(a, b, "standardize", (model.means, model.stds)) == 0.0
-
-
-# ---------------------------------------------------------------- distance
-
-def test_distance_basics():
-    zeros = (0.0,) * 6
-    assert distance(zeros, zeros) == 0.0
-    assert distance(zeros, (3, 4, 0, 0, 0, 0)) == 5.0
-    assert distance((3, 4, 0, 0, 0, 0), zeros) == 5.0
+    for barometer in (900.0, 1020.0, 1e9):
+        assert [model.predict((*features[:5], barometer)) for features, _ in samples] \
+            == [label for _, label in samples]
 
 
 def test_distance_arity_mismatch():
-    with pytest.raises(ValueError):
-        distance((1.0, 2.0), (1.0, 2.0, 3.0))
+    # The distance needs one query feature per training feature, scaled or not.
+    samples = toy_samples([((0, 1, 2, 3, 4, 5), 0), ((5, 4, 3, 2, 1, 0), 1)])
+    for scaling in ("none", "standardize"):
+        model = train_knn(samples, k=1, scaling=scaling)
+        for width in (5, 7):
+            with pytest.raises(ValueError, match=f"expected 6 features, got {width}"):
+                model.predict((1.0,) * width)
 
 
 def test_distance_requires_stats_for_standardize():
-    with pytest.raises(ValueError):
-        distance((0.0,) * 6, (1.0,) * 6, scaling="standardize")
-
-
-def test_triangle_inequality_on_random_triples():
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        a, b, c = rng.uniform(-50, 50, size=(3, 6))
-        direct = math.sqrt(sum((x - z) ** 2 for x, z in zip(a, c)))
-        assert distance(a, c) == pytest.approx(direct, rel=1e-12)
-        assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
+    rows = [[0.0] * 6, [1.0] * 6]
+    for stats in ({}, {"means": [0.0] * 6}, {"stds": [1.0] * 6}):
+        with pytest.raises(ValueError, match="requires means and stds"):
+            KnnModel(features=rows, labels=[0, 1], k=1, scaling="standardize", **stats)
+    doc = train_knn(list(zip(map(tuple, rows), [0, 1])), k=1, scaling="standardize").to_dict()
+    del doc["stats"]
+    with pytest.raises(ValueError, match="requires means and stds"):
+        KnnModel.from_dict(doc)
 
 
 # ---------------------------------------------------------------- prediction
@@ -243,7 +239,7 @@ def test_partition_selection_matches_scipy_on_tie_free_data():
 
 def test_prediction_does_not_import_scipy():
     script = ("import sys, domepilot\n"
-              "from domepilot.knn import train_knn\n"
+              "from domepilot.knnmodel import train_knn\n"
               "model = train_knn([((0.0,) * 6, 0), ((1.0,) * 6, 1)], k=1)\n"
               "assert model.predict((1.0,) * 6) == 1\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
@@ -336,8 +332,7 @@ def test_json_round_trip_preserves_predictions(tmp_path):
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.k == 7 and loaded.scaling == scaling
-        stats = (loaded.means, loaded.stds)
-        assert distance(features[0], features[0], scaling, stats) == 0.0
+        assert (loaded.means, loaded.stds) == (model.means, model.stds)
         probes = rng.uniform(0, 10, size=(100, 6))
         assert [model.predict(p) for p in probes] == [loaded.predict(p) for p in probes]
 

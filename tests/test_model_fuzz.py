@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domepilot import cli
-from domepilot.knn import train_knn
+from domepilot.knnmodel import train_knn
 from domepilot.synthetic import synthetic_observations
 from domepilot.tree import TreeConfig, train_tree
 from domepilot.weather import ConditionTable, to_samples
