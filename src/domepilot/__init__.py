@@ -4,14 +4,11 @@ Labeling pipeline (condition table + temperature gate), from-scratch
 decision tree and k-NN classifiers, evaluation reports, and a dome
 controller with a hard rain override and AC interlock.
 
-Tree growth and the k-NN model are imported on first access, so a command
-compiles only the modules it runs. Only k-NN prediction and standardization
-compute with numpy: labeling, tree growth and prediction, the models'
-documents, k-NN training without standardization and the controller never
-import it.
+Only k-NN prediction and standardization compute with numpy, which
+``domepilot.knn`` imports on first use: labeling, tree growth and
+prediction, the models' documents, k-NN training without standardization
+and the controller never import it.
 """
-
-from importlib import import_module
 
 from .controller import (
     CAUSE_MODEL,
@@ -37,7 +34,8 @@ from .metrics import (
     f1,
     weighted_f1,
 )
-from .treemodel import TreeConfig, TreeModel
+from .knnmodel import KnnModel, default_k, train_knn
+from .tree import TreeConfig, TreeModel, best_split, impurity, train_tree
 from .weather import (
     FEATURE_NAMES,
     TEMP_OPEN_HIGH,
@@ -58,14 +56,3 @@ from .weather import (
 
 __version__ = "0.1.0"
 
-# Name -> module of the names imported on first access (PEP 562).
-_LAZY_NAMES = {
-    "best_split": "tree", "impurity": "tree", "train_tree": "tree",
-    "KnnModel": "knnmodel", "default_k": "knnmodel", "train_knn": "knnmodel",
-}
-
-
-def __getattr__(name: str):
-    if name not in _LAZY_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)

@@ -2,10 +2,10 @@
 
 Every flag can also come from an optional ``key = value`` config file
 (--config); explicit flags win. Output artifacts are written atomically so
-a failing command leaves nothing half-written behind. Tree growth and the
-k-NN model are imported when a command runs them, and only k-NN
-standardization and k-NN documents import numpy; the other commands, tree
-training and ``train --model knn`` without standardization never load it.
+a failing command leaves nothing half-written behind. Only k-NN
+standardization and k-NN documents import numpy (``domepilot.knn``); the
+other commands, tree training and ``train --model knn`` without
+standardization never load it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterator, Union
+from typing import IO, Iterator, Union
 
 from .controller import (
     SignalDeliveryError,
@@ -31,8 +31,9 @@ from .controller import (
     read_frames_csv,
     replay,
 )
+from .knnmodel import KnnModel, default_k, train_knn
 from .metrics import evaluate, render_reports
-from .treemodel import TreeConfig, TreeModel
+from .tree import TreeConfig, TreeModel, train_tree
 from .weather import (
     FEATURE_NAMES,
     ConditionTable,
@@ -48,9 +49,6 @@ from .weather import (
     to_samples,
     write_labeled_csv,
 )
-
-if TYPE_CHECKING:
-    from .knnmodel import KnnModel
 
 logger = logging.getLogger(__name__)
 
@@ -85,18 +83,6 @@ class RunConfig:
 DEFAULTS = RunConfig()
 
 
-def train_tree(samples, config: TreeConfig) -> TreeModel:
-    """``tree.train_tree``, whose module is imported on first use."""
-    from .tree import train_tree as grow
-    return grow(samples, config)
-
-
-def train_knn(samples, k: int, scaling: str = "none") -> KnnModel:
-    """``knnmodel.train_knn``, whose module is imported on first use."""
-    from .knnmodel import train_knn as fit
-    return fit(samples, k, scaling)
-
-
 def save_model(model: Union[TreeModel, KnnModel], path: Union[str, Path]) -> None:
     with _atomic_writer(Path(path)) as stream:
         stream.write(json.dumps(model.to_dict(), sort_keys=True) + "\n")
@@ -115,7 +101,6 @@ def load_model(path: Union[str, Path]) -> Union[TreeModel, KnnModel]:
         loader = TreeModel.from_dict
     elif kind == "knn":
         from . import knn  # noqa: F401  numpy, imported here and not in the first prediction
-        from .knnmodel import KnnModel
         loader = KnnModel.from_dict
     else:
         raise ValueError(f"{path}: unrecognized model kind {kind!r}")
@@ -254,7 +239,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         extra = {"criterion": config.criterion, "max_leaf_nodes": config.max_leaf_nodes,
                  "leaf_count": model.leaf_count}
     else:
-        from .knnmodel import default_k
         k_arg = args.k if args.k is not None else DEFAULTS.knn_k
         if str(k_arg) == "auto":
             k = default_k(len(train_set))

@@ -54,6 +54,8 @@ class KnnModel:
         if not all(label in (0, 1) for label in labels):
             raise ValueError("labels must be binary 0/1")
         self.labels = tuple(map(int, labels))
+        if type(self.k) is not int:
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if not 1 <= self.k <= len(labels):
             raise ValueError(f"k must be in [1, {len(labels)}], got {self.k}")
         if self.scaling not in SCALINGS:
@@ -117,7 +119,7 @@ class KnnModel:
         if not all(stat is None or isinstance(stat, list) for stat in (means, stds)):
             raise ValueError("knn model stats must be lists of numbers")
         return cls(features=[row[:-1] for row in rows], labels=[row[-1] for row in rows],
-                   k=int(doc["k"]), scaling=doc["scaling"], means=means, stds=stds)
+                   k=doc["k"], scaling=doc["scaling"], means=means, stds=stds)
 
 
 def train_knn(samples: Sequence, k: int, scaling: str = "none") -> KnnModel:

@@ -541,7 +541,8 @@ def read_labeled_csv(source: PathOrStream) -> list[LabeledSample]:
 def _opened(source: PathOrStream, mode: str = "r") -> Iterator[IO[str]]:
     """Open paths for the caller, pass streams through unchanged.
 
-    Bytes that are not UTF-8 raise a ValueError naming the file.
+    Bytes that are not UTF-8 raise a ValueError naming the file and, for a
+    path, the line of the first such byte.
     """
     is_path = isinstance(source, (str, Path))
     try:
@@ -551,7 +552,15 @@ def _opened(source: PathOrStream, mode: str = "r") -> Iterator[IO[str]]:
         else:
             yield source
     except UnicodeDecodeError as exc:
-        raise ValueError(_named(source, str(exc))) from None
+        message = str(exc)
+        if is_path:  # exc.start counts from the reader's chunk: find the byte in the file
+            try:
+                Path(source).read_bytes().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                line = whole.object.count(b"\n", 0, whole.start) + 1
+                message = (f"line {line}: 'utf-8' codec can't decode byte "
+                           f"0x{whole.object[whole.start]:02x}: {whole.reason}")
+        raise ValueError(_named(source, message)) from None
 
 
 def _named(source: PathOrStream, message: str) -> str:

@@ -1,4 +1,11 @@
-"""Frozen reference data shared across the suite."""
+"""Frozen reference data, and the CLI workspace, shared across the suite."""
+
+import subprocess
+import sys
+
+import pytest
+
+from domepilot.synthetic import synthetic_frames, synthetic_observations, to_raw_csv
 
 # The full 36-entry condition -> open-flag mapping, kept independent of the
 # package so table tests compare against a frozen copy.
@@ -40,3 +47,31 @@ EXPECTED_TABLE1 = (
     ("Partly cloudy", 1),
     ("Hail", 0),
 )
+
+
+def run_cli(*args, cwd=None):
+    return subprocess.run([sys.executable, "-m", "domepilot", *map(str, args)],
+                          capture_output=True, text=True, cwd=cwd)
+
+
+@pytest.fixture(scope="session")
+def workspace(tmp_path_factory):
+    """A raw, labeled and frames CSV, and a tree and a k-NN model trained by the CLI."""
+    root = tmp_path_factory.mktemp("cli")
+    raw = root / "raw.csv"
+    with open(raw, "w", newline="") as stream:
+        to_raw_csv(synthetic_observations(900, seed=5), stream)
+    frames = root / "frames.csv"
+    sensor = synthetic_frames(30, seed=9, rain_rate=0.2)
+    with open(frames, "w", newline="") as stream:
+        to_raw_csv([f.observation for f in sensor], stream,
+                   rain=[f.rain_detected for f in sensor])
+    labeled = root / "labeled.csv"
+    result = run_cli("prepare", "--data", raw, "--out", labeled)
+    assert result.returncode == 0, result.stderr
+    models = {}
+    for kind in ("dt", "knn"):
+        models[kind] = root / f"{kind}.json"
+        result = run_cli("train", "--data", labeled, "--model", kind, "--out", models[kind])
+        assert result.returncode == 0, result.stderr
+    return {"root": root, "raw": raw, "frames": frames, "labeled": labeled, **models}

@@ -1,7 +1,6 @@
 import contextlib
 import csv
 import hashlib
-import importlib
 import io
 import json
 import os
@@ -15,39 +14,13 @@ from domepilot import cli
 from domepilot.cli import DEFAULTS, RunConfig, load_model, save_model
 from domepilot.controller import read_frames_csv, replay
 from domepilot.knnmodel import train_knn
-from domepilot.synthetic import synthetic_frames, synthetic_observations, to_raw_csv
 from domepilot.tree import TreeConfig, train_tree
 from domepilot.weather import SplitSpec
 
+from conftest import EXPECTED_TABLE1, run_cli
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def run_cli(*args, cwd=None):
-    return subprocess.run([sys.executable, "-m", "domepilot", *map(str, args)],
-                          capture_output=True, text=True, cwd=cwd)
-
-
-@pytest.fixture(scope="session")
-def workspace(tmp_path_factory):
-    root = tmp_path_factory.mktemp("cli")
-    raw = root / "raw.csv"
-    with open(raw, "w", newline="") as stream:
-        to_raw_csv(synthetic_observations(900, seed=5), stream)
-    frames = root / "frames.csv"
-    sensor = synthetic_frames(30, seed=9, rain_rate=0.2)
-    with open(frames, "w", newline="") as stream:
-        to_raw_csv([f.observation for f in sensor], stream,
-                   rain=[f.rain_detected for f in sensor])
-    labeled = root / "labeled.csv"
-    result = run_cli("prepare", "--data", raw, "--out", labeled)
-    assert result.returncode == 0, result.stderr
-    models = {}
-    for kind in ("dt", "knn"):
-        models[kind] = root / f"{kind}.json"
-        result = run_cli("train", "--data", labeled, "--model", kind, "--out", models[kind])
-        assert result.returncode == 0, result.stderr
-    return {"root": root, "raw": raw, "frames": frames, "labeled": labeled, **models}
 
 
 # ---------------------------------------------------------------- defaults
@@ -556,6 +529,38 @@ def test_non_utf8_csv_exits_2_naming_the_file(workspace, tmp_path, source, args)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["raw", "labeled", "frames", "table", "config"])
+def test_a_byte_that_is_not_utf8_is_named_by_its_line(workspace, tmp_path, source):
+    """The reader decodes in 8 KiB chunks; the error names the line in the file."""
+    if source == "table":
+        text = "condition,flag\n" + "".join(f"{c},{f}\n" for c, f in EXPECTED_TABLE1)
+    elif source == "config":
+        text = "city = Al Madina\n# the reference run\n"
+    else:
+        text = workspace[source].read_text()
+    head, rest = text.split("\n", 1)
+    lines = [head + "\n", *["\n"] * 9000, rest]  # blank lines: skipped, but counted
+    data = "".join(lines).encode()
+    bad = tmp_path / f"bad-{source}"
+    bad.write_bytes(data[:-4] + b"\xff" + data[-4:])
+    line = len(data.splitlines())
+    assert len(data) > 8192
+    out = tmp_path / "out"
+    args = {"raw": ["prepare", "--data", bad, "--out", out],
+            "labeled": ["train", "--data", bad, "--out", out],
+            "frames": ["simulate", "--model", workspace["dt"], "--frames", bad, "--log", out],
+            "table": ["prepare", "--data", workspace["raw"], "--out", out, "--table", bad],
+            "config": ["prepare", "--data", workspace["raw"], "--out", out,
+                       "--config", bad]}[source]
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stderr.splitlines()[-1] == (
+        f"domepilot: error: {bad}: line {line}: 'utf-8' codec can't decode byte 0xff: "
+        "invalid start byte")
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["prepare", "train", "simulate"])
 def test_a_cell_over_the_csv_field_limit_exits_2_naming_the_file(workspace, tmp_path,
                                                                  command):
@@ -606,7 +611,7 @@ def test_deeply_nested_model_exits_2_naming_the_file(tmp_path):
 
 # ---------------------------------------------------------------- imports
 
-PROBED_MODULES = ("numpy", "domepilot.tree", "domepilot.knnmodel")
+PROBED_MODULES = ("numpy", "domepilot.knn")
 IMPORT_PROBE = ("import sys\n"
                 "from domepilot import cli\n"
                 "code = cli.main(sys.argv[1:])\n"
@@ -646,28 +651,17 @@ def test_numpy_is_imported_only_where_it_computes(workspace, tmp_path):
         **model_runs("dt"),
         **model_runs("knn"),
     }
-    # Each command imports only what it runs: tree growth to train a tree, the
-    # k-NN model for k-NN, and numpy only where a k-NN computes with it.
+    # numpy, through the k-NN kernel, is imported only where a k-NN computes with it.
     expected = {
         "prepare": "0",
-        "train dt": "0 domepilot.tree",
-        "train knn": "0 domepilot.knnmodel",
-        "train knn standardize": "0 domepilot.knnmodel numpy",
+        "train dt": "0",
+        "train knn": "0",
+        "train knn standardize": "0 domepilot.knn numpy",
         **dict.fromkeys(model_runs("dt"), "0"),
-        **dict.fromkeys(model_runs("knn"), "0 domepilot.knnmodel numpy"),
+        **dict.fromkeys(model_runs("knn"), "0 domepilot.knn numpy"),
     }
     for name, args in runs.items():
         assert exit_code_and_modules(*args) == expected[name], name
-
-
-def test_every_lazy_name_of_the_package_resolves():
-    import domepilot
-
-    for name, module in domepilot._LAZY_NAMES.items():
-        assert getattr(domepilot, name) is getattr(
-            importlib.import_module(f"domepilot.{module}"), name), name
-    with pytest.raises(AttributeError, match="no_such_name"):
-        domepilot.no_such_name
 
 
 # ---------------------------------------------------------------- save/load
@@ -744,6 +738,43 @@ def test_malformed_knn_documents_raise_value_error(tmp_path, edit):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def _edit_node(doc, key, value):
+    split = next(node for node in doc["nodes"] if node["type"] == "split")
+    split[key] = value
+
+
+@pytest.mark.parametrize("kind,edit,field", [
+    ("knn", lambda doc: doc.update(k=3.9), "k"),
+    ("knn", lambda doc: doc.update(k=True), "k"),
+    ("dt", lambda doc: doc.update(n_features=6.5), "n_features"),
+    ("dt", lambda doc: doc.update(n_features=6.0), "n_features"),
+    ("dt", lambda doc: doc["nodes"][0].update(id=0.0), "tree node id"),
+    ("dt", lambda doc: _edit_node(doc, "feature", 0.7), "feature"),
+    ("dt", lambda doc: _edit_node(doc, "feature", False), "feature"),
+    ("dt", lambda doc: _edit_node(doc, "left", 1.5), "left"),
+    ("dt", lambda doc: _edit_node(doc, "right", True), "right"),
+    ("dt", lambda doc: _edit_node(doc, "n", 900.0), "n"),
+    ("dt", lambda doc: doc["config"].update(max_leaf_nodes=50.5), "max_leaf_nodes"),
+    ("dt", lambda doc: doc["config"].update(min_samples_leaf=True), "min_samples_leaf"),
+], ids=["k-3.9", "k-true", "n_features-6.5", "n_features-6.0", "id-0.0", "feature-0.7",
+        "feature-false", "left-1.5", "right-true", "n-900.0", "max_leaf_nodes-50.5",
+        "min_samples_leaf-true"])
+def test_a_non_integer_model_field_exits_2_naming_the_field(workspace, tmp_path, capsys,
+                                                           kind, edit, field):
+    doc = json.loads(workspace[kind].read_text())
+    edit(doc)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"{field} must be an integer") as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert cli.main(["predict", "--model", str(path), *map(str, PREDICT_ARGS)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"domepilot: error: {path}: ")
+    assert f"{field} must be an integer" in captured.err
 
 
 def _edit_features(doc, value):

@@ -1,0 +1,127 @@
+"""Fuzz gate for config files (``train --config``).
+
+A valid ``key = value`` file gets lines without ``=``, unknown keys, quoted
+values, blank lines, comments, bytes that are not UTF-8 and bad values such
+as ``max-leaves = 0``. ``train`` with it must either exit 0 with the settings
+the file gives, or exit 2 with a ``domepilot: error:`` line and no
+traceback. A syntax error names the file and the line, and a decode error
+the file.
+"""
+
+import contextlib
+import io
+import json
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from domepilot import cli
+from domepilot.synthetic import synthetic_observations, to_raw_csv
+
+LINES = ["# reference tree", "model = dt", "max-leaves = 8", "criterion = gini",
+         "test-frac = 0.3", "seed = 5", "k = 3", "scaling = none"]
+
+JUNK = st.one_of(
+    st.sampled_from(["", " ", "\t", "abc", "max-leaves", "= 3", " = ", '"', "\x00", "½"]),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+UNKNOWN_KEY = st.sampled_from(["frobnicate", "min_samples_leaf", "MODEL", "max leaves",
+                               "func", "command", "config", "__class__", "data", "out"])
+BAD_VALUE = st.sampled_from([
+    ("max-leaves", "0"), ("max-leaves", "-3"), ("max-leaves", "2.5"), ("max-leaves", ""),
+    ("k", "0"), ("k", "abc"), ("k", "100000"), ("test-frac", "1"), ("test-frac", "nan"),
+    ("test-frac", "0"), ("seed", "-1"), ("seed", "1e5"), ("seed", "99999999999999999999"),
+    ("model", "svm"), ("model", "knn"), ("criterion", "mse"), ("criterion", "entropy"),
+    ("scaling", "minmax"), ("scaling", "standardize"), ("k", "auto"),
+])
+
+
+def _mutate_lines(lines, data) -> None:
+    """One line-level edit of the config."""
+    action = data.draw(st.sampled_from(["no-equals", "unknown", "quote", "blank", "comment",
+                                        "bad-value"]))
+    at = data.draw(st.integers(0, len(lines)))
+    if action == "no-equals":
+        lines.insert(at, data.draw(JUNK).replace("=", ""))
+    elif action == "unknown":
+        lines.insert(at, f"{data.draw(UNKNOWN_KEY)} = {data.draw(JUNK)}")
+    elif action == "quote" and at < len(lines) and "=" in lines[at]:
+        key, _, value = lines[at].partition("=")
+        quote = data.draw(st.sampled_from(['"', "'", '"""']))
+        lines[at] = f"{key}= {quote}{value.strip()}{data.draw(st.sampled_from([quote, '']))}"
+    elif action == "blank":
+        lines.insert(at, data.draw(st.sampled_from(["", "   ", "\t"])))
+    elif action == "comment":
+        comment = "# " + data.draw(JUNK)
+        if at < len(lines) and data.draw(st.booleans(), label="trailing"):
+            lines[at] += " " + comment
+        else:
+            lines.insert(at, comment)
+    elif action == "bad-value":  # in place of the key's line, so that it takes effect
+        key, value = data.draw(BAD_VALUE)
+        at = next((i for i, line in enumerate(lines) if line.startswith(f"{key} =")), at)
+        lines[at:at + 1] = [f"{key} = {value}"]
+
+
+def _settings(text: str) -> dict[str, str]:
+    """The settings of an accepted config, read by hand: the last value of a key wins."""
+    values = {}
+    for line in text.splitlines():
+        key, _, value = line.split("#", 1)[0].partition("=")
+        if key.strip():
+            values[key.strip().replace("-", "_")] = value.strip().strip("\"'")
+    return values
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("config-fuzz")
+    raw, labeled = root / "raw.csv", root / "labeled.csv"
+    with open(raw, "w", newline="") as stream:
+        to_raw_csv(synthetic_observations(60, seed=3), stream)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["prepare", "--data", str(raw), "--out", str(labeled)]) == 0
+    return labeled, root / "run.conf", root / "model.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_config_trains_or_fails_cleanly(files, data):
+    labeled, path, out = files
+    lines = list(LINES)
+    for _ in range(data.draw(st.integers(1, 3), label="line mutations")):
+        _mutate_lines(lines, data)
+    raw = "".join(line + "\n" for line in lines).encode("utf-8")
+    if data.draw(st.booleans(), label="0xff byte"):
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    path.write_bytes(raw)
+
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(["train", "--data", str(labeled), "--out", str(out),
+                         "--config", str(path)])
+    message = stderr.getvalue()
+    assert "Traceback" not in message
+    if code == 0:
+        values = _settings(raw.decode("utf-8"))
+        summary = json.loads(stdout.getvalue())
+        assert summary["model"] == values.get("model", "dt")
+        if "test_frac" in values:
+            assert summary["test_fraction"] == float(values["test_frac"])
+        if "seed" in values:
+            assert summary["seed"] == int(values["seed"])
+        assert out.exists()
+    else:
+        assert code == 2
+        assert message.startswith("domepilot: error: "), message
+        reason = message[len("domepilot: error: "):]
+        if "key = value" in reason:
+            assert re.match(rf"{re.escape(str(path))}:[1-9]\d*: expected key = value$",
+                            reason.rstrip("\n")), reason
+        if "codec can't decode" in reason:
+            assert re.match(rf"{re.escape(str(path))}: line [1-9]\d*: ", reason), reason
+        assert not out.exists()

@@ -5,7 +5,9 @@ duplicated fields, edited ids, labels and counts, and deeply nested junk.
 Each mutated document must either load through ``cli.load_model`` and
 predict 0 or 1 on fixed queries within a time bound, or fail with a
 ValueError whose message starts with the file path. The queries are the
-training rows, so every leaf of the tree is reached.
+training rows, so every leaf of the tree is reached. A document whose k,
+``n_features``, node id, feature, child, ``n`` or config budget is a float
+or a bool must fail.
 """
 
 import json
@@ -79,6 +81,24 @@ def _edit_int(doc, data) -> None:
         container[key] = data.draw(st.integers(-1, 16))
 
 
+#: Fields a document must hold as JSON integers.
+INT_FIELDS = {"k", "n_features", "id", "feature", "left", "right", "n", "max_leaf_nodes",
+              "min_samples_leaf"}
+
+
+def _retype_int(doc, data) -> None:
+    """Make one of the INT_FIELDS a fractional float, a whole float or a bool."""
+    paths = [path for path in _int_paths(doc) if path[-1] in INT_FIELDS]
+    if paths:
+        *parents, key = data.draw(st.sampled_from(paths))
+        container = doc
+        for step in parents:
+            container = container[step]
+        value = container[key]
+        container[key] = data.draw(st.sampled_from([value + 0.5, float(value),
+                                                    value % 2 == 1]))
+
+
 def _mutate(doc, data) -> None:
     """Drop, replace or duplicate one field at a random place: each level
     down is a coin flip, so top-level fields are hit as often as deep cells."""
@@ -111,7 +131,7 @@ def test_mutated_model_documents_predict_or_fail_naming_the_file(model_file, nam
     doc = json.loads(DOCUMENTS[name])
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         if doc:
-            data.draw(st.sampled_from([_mutate, _edit_int]))(doc, data)
+            data.draw(st.sampled_from([_mutate, _edit_int, _retype_int]))(doc, data)
     model_file.write_text(json.dumps(doc))
     start = time.perf_counter()
     try:
@@ -121,3 +141,15 @@ def test_mutated_model_documents_predict_or_fail_naming_the_file(model_file, nam
         return
     assert {model.predict(query) for query in QUERIES} <= {0, 1}
     assert time.perf_counter() - start < TIME_BOUND_S
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_retyped_int_field_fails_naming_the_file(model_file, name, data):
+    doc = json.loads(DOCUMENTS[name])
+    _retype_int(doc, data)
+    model_file.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="must be an integer") as err:
+        cli.load_model(model_file)
+    assert str(err.value).startswith(f"{model_file}: ")
