@@ -168,11 +168,19 @@ def load_config_file(path: Union[str, Path]) -> dict[str, str]:
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> None:
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Fill the flags not given from the config file. One file serves every
+    command, so a flag of another command is ignored; any other key is an error."""
     if args.config is None:
         return
     values = load_config_file(args.config)
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    known = {action.dest for command in commands.values() for action in command._actions
+             if action.option_strings and action.dest not in ("help", "config")}
     for key, value in values.items():
+        if key not in known:
+            raise ValueError(f"{args.config}: unknown setting {key!r}")
         if getattr(args, key, None) is None and hasattr(args, key):
             setattr(args, key, value)
 
@@ -400,7 +408,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args)
+        _merge_config(args, parser)
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"domepilot: error: {exc}", file=sys.stderr)

@@ -3,21 +3,24 @@
 The model (stored rows, checks, JSON document, training and the
 square-root-of-n default k) is in ``domepilot.knnmodel``, which needs no
 numpy. ``Kernel`` holds a model's rows as contiguous numpy columns and
-votes: it computes the squared distance to every training row, finds the
-k-th smallest with a partition, counts the labels of the rows strictly
-closer and fills the remaining slots from the rows at exactly the k-th
-distance, lowest training index first. That is the vote of the k nearest
-ordered by (distance, training index), so ties resolve toward the earlier
-training row, without sorting the distances.
+votes in two steps. A screen (one BLAS matrix-vector product) rules out the
+rows that cannot be among the k nearest under a bound on its rounding
+error. If more than k rows survive, they get their exact squared distances,
+still in training-index order, and a stable sort picks the k nearest by
+(distance, training index), so ties resolve toward the earlier training row.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from .knnmodel import KnnModel
+
+EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).smallest_subnormal)
 
 
 def _standardize(values: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
@@ -42,45 +45,82 @@ class Kernel:
         self.stats = None
         if model.scaling == "standardize":
             self.stats = (np.array(model.means, dtype=float), np.array(model.stds, dtype=float))
-        # (d, n): one contiguous column per feature for the distance kernel.
-        self.columns = np.ascontiguousarray(
-            self._transform(np.array(model.features, dtype=float)).T)
+        rows = self._transform(np.array(model.features, dtype=float))
         # An infinite z-score could meet another and make a NaN distance,
-        # which the partition selection would silently leave out of the vote.
-        if not np.isfinite(self.columns).all():
+        # which would sort after every number and silently miss the vote.
+        if not np.isfinite(rows).all():
             raise ValueError("standardized features overflow; stds too small")
+        n, d = rows.shape
+        # (n, d+1), column-major: rows [x, |x|²] for the screen's gemv. Its
+        # first d columns, each contiguous, are the (d, n) feature columns.
+        self.screen = np.empty((n, d + 1), order="F")
+        self.screen[:, :d] = rows
+        self.screen[:, d] = np.einsum("ij,ij->i", rows, rows)
+        self.columns = self.screen.T[:d]
+        self.max_norm = float(self.screen[:, d].max())
 
     def _transform(self, values: np.ndarray) -> np.ndarray:
         return values if self.stats is None else _standardize(values, *self.stats)
 
     def vote(self, query: Sequence[float]) -> int:
-        """np.partition finds the k-th smallest squared distance; every row
-        strictly closer votes, and the remaining slots go to the rows at
-        exactly that distance in training-index order."""
-        q = np.asarray(tuple(float(v) for v in query))
-        if q.size != self.columns.shape[0]:
-            raise ValueError(f"expected {self.columns.shape[0]} features, got {q.size}")
-        if not np.isfinite(q).all():
-            raise ValueError(f"query features must be finite, got {q.tolist()}")
-        sq = _squared_distances(self._transform(q), self.columns)
-        kth = np.partition(sq, self.k - 1)[self.k - 1]
-        closer = sq < kth
-        ties = np.flatnonzero(sq == kth)[:self.k - np.count_nonzero(closer)]
-        ones = self.labels[closer].sum() + self.labels[ties].sum()
-        return int(ones * 2 > self.k)
+        """Majority label of the k rows nearest ``query`` by (distance, index).
+
+        Screen: one gemv gives ``a_i = |x_i|² - 2 x_i·q`` for every row, the
+        squared distance less the constant ``|q|²``. Let ``a_k`` be the k-th
+        smallest. Rows with ``a_i > a_k + 2E`` are ruled out, where
+        ``E = 16 (d+2) eps S + 64 (d+2) tiny`` with ``S = |q|² + max |x|²``.
+
+        Why this is exact. Let ``T_i`` be the true squared distance and
+        ``D_i`` the squared distance this kernel computes feature by
+        feature. ``a_i + |q|²`` is a dot product of d+1 terms plus a rounded
+        norm, and ``D_i`` a sum of d rounded squares; whatever order or
+        threading BLAS sums in, each differs from ``T_i`` by at most
+        ``2 (d+2) eps (|x_i|² + |q|²)`` plus ``(d+1) tiny`` for underflow,
+        so ``E`` bounds the two errors together with a margin of four:
+        ``|D_i - |q|² - a_i| <= E``. The k rows with the smallest ``a``
+        therefore have ``D - |q|² <= a_k + E``, so the k-th smallest D is at
+        most ``|q|² + a_k + E``, and every row with D at or below it has
+        ``a <= a_k + 2E``: no row of the k nearest is ruled out. The bound
+        needs every ``a_i`` and ``D_i`` finite, which holds when ``4 S`` is;
+        otherwise (a norm or a distance overflows) the cutoff is infinite.
+        The test ``~(a > cutoff)`` keeps a row whose ``a`` is NaN, so then
+        every row survives and the same vote runs on all of them.
+
+        Vote: every row with ``a <= a_k`` survives, so at least k do, and
+        if exactly k survive they are the k nearest. Otherwise the
+        survivors, still in training-index order, get their exact squared
+        distances, and a stable argsort cut to k gives the (distance, index)
+        order. An exact vote tie (even k) predicts 0.
+        """
+        values = tuple(map(float, query))
+        d = self.columns.shape[0]
+        if len(values) != d:
+            raise ValueError(f"expected {d} features, got {len(values)}")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"query features must be finite, got {list(values)}")
+        q = self._transform(np.array(values))
+        a = self.screen @ np.append(-2.0 * q, 1.0)
+        a_k = np.partition(a, self.k - 1)[self.k - 1]
+        spread = float(q @ q) + self.max_norm
+        bound = 16 * (d + 2) * EPS * spread + 64 * (d + 2) * TINY
+        cutoff = a_k + 2 * bound if 4 * spread < math.inf else math.inf
+        near = np.flatnonzero(~(a > cutoff))
+        if near.size > self.k:
+            sq = _squared_distances(q, self.columns[:, near])
+            near = near[np.argsort(sq, kind="stable")[:self.k]]
+        return int(self.labels[near].sum() * 2 > self.k)
 
 
 def _squared_distances(q: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """(n,) squared Euclidean distances from q to each point of (d, n) columns.
 
     Accumulated feature by feature in a fixed order, so equal distances
-    compare equal and ties are reproducible.
+    compare equal and ties are reproducible. (``np.add.reduce`` over the
+    features would not do: for a single column it sums in another order.)
     """
-    out = np.zeros(columns.shape[1])
-    diff = np.empty_like(out)
-    for value, column in zip(q, columns):
-        np.subtract(value, column, out=diff)
-        np.multiply(diff, diff, out=diff)
-        out += diff
+    squares = q[:, None] - columns
+    squares *= squares
+    out = squares[0]
+    for square in squares[1:]:
+        out += square
     return out
-

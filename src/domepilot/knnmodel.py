@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Optional, Sequence
 
+from .tree import _integer
 from .weather import _features_and_labels
 
 SCALINGS = ("none", "standardize")
@@ -54,8 +55,7 @@ class KnnModel:
         if not all(label in (0, 1) for label in labels):
             raise ValueError("labels must be binary 0/1")
         self.labels = tuple(map(int, labels))
-        if type(self.k) is not int:
-            raise ValueError(f"k must be an integer, got {self.k!r}")
+        _integer(self.k, "k")
         if not 1 <= self.k <= len(labels):
             raise ValueError(f"k must be in [1, {len(labels)}], got {self.k}")
         if self.scaling not in SCALINGS:
@@ -106,7 +106,7 @@ class KnnModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "KnnModel":
-        version = doc.get("version")
+        version = _integer(doc.get("version"), "version")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported knn model version {version!r}; "
                              f"this build reads version {FORMAT_VERSION}")
@@ -118,7 +118,8 @@ class KnnModel:
         means, stds = stats.get("means"), stats.get("stds")
         if not all(stat is None or isinstance(stat, list) for stat in (means, stds)):
             raise ValueError("knn model stats must be lists of numbers")
-        return cls(features=[row[:-1] for row in rows], labels=[row[-1] for row in rows],
+        labels = [_integer(row[-1], f"data row {i}: label") for i, row in enumerate(rows)]
+        return cls(features=[row[:-1] for row in rows], labels=labels,
                    k=doc["k"], scaling=doc["scaling"], means=means, stds=stds)
 
 

@@ -105,7 +105,7 @@ class TreeModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TreeModel":
-        version = doc.get("version")
+        version = _integer(doc.get("version"), "version")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported tree model version {version!r}; "
                              f"this build reads version {FORMAT_VERSION}")
@@ -133,7 +133,7 @@ class TreeModel:
                     raise ValueError(f"tree node {i}: counts must be two non-negative "
                                      f"integers, got {rec['counts']!r}")
                 node = Leaf(label=1 if counts[1] > counts[0] else 0, counts=counts)
-                if rec["label"] != node.label:
+                if _integer(rec["label"], f"tree node {i}: label") != node.label:
                     raise ValueError(f"tree node {i}: label {rec['label']!r} is not the "
                                      f"majority {node.label} of its counts {list(counts)}")
             nodes[i] = node

@@ -5,7 +5,8 @@
 ``domepilot.tree.TreeModel``. A renamed function breaks only traced runs, so
 this test runs the CLI through ``bench/child.py`` with tracing on, as the
 benchmark does, and checks that the spans of prepare, train, evaluate and
-simulate together cover every per-layer total the benchmark reports.
+simulate together cover every per-layer total the benchmark reports, and
+that simulate with either model records its predictions under the replay.
 """
 
 import importlib.util
@@ -36,13 +37,14 @@ def test_traced_commands_record_every_layer_total(workspace, tmp_path):
         **{f"evaluate {kind}": ["evaluate", "--model", ws[kind], "--data", ws["labeled"],
                                 "--report", tmp_path / f"{kind}.report.json"]
            for kind in ("dt", "knn")},
-        "simulate dt": ["simulate", "--model", ws["dt"], "--frames", ws["frames"],
-                        "--log", tmp_path / "log.jsonl", "--sink", tmp_path / "wire.txt"],
+        **{f"simulate {kind}": ["simulate", "--model", ws[kind], "--frames", ws["frames"],
+                                "--log", tmp_path / f"{kind}.log.jsonl",
+                                "--sink", tmp_path / f"{kind}.wire.txt"] for kind in ("dt", "knn")},
     }
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
-    names = set()
+    names, replayed = set(), {}
     for run, args in runs.items():
         spans = tmp_path / f"{run.replace(' ', '-')}.spans.jsonl"
         result = subprocess.run(
@@ -50,6 +52,12 @@ def test_traced_commands_record_every_layer_total(workspace, tmp_path):
             env={**env, "BENCH_SPANS": str(spans), "BENCH_SPAWN_NS": str(time.monotonic_ns())},
             capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, f"{run}: {result.stderr}"
-        names |= {span["name"] for span in layers.read_spans(spans)}
+        recorded = layers.read_spans(spans)
+        names |= {span["name"] for span in recorded}
+        # controller.model_calls counts the model's predict spans under the replay.
+        replayed[run] = {span["name"] for span in recorded if span["parent"] >= 0
+                         and recorded[span["parent"]]["name"] == "controller.replay"}
     missing = sorted(set(layers._TOTALS) - names)
     assert not missing, missing
+    assert "knn.predict" in replayed["simulate knn"], replayed["simulate knn"]
+    assert "tree.predict" in replayed["simulate dt"], replayed["simulate dt"]

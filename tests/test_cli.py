@@ -455,6 +455,20 @@ def test_non_utf8_table_or_config_exits_2_naming_the_file(workspace, tmp_path, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line,key", [("max-leafs = 8", "max_leafs"), ("func = x", "func"),
+                                      ("command = prepare", "command"),
+                                      ("config = other.conf", "config"),
+                                      ("__class__ = x", "__class__"), ("help = 1", "help")])
+def test_an_unknown_config_setting_exits_2_naming_it(workspace, tmp_path, capsys, line, key):
+    config = tmp_path / "run.conf"
+    config.write_text(f"model = dt\ncity = Nowhere  # a prepare flag, ignored\n{line}\n")
+    out = tmp_path / "m.json"
+    assert cli.main(["train", "--data", str(workspace["labeled"]), "--out", str(out),
+                     "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"domepilot: error: {config}: unknown setting {key!r}\n"
+    assert not out.exists()
+
+
 def test_malformed_config_is_an_error(workspace, tmp_path):
     config = tmp_path / "bad.conf"
     config.write_text("just some words\n")
@@ -745,6 +759,15 @@ def _edit_node(doc, key, value):
     split[key] = value
 
 
+def _retype_leaf_label(doc):
+    leaf = next(node for node in doc["nodes"] if node["type"] == "leaf")
+    leaf["label"] = float(leaf["label"])
+
+
+def _set_data_label(doc, row, value):
+    doc["data"][row][-1] = value
+
+
 @pytest.mark.parametrize("kind,edit,field", [
     ("knn", lambda doc: doc.update(k=3.9), "k"),
     ("knn", lambda doc: doc.update(k=True), "k"),
@@ -758,9 +781,16 @@ def _edit_node(doc, key, value):
     ("dt", lambda doc: _edit_node(doc, "n", 900.0), "n"),
     ("dt", lambda doc: doc["config"].update(max_leaf_nodes=50.5), "max_leaf_nodes"),
     ("dt", lambda doc: doc["config"].update(min_samples_leaf=True), "min_samples_leaf"),
+    ("dt", lambda doc: doc.update(version=2.0), "version"),
+    ("knn", lambda doc: doc.update(version=1.0), "version"),
+    ("knn", lambda doc: doc.update(version=True), "version"),
+    ("dt", _retype_leaf_label, "label"),
+    ("knn", lambda doc: _set_data_label(doc, 0, True), "data row 0: label"),
+    ("knn", lambda doc: _set_data_label(doc, 1, 0.0), "data row 1: label"),
 ], ids=["k-3.9", "k-true", "n_features-6.5", "n_features-6.0", "id-0.0", "feature-0.7",
         "feature-false", "left-1.5", "right-true", "n-900.0", "max_leaf_nodes-50.5",
-        "min_samples_leaf-true"])
+        "min_samples_leaf-true", "dt-version-2.0", "knn-version-1.0", "knn-version-true",
+        "leaf-label-0.0", "data-label-true", "data-label-0.0"])
 def test_a_non_integer_model_field_exits_2_naming_the_field(workspace, tmp_path, capsys,
                                                            kind, edit, field):
     doc = json.loads(workspace[kind].read_text())

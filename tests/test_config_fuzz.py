@@ -4,8 +4,9 @@ A valid ``key = value`` file gets lines without ``=``, unknown keys, quoted
 values, blank lines, comments, bytes that are not UTF-8 and bad values such
 as ``max-leaves = 0``. ``train`` with it must either exit 0 with the settings
 the file gives, or exit 2 with a ``domepilot: error:`` line and no
-traceback. A syntax error names the file and the line, and a decode error
-the file.
+traceback. A syntax error names the file and the line, a decode error the
+file, and an unknown key the file and the key; a file with an unknown key
+never trains.
 """
 
 import contextlib
@@ -27,8 +28,12 @@ JUNK = st.one_of(
     st.sampled_from(["", " ", "\t", "abc", "max-leaves", "= 3", " = ", '"', "\x00", "½"]),
     st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
 )
-UNKNOWN_KEY = st.sampled_from(["frobnicate", "min_samples_leaf", "MODEL", "max leaves",
-                               "func", "command", "config", "__class__", "data", "out"])
+#: Keys that are no flag of any command; a file holding one is rejected.
+UNKNOWN_KEYS = {"frobnicate", "min_samples_leaf", "MODEL", "max leaves", "max_leafs", "func",
+                "command", "config", "__class__"}
+#: Flags of train or of another command; a file holding one is accepted.
+FLAG_KEYS = ["data", "out", "city", "frames", "report"]
+KEY = st.sampled_from(sorted(UNKNOWN_KEYS) + FLAG_KEYS)
 BAD_VALUE = st.sampled_from([
     ("max-leaves", "0"), ("max-leaves", "-3"), ("max-leaves", "2.5"), ("max-leaves", ""),
     ("k", "0"), ("k", "abc"), ("k", "100000"), ("test-frac", "1"), ("test-frac", "nan"),
@@ -46,7 +51,7 @@ def _mutate_lines(lines, data) -> None:
     if action == "no-equals":
         lines.insert(at, data.draw(JUNK).replace("=", ""))
     elif action == "unknown":
-        lines.insert(at, f"{data.draw(UNKNOWN_KEY)} = {data.draw(JUNK)}")
+        lines.insert(at, f"{data.draw(KEY)} = {data.draw(JUNK)}")
     elif action == "quote" and at < len(lines) and "=" in lines[at]:
         key, _, value = lines[at].partition("=")
         quote = data.draw(st.sampled_from(['"', "'", '"""']))
@@ -108,6 +113,7 @@ def test_mutated_config_trains_or_fails_cleanly(files, data):
     assert "Traceback" not in message
     if code == 0:
         values = _settings(raw.decode("utf-8"))
+        assert not UNKNOWN_KEYS & set(values)
         summary = json.loads(stdout.getvalue())
         assert summary["model"] == values.get("model", "dt")
         if "test_frac" in values:
@@ -121,6 +127,9 @@ def test_mutated_config_trains_or_fails_cleanly(files, data):
         reason = message[len("domepilot: error: "):]
         if "key = value" in reason:
             assert re.match(rf"{re.escape(str(path))}:[1-9]\d*: expected key = value$",
+                            reason.rstrip("\n")), reason
+        if "unknown setting" in reason:
+            assert re.match(rf"{re.escape(str(path))}: unknown setting '[^']*'$",
                             reason.rstrip("\n")), reason
         if "codec can't decode" in reason:
             assert re.match(rf"{re.escape(str(path))}: line [1-9]\d*: ", reason), reason

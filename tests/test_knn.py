@@ -6,11 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from domepilot.cli import load_model, save_model
-from domepilot.knn import _standardize
+from domepilot.knn import _squared_distances, _standardize
 from domepilot.knnmodel import KnnModel, default_k, train_knn
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -35,6 +35,15 @@ def oracle_predict(train_features, train_labels, k, query):
     return 0  # even-k exact tie falls back to closed
 
 
+def loop_squared_distances(q, train):
+    """Squared distances from q to each (row-major) row, feature by feature."""
+    sq = np.zeros(train.shape[0])
+    for j in range(q.size):
+        diff = q[j] - train[:, j]
+        sq += diff * diff
+    return sq
+
+
 def argsort_predict(model, query):
     """The full-sort selection: stable argsort of every squared distance.
 
@@ -46,11 +55,7 @@ def argsort_predict(model, query):
     if model.scaling == "standardize":
         stats = np.asarray(model.means), np.asarray(model.stds)
         q, train = _standardize(q, *stats), _standardize(train, *stats)
-    sq = np.zeros(train.shape[0])
-    for j in range(q.size):
-        diff = q[j] - train[:, j]
-        sq += diff * diff
-    nearest = np.argsort(sq, kind="stable")[:model.k]
+    nearest = np.argsort(loop_squared_distances(q, train), kind="stable")[:model.k]
     return int(np.asarray(model.labels)[nearest].sum() * 2 > model.k)
 
 
@@ -219,6 +224,75 @@ def test_partition_selection_matches_the_argsort_reference(case):
         assert model.predict(query) == argsort_predict(model, query)
 
 
+@st.composite
+def screen_cases(draw):
+    """Rows on which the screen's rounding decides which rows survive.
+
+    A small integer grid is mapped onto: a common offset of 1e6-1e12 plus
+    unit differences (|x|² dwarfs every distance, so the gemv keeps none of
+    the digits that order the rows); features a few ulps apart, with the
+    query on the grid or at the origin (distances then differ by an ulp or
+    two); features around 1e-160 and subnormals (squares underflow); and
+    features near 1e153-1e300 (norms or distances overflow).
+    """
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(("offset", "ulp", "tiny", "huge")))
+    if kind == "offset":
+        base = draw(st.floats(1e6, 1e12)) * draw(st.sampled_from((1, -1)))
+        cell = st.integers(-3, 3).map(lambda c: base + c)
+    elif kind == "ulp":
+        base = draw(st.floats(1e-3, 1e15))
+        cell = st.integers(-3, 3).map(lambda c: base + c * math.ulp(base))
+    else:
+        scales = ((1e-160, 3e-162, 1e-310, 5e-324) if kind == "tiny"
+                  else (1e153, 3e153, 5e153, 1e154, 1e200, 1e300))
+        scale = draw(st.sampled_from(scales))
+        cell = st.integers(-3, 3).map(lambda c: c * scale)
+    rows = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    k = draw(st.integers(1, n))
+    scaling = draw(st.sampled_from(("none", "standardize")))
+    query_cell = st.just(0.0) if kind == "ulp" and draw(st.booleans()) else cell
+    queries = draw(st.lists(st.lists(query_cell, min_size=d, max_size=d),
+                            min_size=1, max_size=4))
+    return rows, labels, k, scaling, queries
+
+
+@given(case=screen_cases())
+@settings(max_examples=500, deadline=None)
+# Neither norm overflows, but both distances do: the rows tie at infinity
+# and the lower index wins, though its a_i overflowed and the other's did
+# not. Only the infinite cutoff, taken when 4 S overflows, keeps row 0.
+@example(case=([[9e153], [5e153]], [1, 0], 1, "none", [[-9e153]]))
+# Both squared distances are 4 s² (7.3 tiny, rounded to 7 tiny), but a_0 is
+# 6 tiny and a_1 is 5 tiny: the underflow term of E keeps row 0.
+@example(case=([[-3e-162], [9e-162]], [1, 0], 1, "none", [[3e-162]]))
+# 1e12 plus units: |x|² is ~1e24, so a_i is rounded to ~1e8.
+@example(case=([[1e12 + 3], [1e12 + 2], [1e12 + 1], [1e12]], [0, 0, 0, 1], 1, "none",
+               [[1e12]]))
+def test_the_screen_keeps_every_row_of_the_k_nearest(case):
+    rows, labels, k, scaling, queries = case
+    with np.errstate(all="ignore"):
+        try:
+            model = train_knn(list(zip(map(tuple, rows), labels)), k=k, scaling=scaling)
+        except ValueError:  # the stats or z-scores of huge features overflow
+            reject()
+        for query in queries:
+            assert model.predict(query) == argsort_predict(model, query)
+
+
+def test_squared_distances_match_the_per_feature_loop_bitwise():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        d, n = int(rng.integers(1, 13)), int(rng.integers(1, 40))
+        scale = 10.0 ** rng.uniform(-8, 8, size=d)
+        train = rng.standard_normal((n, d)) * scale
+        q = rng.standard_normal(d) * scale
+        assert (_squared_distances(q, np.ascontiguousarray(train.T)).tobytes()
+                == loop_squared_distances(q, train).tobytes())
+
+
 def test_partition_selection_matches_scipy_on_tie_free_data():
     spatial = pytest.importorskip("scipy.spatial")
     rng = np.random.default_rng(17)
@@ -349,7 +423,12 @@ def test_non_binary_labels_are_rejected_at_training_and_on_load():
     with pytest.raises(ValueError, match="0/1"):
         train_knn(toy_samples([((0,) * 6, 0), ((1,) * 6, 7)]), k=1)
     doc = train_knn(toy_samples([((0,) * 6, 0), ((1,) * 6, 1)]), k=1).to_dict()
-    for bad in (7, 0.5, -1):
+    for bad in (7, -1):
         doc["data"][1][-1] = bad
         with pytest.raises(ValueError, match="0/1"):
+            KnnModel.from_dict(doc)
+    # A document label must be a JSON integer, so 0.5, 1.0 and true fail first.
+    for bad in (0.5, 1.0, True):
+        doc["data"][1][-1] = bad
+        with pytest.raises(ValueError, match="data row 1: label must be an integer"):
             KnnModel.from_dict(doc)

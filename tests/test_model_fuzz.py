@@ -5,9 +5,9 @@ duplicated fields, edited ids, labels and counts, and deeply nested junk.
 Each mutated document must either load through ``cli.load_model`` and
 predict 0 or 1 on fixed queries within a time bound, or fail with a
 ValueError whose message starts with the file path. The queries are the
-training rows, so every leaf of the tree is reached. A document whose k,
-``n_features``, node id, feature, child, ``n`` or config budget is a float
-or a bool must fail.
+training rows, so every leaf of the tree is reached. A document whose
+version, k, ``n_features``, node id, feature, child, ``n``, leaf label,
+config budget or k-NN data label is a float or a bool must fail.
 """
 
 import json
@@ -81,14 +81,15 @@ def _edit_int(doc, data) -> None:
         container[key] = data.draw(st.integers(-1, 16))
 
 
-#: Fields a document must hold as JSON integers.
-INT_FIELDS = {"k", "n_features", "id", "feature", "left", "right", "n", "max_leaf_nodes",
-              "min_samples_leaf"}
+#: Fields a document must hold as JSON integers, besides the k-NN data labels.
+INT_FIELDS = {"version", "k", "n_features", "id", "feature", "left", "right", "n", "label",
+              "max_leaf_nodes", "min_samples_leaf"}
 
 
 def _retype_int(doc, data) -> None:
-    """Make one of the INT_FIELDS a fractional float, a whole float or a bool."""
-    paths = [path for path in _int_paths(doc) if path[-1] in INT_FIELDS]
+    """Make one of the INT_FIELDS or a k-NN data label (the only int of a
+    data row) a fractional float, a whole float or a bool."""
+    paths = [path for path in _int_paths(doc) if path[-1] in INT_FIELDS or path[0] == "data"]
     if paths:
         *parents, key = data.draw(st.sampled_from(paths))
         container = doc

@@ -526,7 +526,7 @@ def test_split_feature_must_be_below_n_features():
 
 
 @pytest.mark.parametrize("label,counts", [(0, [1, 0]), (1, [0, 1]), (0, [2, 2]),
-                                          (0, [0, 0]), (1.0, [0, 1])])
+                                          (0, [0, 0])])
 def test_leaf_label_must_be_the_majority_of_its_counts(label, counts):
     doc = stump_document()
     doc["nodes"][1].update(label=label, counts=counts)
@@ -536,7 +536,8 @@ def test_leaf_label_must_be_the_majority_of_its_counts(label, counts):
         TreeModel.from_dict(doc)
 
 
-@pytest.mark.parametrize("label", [2, -1, None, "1", [1]])
+# A label must be a JSON integer: 1.0 and true are rejected like "1".
+@pytest.mark.parametrize("label", [2, -1, None, "1", [1], 1.0, True])
 def test_leaf_label_outside_its_majority_is_rejected(label):
     doc = stump_document()
     doc["nodes"][1]["label"] = label
