@@ -23,7 +23,7 @@ import struct
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Callable, Optional, Sequence
+from typing import IO, Callable, NamedTuple, Optional, Sequence
 
 from .weather import (
     RAW_COLUMNS,
@@ -77,8 +77,8 @@ class DomeCommand:
     cause: str
 
     def __post_init__(self):
-        if self.dome not in (0, 1):
-            raise ValueError(f"dome must be 0 or 1, got {self.dome!r}")
+        if type(self.dome) is not int or self.dome not in (0, 1):
+            raise ValueError(f"dome must be the int 0 or 1, got {self.dome!r}")
         if self.cause not in CAUSES:
             raise ValueError(f"unknown cause {self.cause!r}")
 
@@ -121,6 +121,10 @@ def decide(model_predict_fn: Callable[[Sequence[float]], int],
     return command, prediction, None
 
 
+#: The wire line of each dome bit, ``D:<dome> A:<ac>`` with ``ac = 1 - dome``.
+_WIRE_LINES = ("D:0 A:1\n", "D:1 A:0\n")
+
+
 def emit_signal(command: DomeCommand, sink: IO[str]) -> str:
     """Write exactly one wire line for the command; returns the line sent.
 
@@ -128,7 +132,7 @@ def emit_signal(command: DomeCommand, sink: IO[str]) -> str:
     caller may simply try again on the next frame (a ``tcp:`` sink that
     failed once fails every later frame too).
     """
-    line = f"D:{command.dome} A:{command.ac}\n"
+    line = _WIRE_LINES[command.dome]
     try:
         sink.write(line)
         flush = getattr(sink, "flush", None)
@@ -152,11 +156,10 @@ def parse_signal(line: str) -> tuple[int, int]:
     return int(dome), int(ac)
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     frame: SensorFrame
     command: DomeCommand
-    prediction: Optional[int]  # None when featurization failed
+    prediction: Optional[int]  # None when the condition is unmapped or the model failed
 
     def as_dict(self) -> dict:
         return {"tick": self.frame.tick,
@@ -174,12 +177,12 @@ def _jsonl_line(entry: LogEntry) -> str:
     """``json.dumps(entry.as_dict(), sort_keys=True)`` plus a newline.
 
     Entries whose fields all print the same through ``repr`` as through
-    json (int tick and dome, 0/1/None prediction, finite plain floats) are
+    json (int tick, 0/1/None prediction, finite plain floats) are
     formatted directly; any other goes through the encoder.
     """
     tick, command, prediction = entry.frame.tick, entry.command, entry.prediction
     features = entry.frame.observation.features()
-    if (type(tick) is int and type(command.dome) is int
+    if (type(tick) is int
             and (prediction is None or (type(prediction) is int and prediction in (0, 1)))
             and all(type(v) is float and math.isfinite(v) for v in features)):
         return (f'{{"ac": {command.ac}, "cause": "{command.cause}", '
@@ -231,22 +234,32 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
     if table is None:
         table = ConditionTable.builtin()
     entries = []
+    # Table membership is a pure function of the raw condition string, and
+    # a replay sees few distinct ones, so each is looked up once per call.
+    mapped: dict[str, bool] = {}
+    # tuple.__new__ skips the Python-level __new__ of the NamedTuple.
+    new_entry = tuple.__new__
     last_tick = None
     faults = undelivered = 0
     first_fault: Optional[Exception] = None
     first_undelivered: Optional[SignalDeliveryError] = None
     for frame in frames:
-        if last_tick is not None and frame.tick <= last_tick:
+        tick = frame.tick
+        if last_tick is not None and tick <= last_tick:
             raise ValueError(f"frame ticks must be strictly increasing, "
-                             f"got {frame.tick} after {last_tick}")
-        last_tick = frame.tick
-        prediction: Optional[int] = None
-        if frame.observation.condition not in table:
-            command = _CLOSED[CAUSE_UNMAPPED]
+                             f"got {tick} after {last_tick}")
+        last_tick = tick
+        observation = frame.observation
+        condition = observation.condition
+        known = mapped.get(condition)
+        if known is None:
+            known = mapped[condition] = condition in table
+        if not known:
+            command, prediction = _CLOSED[CAUSE_UNMAPPED], None
         else:
             command, prediction, fault = decide(
-                model_predict_fn, frame.observation.features(),
-                frame.rain_detected, frame.observation.temp)
+                model_predict_fn, observation.features(),
+                frame.rain_detected, observation.temp)
             if fault is not None:
                 faults += 1
                 first_fault = first_fault or fault
@@ -256,7 +269,7 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
             except SignalDeliveryError as exc:
                 undelivered += 1
                 first_undelivered = first_undelivered or exc
-        entries.append(LogEntry(frame=frame, command=command, prediction=prediction))
+        entries.append(new_entry(LogEntry, (frame, command, prediction)))
     if faults:
         logger.warning("model failed on %d of %d frames, which were closed; "
                        "first failure: %s", faults, len(frames), first_fault,

@@ -24,9 +24,11 @@ TINY = float(np.finfo(float).smallest_subnormal)
 
 
 def _standardize(values: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
-    """Z-score features; zero-variance features collapse to 0 on both sides."""
+    """Z-score features; zero-variance features collapse to 0 on both sides.
+    A z-score that overflows comes back infinite, for the caller to reject."""
     safe = np.where(stds > 0, stds, 1.0)
-    z = (values - means) / safe
+    with np.errstate(over="ignore"):
+        z = (values - means) / safe
     return np.where(stds > 0, z, 0.0)
 
 
@@ -99,6 +101,9 @@ class Kernel:
         if not all(map(math.isfinite, values)):
             raise ValueError(f"query features must be finite, got {list(values)}")
         q = self._transform(np.array(values))
+        # Only standardizing can turn a finite query infinite.
+        if self.stats is not None and not np.isfinite(q).all():
+            raise ValueError("standardized query overflows; stds too small")
         a = self.screen @ np.append(-2.0 * q, 1.0)
         a_k = np.partition(a, self.k - 1)[self.k - 1]
         spread = float(q @ q) + self.max_norm

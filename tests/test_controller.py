@@ -2,6 +2,7 @@ import datetime
 import io
 import json
 import math
+import pickle
 import socket
 import socketserver
 import struct
@@ -143,8 +144,9 @@ def test_interlock_is_unconstructible_otherwise():
             command.ac = dome
     with pytest.raises(TypeError):
         DomeCommand(dome=1, ac=1, cause=CAUSE_MODEL)
-    with pytest.raises(ValueError):
-        DomeCommand(dome=2, cause=CAUSE_MODEL)
+    for dome in (2, 1.0, True):  # the dome bit indexes the wire lines
+        with pytest.raises(ValueError):
+            DomeCommand(dome=dome, cause=CAUSE_MODEL)
     with pytest.raises(ValueError):
         DomeCommand(dome=1, cause="gremlins")
 
@@ -322,6 +324,27 @@ def test_replay_with_custom_table():
     assert log.entries[1].command.cause == CAUSE_UNMAPPED
 
 
+def test_replay_decides_membership_per_raw_spelling_and_per_table():
+    spellings = [" Clear ", "Volcanic ash", "clear", "Volcanic  ash", "CLEAR"]
+    frames = [frame(tick=t, condition=spellings[t % len(spellings)]) for t in range(10)]
+    for table in (ConditionTable.builtin(), ConditionTable([("volcanic ash", 1)])):
+        causes = [e.command.cause for e in replay(constant_model(1), frames, table=table)]
+        assert causes == [CAUSE_MODEL if f.observation.condition in table else CAUSE_UNMAPPED
+                          for f in frames]
+        assert set(causes) == {CAUSE_MODEL, CAUSE_UNMAPPED}
+
+
+def test_log_entries_are_immutable_records():
+    log = replay(constant_model(1), [frame(tick=0), frame(tick=1, rain=True)])
+    entry = log.entries[1]
+    assert type(entry) is LogEntry
+    assert entry.command.cause == CAUSE_RAIN  # what bench/tracing.py counts
+    assert entry == LogEntry(frame=entry.frame, command=entry.command,
+                             prediction=entry.prediction)
+    with pytest.raises(AttributeError):
+        entry.prediction = 0
+
+
 # ---------------------------------------------------------------- frames CSV
 
 FRAME_HEADER = "city,date,time,temp,wind,humidity,barometer,visibility,weather,rain\n"
@@ -340,6 +363,27 @@ def test_read_frames_csv_parses_and_ticks(tmp_path):
     assert [f.rain_detected for f in frames] == [False, True]
     assert report.rejected == 2
     assert report.reasons == {"bad_temp": 1, "bad_rain": 1}
+
+
+def test_pickled_frames_replay_like_parsed_frames(tmp_path):
+    # bench/child.py parses the frames once and replays unpickled copies.
+    path = tmp_path / "frames.csv"
+    path.write_text(FRAME_HEADER
+                    + "A,2019-01-01,00:00,20,1,40%,1015,16,Clear,0\n"
+                    + "A,2019-01-01,01:00,21,3,41%,1015,16, clear ,0\n"
+                    + "A,2019-01-01,02:00,22,3,42%,1015,16,Clear,1\n"
+                    + "A,2019-01-01,03:00,30,3,43%,1015,16,Clear,0\n"
+                    + "A,2019-01-01,04:00,20,3,44%,1015,16,Volcanic ash,0\n")
+    parsed, _ = read_frames_csv(path)
+    unpickled = pickle.loads(pickle.dumps(parsed, pickle.HIGHEST_PROTOCOL))
+    logs, wires = [], []
+    for frames in (parsed, unpickled):
+        sink = io.StringIO()
+        logs.append(replay(lambda features: int(features[1] > 2), frames, sink=sink))
+        wires.append(sink.getvalue())
+    assert logs[0].entries == logs[1].entries
+    assert written_jsonl(logs[0]) == written_jsonl(logs[1])
+    assert wires[0] == wires[1] == "D:0 A:1\nD:1 A:0\n" + "D:0 A:1\n" * 3
 
 
 def test_read_frames_csv_requires_rain_column(tmp_path):
