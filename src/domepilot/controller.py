@@ -234,9 +234,6 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
     if table is None:
         table = ConditionTable.builtin()
     entries = []
-    # Table membership is a pure function of the raw condition string, and
-    # a replay sees few distinct ones, so each is looked up once per call.
-    mapped: dict[str, bool] = {}
     # tuple.__new__ skips the Python-level __new__ of the NamedTuple.
     new_entry = tuple.__new__
     last_tick = None
@@ -250,11 +247,7 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
                              f"got {tick} after {last_tick}")
         last_tick = tick
         observation = frame.observation
-        condition = observation.condition
-        known = mapped.get(condition)
-        if known is None:
-            known = mapped[condition] = condition in table
-        if not known:
+        if observation.condition not in table:
             command, prediction = _CLOSED[CAUSE_UNMAPPED], None
         else:
             command, prediction, fault = decide(

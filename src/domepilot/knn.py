@@ -86,7 +86,10 @@ class Kernel:
         needs every ``a_i`` and ``D_i`` finite, which holds when ``4 S`` is;
         otherwise (a norm or a distance overflows) the cutoff is infinite.
         The test ``~(a > cutoff)`` keeps a row whose ``a`` is NaN, so then
-        every row survives and the same vote runs on all of them.
+        every row survives and the same vote runs on all of them. A
+        standardized query for which ``4 S`` overflows raises ValueError
+        instead: its z-scores come from stds too small to trust, and all its
+        distances could overflow, leaving the vote to training order.
 
         Vote: every row with ``a <= a_k`` survives, so at least k do, and
         if exactly k survive they are the k nearest. Otherwise the
@@ -101,9 +104,12 @@ class Kernel:
         if not all(map(math.isfinite, values)):
             raise ValueError(f"query features must be finite, got {list(values)}")
         q = self._transform(np.array(values))
-        # Only standardizing can turn a finite query infinite.
-        if self.stats is not None and not np.isfinite(q).all():
-            raise ValueError("standardized query overflows; stds too small")
+        # Only standardizing can blow a finite query up so far that its
+        # distances may overflow; the vote would then be arbitrary.
+        if self.stats is not None:
+            with np.errstate(over="ignore"):
+                if not 4 * (float(q @ q) + self.max_norm) < math.inf:
+                    raise ValueError("standardized query overflows; stds too small")
         a = self.screen @ np.append(-2.0 * q, 1.0)
         a_k = np.partition(a, self.k - 1)[self.k - 1]
         spread = float(q @ q) + self.max_norm

@@ -840,14 +840,16 @@ def test_invalid_knn_values_exit_2_naming_the_field(tmp_path, edit, field):
     assert "Traceback" not in result.stderr
 
 
-def test_predict_fails_closed_on_an_overflowing_standardized_query(tmp_path):
-    # Every training temp is 20, so a temp std of 1e-310 loads, but --temp 21
-    # standardizes to an infinite z-score.
+@pytest.mark.parametrize("std", [1e-310, 1e-300])
+def test_predict_fails_closed_on_an_overflowing_standardized_query(tmp_path, std):
+    # Every training temp is 20, so a tiny temp std loads, but --temp 21
+    # standardizes to an infinite z-score (1e-310) or to a finite one whose
+    # squared norm overflows (1e-300).
     samples = [((20.0, 1.0 + i % 3, 0.5, 3.0, 10.0, 1010.0 + i), i % 2) for i in range(10)]
     path = tmp_path / "knn.json"
     save_model(train_knn(samples, k=3, scaling="standardize"), path)
     doc = json.loads(path.read_text())
-    doc["stats"]["stds"][0] = 1e-310
+    doc["stats"]["stds"][0] = std
     path.write_text(json.dumps(doc))
     result = run_cli("predict", "--model", path, *PREDICT_ARGS)
     assert (result.returncode, result.stdout) == (0, "D:0 A:1\n"), result.stderr
