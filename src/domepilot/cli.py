@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 from contextlib import contextmanager, nullcontext
@@ -325,13 +324,10 @@ def _reading(args: argparse.Namespace, name: str) -> float:
     """The ``predict`` flag of feature ``name``, read as a frames CSV cell is."""
     text = _require(getattr(args, name), f"--{name}")
     try:
-        value = float(_parse_hour(text)) if name == "hour" else _parse_number(text, name)
+        return float(_parse_hour(text)) if name == "hour" else _parse_number(text, name)
     except _RowRejected:
-        value = math.nan
-    if not math.isfinite(value):
         expected = "an hour of the day" if name == "hour" else "a finite number"
-        raise ValueError(f"--{name} must be {expected}, got {text!r}")
-    return value
+        raise ValueError(f"--{name} must be {expected}, got {text!r}") from None
 
 
 def _split_spec(args: argparse.Namespace, kind: str) -> SplitSpec:

@@ -62,8 +62,7 @@ class SignalDeliveryError(RuntimeError):
     """Writing to the actuator sink failed; safe to retry next frame."""
 
 
-@dataclass(frozen=True)
-class SensorFrame:
+class SensorFrame(NamedTuple):
     """Current conditions plus the rain sensor, at a monotonic tick."""
 
     observation: WeatherObservation
@@ -283,8 +282,7 @@ def read_frames_csv(source: PathOrStream) -> tuple[list[SensorFrame], CleaningRe
     # leave no gap in the numbering.
     rows = (cells for _, cells in _read_rows(source, FRAME_COLUMNS))
     return _clean_rows(rows, lambda cells: SensorFrame(
-        observation=_observation_from_row(cells), rain_detected=_parse_rain(cells[-1]),
-        tick=next(ticks)))
+        _observation_from_row(cells), _parse_rain(cells[-1]), next(ticks)))
 
 
 def _parse_rain(text: str) -> bool:

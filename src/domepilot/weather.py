@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import date as Date
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar, Union
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, Union
 
 logger = logging.getLogger(__name__)
 
@@ -184,10 +184,7 @@ def derive_state(flag: int, temp: float) -> int:
     return 1 if flag == 1 and TEMP_OPEN_LOW < temp < TEMP_OPEN_HIGH else 0
 
 
-@dataclass(frozen=True)
-class WeatherObservation:
-    """One raw hourly weather record after per-row normalization."""
-
+class _WeatherObservation(NamedTuple):
     city: str
     date: Date
     hour: int
@@ -198,17 +195,30 @@ class WeatherObservation:
     visibility: float
     condition: str
 
-    def __post_init__(self):
-        if not 0 <= self.hour <= 23:
-            raise ValueError(f"hour out of range: {self.hour}")
-        if not 0.0 <= self.humidity <= 1.0:
-            raise ValueError(f"humidity out of range: {self.humidity}")
-        if not self.barometer > 0:
-            raise ValueError(f"barometer must be positive: {self.barometer}")
-        if self.visibility < 0:
-            raise ValueError(f"visibility must be nonnegative: {self.visibility}")
-        if not self.condition.strip():
+
+class WeatherObservation(_WeatherObservation):
+    """One raw hourly weather record after per-row normalization.
+
+    A tuple whose construction and unpickling check the values; ``_make``
+    and ``_replace`` skip the checks, and the package never calls them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, city: str, date: Date, hour: int, temp: float, wind: float,
+                humidity: float, barometer: float, visibility: float, condition: str):
+        if not 0 <= hour <= 23:
+            raise ValueError(f"hour out of range: {hour}")
+        if not 0.0 <= humidity <= 1.0:
+            raise ValueError(f"humidity out of range: {humidity}")
+        if not barometer > 0:
+            raise ValueError(f"barometer must be positive: {barometer}")
+        if visibility < 0:
+            raise ValueError(f"visibility must be nonnegative: {visibility}")
+        if not condition.strip():
             raise ValueError("empty condition string")
+        return tuple.__new__(cls, (city, date, hour, temp, wind, humidity, barometer,
+                                   visibility, condition))
 
     def features(self) -> tuple[float, ...]:
         """Feature vector in the fixed order of FEATURE_NAMES."""
@@ -216,32 +226,36 @@ class WeatherObservation:
                 self.visibility, self.barometer)
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """6-feature vector plus binary dome state (1=open, 0=close)."""
-
+class _LabeledSample(NamedTuple):
     features: tuple[float, ...]
     label: int
 
-    def __post_init__(self):
-        if len(self.features) != len(FEATURE_NAMES):
+
+class LabeledSample(_LabeledSample):
+    """6-feature vector plus binary dome state (1=open, 0=close).
+
+    A tuple, so it unpacks as ``features, label``; construction and
+    unpickling check it, ``_make`` and ``_replace`` do not.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, features: tuple[float, ...], label: int):
+        if len(features) != len(FEATURE_NAMES):
             raise ValueError(f"expected {len(FEATURE_NAMES)} features, "
-                             f"got {len(self.features)}")
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
+                             f"got {len(features)}")
+        if label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {label!r}")
+        return tuple.__new__(cls, (features, label))
 
 
 def _features_and_labels(samples: Sequence) -> tuple[list, list[int]]:
-    """Feature rows as given and int labels of LabeledSample-likes or
-    (features, label) pairs; the models check and convert the rows."""
+    """Feature rows as given and int labels of (features, label) pairs such
+    as LabeledSample; the models check and convert the rows."""
     if len(samples) == 0:
         raise ValueError("empty training set")
     feats, labels = [], []
-    for s in samples:
-        if hasattr(s, "features"):
-            f, y = s.features, s.label
-        else:
-            f, y = s
+    for f, y in samples:
         if y not in (0, 1):  # before int(), which would turn 0.5 into 0
             raise ValueError("labels must be binary 0/1")
         feats.append(f)
@@ -356,6 +370,8 @@ def _parse_number(text: str, column: str) -> float:
     if suffix and not _UNIT_RE.fullmatch(suffix):
         raise _RowRejected(f"bad_{column}")
     value = float(m.group(1))
+    if not math.isfinite(value):  # more digits than a float holds
+        raise _RowRejected(f"bad_{column}")
     if column == "humidity":
         if "%" in suffix or value > 1.0:
             value /= 100.0
@@ -366,18 +382,18 @@ def _observation_from_row(cells: Sequence[str]) -> WeatherObservation:
     """Observation from the cells of one row, in RAW_COLUMNS order."""
     city, day, time, temp, wind, humidity, barometer, visibility, weather = cells[:9]
     try:
-        return WeatherObservation(
-            city=city.strip(),
-            date=_parse_date(day),
-            hour=_parse_hour(time),
-            temp=_parse_number(temp, "temp"),
-            wind=_parse_number(wind, "wind"),
-            humidity=_parse_number(humidity, "humidity"),
-            barometer=_parse_number(barometer, "barometer"),
-            visibility=_parse_number(visibility, "visibility"),
-            condition=weather.strip(),
+        return WeatherObservation(  # positional: keywords cost more than the checks
+            city.strip(),
+            _parse_date(day),
+            _parse_hour(time),
+            _parse_number(temp, "temp"),
+            _parse_number(wind, "wind"),
+            _parse_number(humidity, "humidity"),
+            _parse_number(barometer, "barometer"),
+            _parse_number(visibility, "visibility"),
+            weather.strip(),
         )
-    except ValueError as exc:  # invariant violations from __post_init__
+    except ValueError as exc:  # invariant violations from WeatherObservation
         raise _RowRejected("invalid_values") from exc
 
 
@@ -515,8 +531,7 @@ def write_labeled_csv(samples: Iterable[LabeledSample], sink: PathOrStream) -> N
     with _opened(sink, "w") as stream:
         writer = csv.writer(stream)
         writer.writerow(LABELED_COLUMNS)
-        for s in samples:
-            writer.writerow([repr(v) for v in s.features] + [s.label])
+        writer.writerows((*s.features, s.label) for s in samples)
 
 
 def read_labeled_csv(source: PathOrStream) -> list[LabeledSample]:

@@ -97,6 +97,27 @@ def test_prepare_with_override_table(workspace, tmp_path):
     assert states == {"0"}  # every condition remapped to closed
 
 
+@pytest.mark.parametrize("column", ["temp", "humidity", "visibility"])
+def test_prepare_rejects_and_counts_an_overflowing_cell(workspace, tmp_path, column):
+    # 400 digits read as float("inf"); the row is dropped, never written out.
+    with open(workspace["raw"], newline="") as stream:
+        rows = list(csv.reader(stream))
+    rows[31][[name.lower() for name in rows[0]].index(column)] = "9" * 400
+    raw = tmp_path / "raw.csv"
+    with open(raw, "w", newline="") as stream:
+        csv.writer(stream).writerows(rows)
+    out = tmp_path / "labeled.csv"
+    result = run_cli("prepare", "--data", raw, "--out", out)
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout)
+    assert summary["parse_rejected"] == 1
+    assert summary["parse_reasons"] == {f"bad_{column}": 1}
+    assert summary["labeled_rows"] == 899
+    assert "inf" not in out.read_text()
+    assert run_cli("train", "--data", out, "--model", "dt",
+                   "--out", tmp_path / "dt.json").returncode == 0
+
+
 # ---------------------------------------------------------------- train / evaluate
 
 def test_train_and_evaluate_are_byte_deterministic(workspace, tmp_path):
@@ -343,7 +364,7 @@ def test_in_process_warnings_go_to_the_current_stderr(workspace, tmp_path):
         assert err.count("domepilot: WARNING: rejected 1 malformed frame rows") == 1, errs
 
 
-def test_simulate_logs_an_overflowing_cell_as_infinity(workspace, tmp_path):
+def test_simulate_rejects_an_overflowing_cell(workspace, tmp_path):
     with open(workspace["frames"], newline="") as stream:
         rows = list(csv.reader(stream))
     rows[3][[name.lower() for name in rows[0]].index("temp")] = "9" * 400
@@ -354,37 +375,39 @@ def test_simulate_logs_an_overflowing_cell_as_infinity(workspace, tmp_path):
     result = run_cli("simulate", "--model", workspace["dt"], "--frames", frames,
                      "--log", log)
     assert result.returncode == 0, result.stderr
+    assert "rejected 1 malformed frame rows" in result.stderr
     expected = replay(load_model(workspace["dt"]).predict, read_frames_csv(frames)[0])
     reference = "".join(json.dumps(entry.as_dict(), sort_keys=True) + "\n"
                         for entry in expected)
     assert log.read_bytes() == reference.encode()
-    overflowed = [line for line in log.read_text().splitlines() if "Infinity" in line]
-    assert len(overflowed) == 1
-    assert '"features": [Infinity, ' in overflowed[0]
-    assert '"dome": 0' in overflowed[0]
+    assert len(log.read_text().splitlines()) == 29
+    assert "Infinity" not in log.read_text()
 
 
 def test_simulate_with_a_faulty_model_closes_and_still_writes_the_log(workspace,
                                                                       tmp_path):
-    # An overflowing visibility cell reads as inf, on which KnnModel.predict
-    # raises; the first dry row gets it, so its frame is a model fault.
+    # A finite visibility of 1e300 standardizes past what a distance can hold,
+    # on which KnnModel.predict raises; the first dry row gets it, so its
+    # frame is a model fault.
+    model = tmp_path / "knn.json"
+    assert run_cli("train", "--data", workspace["labeled"], "--model", "knn",
+                   "--scaling", "standardize", "--out", model).returncode == 0
     with open(workspace["frames"], newline="") as stream:
         rows = list(csv.reader(stream))
     header = [name.lower() for name in rows[0]]
     dry = next(i for i, row in enumerate(rows[1:], 1) if row[header.index("rain")] == "0")
-    rows[dry][header.index("visibility")] = "9" * 400
+    rows[dry][header.index("visibility")] = "1" + "0" * 300
     frames = tmp_path / "frames.csv"
     with open(frames, "w", newline="") as stream:
         csv.writer(stream).writerows(rows)
     log = tmp_path / "log.jsonl"
-    result = run_cli("simulate", "--model", workspace["knn"], "--frames", frames,
-                     "--log", log)
+    result = run_cli("simulate", "--model", model, "--frames", frames, "--log", log)
     assert result.returncode == 0, result.stderr
     records = [json.loads(line) for line in log.read_text().splitlines()]
     assert len(records) == 30
     faulty = [r for r in records if r["cause"] == "model_error"]
     assert [r["tick"] for r in faulty] == [dry - 1]
-    assert faulty[0]["features"][4] == float("inf")
+    assert faulty[0]["features"][4] == 1e300
     assert faulty[0]["prediction"] is None and faulty[0]["dome"] == 0
     assert "model failed on 1 of 30 frames" in result.stderr
 

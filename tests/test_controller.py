@@ -334,6 +334,27 @@ def test_replay_decides_membership_per_raw_spelling_and_per_table():
         assert set(causes) == {CAUSE_MODEL, CAUSE_UNMAPPED}
 
 
+def test_sensor_frames_are_immutable_records():
+    """A SensorFrame is a read-only tuple; its observation is checked when the
+    frame is built or unpickled.
+
+    ``_replace`` and ``_make`` build a tuple without ``__new__`` and so skip
+    the observation's checks; nothing in src/ calls them.
+    """
+    f = frame(tick=3)
+    assert repr(f) == f"SensorFrame(observation={f.observation!r}, rain_detected=False, tick=3)"
+    assert f == (f.observation, False, 3) and pickle.loads(pickle.dumps(f)) == f
+    with pytest.raises(AttributeError):
+        f.tick = 4
+    with pytest.raises(AttributeError):
+        f.observation.temp = 30.0
+    with pytest.raises(ValueError, match="hour out of range"):
+        SensorFrame(observation(hour=24), False, 3)
+    unchecked = f._replace(observation=f.observation._replace(humidity=2.0))
+    with pytest.raises(ValueError, match="humidity out of range"):
+        pickle.loads(pickle.dumps(unchecked))
+
+
 def test_log_entries_are_immutable_records():
     log = replay(constant_model(1), [frame(tick=0), frame(tick=1, rain=True)])
     entry = log.entries[1]

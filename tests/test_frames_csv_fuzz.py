@@ -30,7 +30,7 @@ to_raw_csv(OBSERVATIONS, _written, rain=[i % 3 == 0 for i in range(len(OBSERVATI
 ROWS = list(csv.reader(io.StringIO(_written.getvalue())))
 
 NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999",
-                              "-1e999"])
+                              "-1e999", "9" * 400])
 JUNK = st.one_of(
     NON_FINITE,
     st.sampled_from(["", " ", "abc", "1,2", '"', "1e", "--1", "0x10", "½", "1 0", "\x00",

@@ -2,6 +2,8 @@ import _strptime
 import datetime
 import io
 import logging
+import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -361,6 +363,36 @@ def observation(city="Al Madina", temp=20.0, condition="Clear", hour=0):
                               barometer=1015.0, visibility=16.0, condition=condition)
 
 
+@pytest.mark.parametrize("field,value", [("hour", 24), ("humidity", 1.5), ("barometer", 0.0),
+                                         ("visibility", -1.0), ("condition", " ")])
+def test_observation_is_a_checked_record(field, value):
+    """A WeatherObservation is a read-only tuple checked when built or unpickled.
+
+    ``_replace`` and ``_make`` build the tuple without ``__new__`` and so skip
+    the checks; nothing in src/ calls them.
+    """
+    obs = observation()
+    assert repr(obs) == (
+        "WeatherObservation(city='Al Madina', date=datetime.date(2018, 1, 1), hour=0, "
+        "temp=20.0, wind=0.0, humidity=0.4, barometer=1015.0, visibility=16.0, "
+        "condition='Clear')")
+    assert pickle.loads(pickle.dumps(obs)) == obs
+    with pytest.raises(AttributeError):
+        setattr(obs, field, value)
+    with pytest.raises(ValueError):
+        WeatherObservation(**{**obs._asdict(), field: value})
+    unchecked = obs._replace(**{field: value})
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(unchecked))
+
+
+def test_the_package_never_builds_records_unchecked():
+    src = Path(weather.__file__).parent
+    for path in src.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "._replace(" not in text and "._make(" not in text, path
+
+
 def test_filter_city_matches_case_insensitively_preserving_order():
     rows = [observation(city="Riyadh"), observation(city="al madina", hour=1),
             observation(city="AL MADINA", hour=2)]
@@ -498,6 +530,18 @@ def test_labeled_csv_round_trip(tmp_path):
     assert header == "temp,wind,humidity,hour,visibility,barometer,state"
 
 
+def test_labeled_csv_prints_each_float_as_its_repr():
+    samples = [LabeledSample((0.1, 1e-05, 1015.0, -0.0, 5e-324, 1.7976931348623157e+308), 1),
+               LabeledSample((21.0, 0.0, 0.4, 23.0, 16.0, 1012.5), 0)]
+    out = io.StringIO()
+    write_labeled_csv(samples, out)
+    assert out.getvalue() == (
+        "temp,wind,humidity,hour,visibility,barometer,state\r\n"
+        "0.1,1e-05,1015.0,-0.0,5e-324,1.7976931348623157e+308,1\r\n"
+        "21.0,0.0,0.4,23.0,16.0,1012.5,0\r\n")
+    assert read_labeled_csv(io.StringIO(out.getvalue())) == samples
+
+
 def test_labeled_csv_missing_column_is_schema_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("temp,wind,humidity,hour,visibility,state\n")
@@ -529,8 +573,22 @@ def test_labeled_csv_header_is_case_insensitive_and_order_free():
 
 
 def test_sample_validation():
+    """A LabeledSample is a read-only tuple checked when built or unpickled.
+
+    ``_replace`` and ``_make`` build the tuple without ``__new__`` and so skip
+    the checks; nothing in src/ calls them.
+    """
     with pytest.raises(ValueError):
         LabeledSample((1.0, 2.0), 1)
     with pytest.raises(ValueError):
         LabeledSample((1.0,) * 6, 2)
+    sample = LabeledSample(features=(1.0,) * 6, label=1)
+    assert repr(sample) == "LabeledSample(features=(1.0, 1.0, 1.0, 1.0, 1.0, 1.0), label=1)"
+    assert sample == ((1.0,) * 6, 1) and pickle.loads(pickle.dumps(sample)) == sample
+    with pytest.raises(AttributeError):
+        sample.label = 0
+    unchecked = sample._replace(label=2)
+    assert unchecked.label == 2
+    with pytest.raises(ValueError, match="label must be 0 or 1"):
+        pickle.loads(pickle.dumps(unchecked))
     assert FEATURE_NAMES == ("temp", "wind", "humidity", "hour", "visibility", "barometer")
