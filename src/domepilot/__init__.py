@@ -22,7 +22,6 @@ from .controller import (
     SignalDeliveryError,
     decide,
     emit_signal,
-    parse_signal,
     replay,
 )
 from .metrics import (

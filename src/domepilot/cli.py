@@ -17,7 +17,6 @@ import logging
 import os
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterator, Union
 
@@ -66,20 +65,8 @@ _STDERR_HANDLER = _StderrHandler()
 _STDERR_HANDLER.setFormatter(logging.Formatter("domepilot: %(levelname)s: %(message)s"))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Default run parameters; the shipped values are the reference runs."""
-
-    city: str = "Al Madina"
-    model_kind: str = "dt"
-    tree: TreeConfig = field(default_factory=TreeConfig)
-    knn_k: Union[int, str] = "auto"
-    knn_scaling: str = "none"
-    dt_split: SplitSpec = field(default_factory=lambda: SplitSpec(0.33, 324))
-    knn_split: SplitSpec = field(default_factory=lambda: SplitSpec(0.30, 101))
-
-
-DEFAULTS = RunConfig()
+#: The held-out split of each model kind; the shipped values are the reference runs.
+SPLITS = {"dt": SplitSpec(0.33, 324), "knn": SplitSpec(0.30, 101)}
 
 
 def save_model(model: Union[TreeModel, KnnModel], path: Union[str, Path]) -> None:
@@ -151,6 +138,14 @@ def _require(value, flag: str):
     return value
 
 
+def _refuse_overwrite(output: Path, flag: str, **inputs) -> None:
+    """Reject an output path that names one of the command's own inputs."""
+    target = output.resolve()
+    for name, path in inputs.items():
+        if path and Path(path).resolve() == target:
+            raise ValueError(f"--{flag} {output} would overwrite the input --{name} {path}")
+
+
 def load_config_file(path: Union[str, Path]) -> dict[str, str]:
     """Flat ``key = value`` file; # starts a comment anywhere on a line."""
     values: dict[str, str] = {}
@@ -167,21 +162,21 @@ def load_config_file(path: Union[str, Path]) -> dict[str, str]:
     return values
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill the flags not given from the config file. One file serves every
-    command, so a flag of another command is ignored; any other key is an error."""
-    if args.config is None:
-        return
-    values = load_config_file(args.config)
+def _set_config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the config file's values the defaults of every command that has
+    those flags, so flags still win. One file serves every command; a key
+    that is no flag of any command is an error."""
+    values = load_config_file(path)
     commands = next(action.choices for action in parser._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    known = {action.dest for command in commands.values() for action in command._actions
-             if action.option_strings and action.dest not in ("help", "config")}
-    for key, value in values.items():
-        if key not in known:
-            raise ValueError(f"{args.config}: unknown setting {key!r}")
-        if getattr(args, key, None) is None and hasattr(args, key):
-            setattr(args, key, value)
+                    if isinstance(action, argparse._SubParsersAction)).values()
+    flags = [{action.dest for action in command._actions
+              if action.option_strings and action.dest not in ("help", "config")}
+             for command in commands]
+    for key in values:
+        if not any(key in known for known in flags):
+            raise ValueError(f"{path}: unknown setting {key!r}")
+    for command, known in zip(commands, flags):
+        command.set_defaults(**{key: values[key] for key in values.keys() & known})
 
 
 def _sha256(path: Path) -> str:
@@ -195,7 +190,7 @@ def _sha256(path: Path) -> str:
 def cmd_prepare(args: argparse.Namespace) -> int:
     data = Path(_require(args.data, "--data"))
     out = Path(_require(args.out, "--out"))
-    city = args.city if args.city is not None else DEFAULTS.city
+    _refuse_overwrite(out, "out", data=data, table=args.table, config=args.config)
     if not data.exists():
         raise ValueError(f"dataset not found: {data}")
     digest = _sha256(data)
@@ -207,7 +202,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         logger.warning("dataset content hash not verified; sha256 is %s", digest)
     table = ConditionTable.from_csv(args.table) if args.table else ConditionTable.builtin()
     observations, parse_report = parse_dataset(data)
-    in_city = filter_city(observations, city)
+    in_city = filter_city(observations, args.city)
     samples, label_report = to_samples(in_city, table)
     with _atomic_writer(out) as stream:
         write_labeled_csv(samples, stream)
@@ -216,7 +211,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         "parsed": parse_report.kept,
         "parse_rejected": parse_report.rejected,
         "parse_reasons": parse_report.as_dict()["reasons"],
-        "city": city,
+        "city": args.city,
         "city_rows": len(in_city),
         "labeled_rows": len(samples),
         "unmapped_rejected": label_report.rejected,
@@ -229,31 +224,23 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     data = Path(_require(args.data, "--data"))
     out = Path(_require(args.out, "--out"))
-    kind = args.model if args.model is not None else DEFAULTS.model_kind
+    _refuse_overwrite(out, "out", data=data, config=args.config)
+    kind = args.model
     if kind not in MODEL_KINDS:
         raise ValueError(f"--model must be one of {MODEL_KINDS}, got {kind!r}")
     samples = read_labeled_csv(data)
     spec = _split_spec(args, kind)
     train_set, test_set = split(samples, spec)
     if kind == "dt":
-        config = TreeConfig(
-            criterion=args.criterion if args.criterion is not None else DEFAULTS.tree.criterion,
-            max_leaf_nodes=(_as_number(args.max_leaves, "--max-leaves")
-                            if args.max_leaves is not None else DEFAULTS.tree.max_leaf_nodes),
-            min_samples_leaf=DEFAULTS.tree.min_samples_leaf,
-        )
+        config = TreeConfig(criterion=args.criterion,
+                            max_leaf_nodes=_as_number(args.max_leaves, "--max-leaves"))
         model: Union[TreeModel, KnnModel] = train_tree(train_set, config)
         extra = {"criterion": config.criterion, "max_leaf_nodes": config.max_leaf_nodes,
                  "leaf_count": model.leaf_count}
     else:
-        k_arg = args.k if args.k is not None else DEFAULTS.knn_k
-        if str(k_arg) == "auto":
-            k = default_k(len(train_set))
-        else:
-            k = _as_number(k_arg, "--k")
-        scaling = args.scaling if args.scaling is not None else DEFAULTS.knn_scaling
-        model = train_knn(train_set, k, scaling)
-        extra = {"k": k, "scaling": scaling}
+        k = default_k(len(train_set)) if args.k == "auto" else _as_number(args.k, "--k")
+        model = train_knn(train_set, k, args.scaling)
+        extra = {"k": k, "scaling": args.scaling}
     save_model(model, out)
     print(json.dumps({"model": kind, "n_samples": len(samples),
                       "n_train": len(train_set), "n_test": len(test_set),
@@ -266,6 +253,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     model_path = Path(_require(args.model, "--model"))
     data = Path(_require(args.data, "--data"))
     report_path = Path(_require(args.report, "--report"))
+    _refuse_overwrite(report_path, "report", model=model_path, data=data, config=args.config)
     model = load_model(model_path)
     kind = "dt" if isinstance(model, TreeModel) else "knn"
     samples = read_labeled_csv(data)
@@ -284,6 +272,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     model_path = Path(_require(args.model, "--model"))
     frames_path = Path(_require(args.frames, "--frames"))
     log_path = Path(_require(args.log, "--log"))
+    _refuse_overwrite(log_path, "log", model=model_path, frames=frames_path,
+                      config=args.config)
     model = load_model(model_path)
     frames, report = read_frames_csv(frames_path)
     if report.rejected:
@@ -331,7 +321,7 @@ def _reading(args: argparse.Namespace, name: str) -> float:
 
 
 def _split_spec(args: argparse.Namespace, kind: str) -> SplitSpec:
-    base = DEFAULTS.dt_split if kind == "dt" else DEFAULTS.knn_split
+    base = SPLITS[kind]
     fraction = (_as_number(args.test_frac, "--test-frac", float)
                 if args.test_frac is not None else base.test_fraction)
     seed = _as_number(args.seed, "--seed") if args.seed is not None else base.seed
@@ -350,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     prepare = commands.add_parser("prepare", help="label a raw weather CSV")
     prepare.add_argument("--data", help="raw weather CSV")
-    prepare.add_argument("--city", help=f"target city (default {DEFAULTS.city!r})")
+    prepare.add_argument("--city", default="Al Madina",
+                         help="target city (default %(default)r)")
     prepare.add_argument("--table", help="override condition table (condition,flag CSV)")
     prepare.add_argument("--out", help="labeled CSV to write")
     prepare.add_argument("--expect-sha256", dest="expect_sha256",
@@ -360,11 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = commands.add_parser("train", help="train a classifier on labeled data")
     train.add_argument("--data", help="labeled CSV from prepare")
-    train.add_argument("--model", help="dt or knn")
-    train.add_argument("--max-leaves", dest="max_leaves", help="tree leaf budget")
-    train.add_argument("--criterion", help="gini or entropy")
-    train.add_argument("--k", help="neighbor count or 'auto' (sqrt rule)")
-    train.add_argument("--scaling", help="none or standardize")
+    train.add_argument("--model", default="dt", help="dt or knn")
+    train.add_argument("--max-leaves", dest="max_leaves", default=50, help="tree leaf budget")
+    train.add_argument("--criterion", default="gini", help="gini or entropy")
+    train.add_argument("--k", default="auto", help="neighbor count or 'auto' (sqrt rule)")
+    train.add_argument("--scaling", default="none", help="none or standardize")
     train.add_argument("--test-frac", dest="test_frac", help="held-out fraction")
     train.add_argument("--seed", help="split seed")
     train.add_argument("--out", help="model JSON to write")
@@ -404,7 +395,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args, parser)
+        if args.config is not None:
+            _set_config_defaults(parser, args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"domepilot: error: {exc}", file=sys.stderr)

@@ -142,19 +142,6 @@ def emit_signal(command: DomeCommand, sink: IO[str]) -> str:
     return line
 
 
-def parse_signal(line: str) -> tuple[int, int]:
-    """Inverse of emit_signal: the (dome, ac) bits of one wire line."""
-    body = line.rstrip("\n")
-    parts = body.split(" ")
-    if (len(parts) != 2 or not parts[0].startswith("D:")
-            or not parts[1].startswith("A:")):
-        raise ValueError(f"bad signal line {line!r}")
-    dome, ac = parts[0][2:], parts[1][2:]
-    if dome not in ("0", "1") or ac not in ("0", "1"):
-        raise ValueError(f"bad signal line {line!r}")
-    return int(dome), int(ac)
-
-
 class LogEntry(NamedTuple):
     frame: SensorFrame
     command: DomeCommand

@@ -60,6 +60,9 @@ class Kernel:
         self.screen[:, d] = np.einsum("ij,ij->i", rows, rows)
         self.columns = self.screen.T[:d]
         self.max_norm = float(self.screen[:, d].max())
+        # vote() refuses every standardized query when 4 max |x|² overflows.
+        if self.stats is not None and not 4 * self.max_norm < math.inf:
+            raise ValueError("standardized features overflow; stds too small")
 
     def _transform(self, values: np.ndarray) -> np.ndarray:
         return values if self.stats is None else _standardize(values, *self.stats)

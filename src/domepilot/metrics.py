@@ -21,6 +21,8 @@ class ConfusionMatrix:
     def __post_init__(self):
         if min(self.tp, self.tn, self.fp, self.fn) < 0:
             raise ValueError("confusion counts must be nonnegative")
+        if self.total == 0:
+            raise ValueError("empty confusion matrix")
 
     @property
     def total(self) -> int:
@@ -35,8 +37,6 @@ def confusion(predictions: Sequence[int], labels: Sequence[int]) -> ConfusionMat
     if len(predictions) != len(labels):
         raise ValueError(f"length mismatch: {len(predictions)} predictions "
                          f"vs {len(labels)} labels")
-    if len(labels) == 0:
-        raise ValueError("cannot tally an empty prediction set")
     tp = tn = fp = fn = 0
     for pred, label in zip(predictions, labels):
         if pred not in (0, 1) or label not in (0, 1):
@@ -55,15 +55,11 @@ def confusion(predictions: Sequence[int], labels: Sequence[int]) -> ConfusionMat
 
 
 def accuracy(matrix: ConfusionMatrix) -> float:
-    if matrix.total == 0:
-        raise ValueError("empty confusion matrix")
     return (matrix.tp + matrix.tn) / matrix.total
 
 
 def f1(matrix: ConfusionMatrix, positive_class: int = 1) -> float:
     """Harmonic mean of precision and recall; 0 when both are undefined."""
-    if matrix.total == 0:
-        raise ValueError("empty confusion matrix")
     if positive_class == 1:
         tp, fp, fn = matrix.tp, matrix.fp, matrix.fn
     elif positive_class == 0:
@@ -79,8 +75,6 @@ def f1(matrix: ConfusionMatrix, positive_class: int = 1) -> float:
 
 def weighted_f1(matrix: ConfusionMatrix) -> float:
     """Support-weighted mean of the per-class F1 scores."""
-    if matrix.total == 0:
-        raise ValueError("empty confusion matrix")
     s1 = matrix.support(1)
     s0 = matrix.support(0)
     return (s1 * f1(matrix, 1) + s0 * f1(matrix, 0)) / (s1 + s0)

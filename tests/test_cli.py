@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from domepilot import cli
-from domepilot.cli import DEFAULTS, RunConfig, load_model, save_model
+from domepilot.cli import load_model, save_model
 from domepilot.controller import read_frames_csv, replay
 from domepilot.knnmodel import train_knn
 from domepilot.tree import TreeConfig, train_tree
@@ -26,15 +26,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # ---------------------------------------------------------------- defaults
 
 def test_default_run_config_snapshot():
-    config = RunConfig()
-    assert config.city == "Al Madina"
-    assert config.tree == TreeConfig(criterion="gini", max_leaf_nodes=50,
-                                     min_samples_leaf=1)
-    assert config.dt_split == SplitSpec(test_fraction=0.33, seed=324)
-    assert config.knn_k == "auto"
-    assert config.knn_scaling == "none"
-    assert config.knn_split == SplitSpec(test_fraction=0.30, seed=101)
-    assert DEFAULTS == config
+    parser = cli.build_parser()
+    assert parser.parse_args(["prepare"]).city == "Al Madina"
+    train = parser.parse_args(["train"])
+    assert (train.model, train.criterion, train.max_leaves) == ("dt", "gini", 50)
+    assert (train.k, train.scaling) == ("auto", "none")
+    assert (train.test_frac, train.seed) == (None, None)
+    assert cli.SPLITS == {"dt": SplitSpec(test_fraction=0.33, seed=324),
+                          "knn": SplitSpec(test_fraction=0.30, seed=101)}
+    assert TreeConfig() == TreeConfig(criterion="gini", max_leaf_nodes=50, min_samples_leaf=1)
 
 
 # ---------------------------------------------------------------- prepare
@@ -461,6 +461,52 @@ def test_config_file_supplies_values_and_flags_win(workspace, tmp_path):
                      "--city", "Al Madina", "--out", out)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["labeled_rows"] == 900  # flag beat config
+
+
+def test_a_shared_config_cannot_make_train_overwrite_the_labeled_csv(workspace, tmp_path,
+                                                                    monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("raw.csv").write_bytes(workspace["raw"].read_bytes())
+    Path("run.conf").write_text("data = raw.csv\nout = labeled.csv\nmodel = dt\n")
+    assert cli.main(["prepare", "--config", "run.conf"]) == 0
+    labeled = Path("labeled.csv").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["train", "--config", "run.conf", "--data", "labeled.csv"]) == 2
+    assert capsys.readouterr().err == ("domepilot: error: --out labeled.csv would overwrite "
+                                       "the input --data labeled.csv\n")
+    assert Path("labeled.csv").read_bytes() == labeled
+
+
+@pytest.mark.parametrize("command,output,source", [
+    ("prepare", "--out", "--data"), ("prepare", "--out", "--table"),
+    ("train", "--out", "--data"), ("evaluate", "--report", "--model"),
+    ("evaluate", "--report", "--data"), ("simulate", "--log", "--model"),
+    ("simulate", "--log", "--frames"), ("train", "--out", "--config")])
+def test_an_output_that_names_an_input_exits_2_untouched(workspace, tmp_path, capsys,
+                                                         command, output, source):
+    config = tmp_path / "run.conf"
+    config.write_text("seed = 5\n")
+    inputs = {"prepare": {"--data": workspace["raw"], "--table": tmp_path / "table.csv"},
+              "train": {"--data": workspace["labeled"]},
+              "evaluate": {"--model": workspace["dt"], "--data": workspace["labeled"]},
+              "simulate": {"--model": workspace["dt"], "--frames": workspace["frames"]}}[command]
+    inputs["--config"] = config
+
+    def contents():
+        return {flag: path.read_bytes() if path.exists() else None
+                for flag, path in inputs.items()}
+
+    before = contents()
+    # The same file by another spelling: the paths are compared resolved.
+    target = inputs[source]
+    alias = target.parent / ".." / target.parent.name / target.name
+    argv = [command, output, str(alias)]
+    for flag, path in inputs.items():
+        argv += [flag, str(path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"domepilot: error: {output} {alias} would "
+                                              f"overwrite the input {source} ")
+    assert contents() == before
 
 
 @pytest.mark.parametrize("flag,content", [("--table", b"condition,flag\nClear,1\nHaz\xffe,0\n"),

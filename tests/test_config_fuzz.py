@@ -1,12 +1,12 @@
 """Fuzz gate for config files (``train --config``).
 
 A valid ``key = value`` file gets lines without ``=``, unknown keys, quoted
-values, blank lines, comments, bytes that are not UTF-8 and bad values such
-as ``max-leaves = 0``. ``train`` with it must either exit 0 with the settings
-the file gives, or exit 2 with a ``domepilot: error:`` line and no
-traceback. A syntax error names the file and the line, a decode error the
-file, and an unknown key the file and the key; a file with an unknown key
-never trains.
+values, blank lines, comments, dropped lines, bytes that are not UTF-8 and
+bad values such as ``max-leaves = 0``. ``train`` with it must either exit 0
+with the settings the file gives (the shipped default of each it omits), or
+exit 2 with a ``domepilot: error:`` line and no traceback. A syntax error
+names the file and the line, a decode error the file, and an unknown key
+the file and the key; a file with an unknown key never trains.
 """
 
 import contextlib
@@ -15,10 +15,11 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domepilot import cli
+from domepilot.knnmodel import default_k
 from domepilot.synthetic import synthetic_observations, to_raw_csv
 
 LINES = ["# reference tree", "model = dt", "max-leaves = 8", "criterion = gini",
@@ -43,31 +44,33 @@ BAD_VALUE = st.sampled_from([
 ])
 
 
-def _mutate_lines(lines, data) -> None:
+def _mutate_lines(lines, draw) -> None:
     """One line-level edit of the config."""
-    action = data.draw(st.sampled_from(["no-equals", "unknown", "quote", "blank", "comment",
-                                        "bad-value"]))
-    at = data.draw(st.integers(0, len(lines)))
+    action = draw(st.sampled_from(["no-equals", "unknown", "quote", "blank", "comment",
+                                   "bad-value", "drop"]))
+    at = draw(st.integers(0, len(lines)))
     if action == "no-equals":
-        lines.insert(at, data.draw(JUNK).replace("=", ""))
+        lines.insert(at, draw(JUNK).replace("=", ""))
     elif action == "unknown":
-        lines.insert(at, f"{data.draw(KEY)} = {data.draw(JUNK)}")
+        lines.insert(at, f"{draw(KEY)} = {draw(JUNK)}")
     elif action == "quote" and at < len(lines) and "=" in lines[at]:
         key, _, value = lines[at].partition("=")
-        quote = data.draw(st.sampled_from(['"', "'", '"""']))
-        lines[at] = f"{key}= {quote}{value.strip()}{data.draw(st.sampled_from([quote, '']))}"
+        quote = draw(st.sampled_from(['"', "'", '"""']))
+        lines[at] = f"{key}= {quote}{value.strip()}{draw(st.sampled_from([quote, '']))}"
     elif action == "blank":
-        lines.insert(at, data.draw(st.sampled_from(["", "   ", "\t"])))
+        lines.insert(at, draw(st.sampled_from(["", "   ", "\t"])))
     elif action == "comment":
-        comment = "# " + data.draw(JUNK)
-        if at < len(lines) and data.draw(st.booleans(), label="trailing"):
+        comment = "# " + draw(JUNK)
+        if at < len(lines) and draw(st.booleans()):  # trailing
             lines[at] += " " + comment
         else:
             lines.insert(at, comment)
     elif action == "bad-value":  # in place of the key's line, so that it takes effect
-        key, value = data.draw(BAD_VALUE)
+        key, value = draw(BAD_VALUE)
         at = next((i for i, line in enumerate(lines) if line.startswith(f"{key} =")), at)
         lines[at:at + 1] = [f"{key} = {value}"]
+    elif action == "drop":
+        del lines[at:at + 1]
 
 
 def _settings(text: str) -> dict[str, str]:
@@ -78,6 +81,23 @@ def _settings(text: str) -> dict[str, str]:
         if key.strip():
             values[key.strip().replace("-", "_")] = value.strip().strip("\"'")
     return values
+
+
+def _config_bytes(lines) -> bytes:
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+@st.composite
+def config_files(draw) -> bytes:
+    """LINES with one to three line edits, written out, perhaps with a 0xff byte."""
+    lines = list(LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        _mutate_lines(lines, draw)
+    raw = _config_bytes(lines)
+    if draw(st.booleans()):  # 0xff byte
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return raw
 
 
 @pytest.fixture(scope="module")
@@ -92,16 +112,12 @@ def files(tmp_path_factory):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_mutated_config_trains_or_fails_cleanly(files, data):
+@given(raw=config_files())
+# Inputs this gate once caught; each runs on every run.
+@example(raw=_config_bytes([*LINES, "frobnicate = 3"]))  # was ignored
+@example(raw=_config_bytes([*LINES, "min_samples_leaf = 2"]))  # a TreeConfig field, no flag
+def test_mutated_config_trains_or_fails_cleanly(files, raw):
     labeled, path, out = files
-    lines = list(LINES)
-    for _ in range(data.draw(st.integers(1, 3), label="line mutations")):
-        _mutate_lines(lines, data)
-    raw = "".join(line + "\n" for line in lines).encode("utf-8")
-    if data.draw(st.booleans(), label="0xff byte"):
-        at = data.draw(st.integers(0, len(raw)))
-        raw = raw[:at] + b"\xff" + raw[at:]
     path.write_bytes(raw)
 
     out.unlink(missing_ok=True)
@@ -116,10 +132,18 @@ def test_mutated_config_trains_or_fails_cleanly(files, data):
         assert not UNKNOWN_KEYS & set(values)
         summary = json.loads(stdout.getvalue())
         assert summary["model"] == values.get("model", "dt")
-        if "test_frac" in values:
-            assert summary["test_fraction"] == float(values["test_frac"])
-        if "seed" in values:
-            assert summary["seed"] == int(values["seed"])
+        split = cli.SPLITS[summary["model"]]
+        assert summary["test_fraction"] == float(values.get("test_frac", split.test_fraction))
+        assert summary["seed"] == int(values.get("seed", split.seed))
+        if summary["model"] == "dt":
+            assert summary["criterion"] == values.get("criterion", "gini")
+            assert summary["max_leaf_nodes"] == int(values.get("max_leaves", 50))
+            assert not {"k", "scaling"} & set(summary)
+        else:
+            k = values.get("k", "auto")
+            assert summary["k"] == (default_k(summary["n_train"]) if k == "auto" else int(k))
+            assert summary["scaling"] == values.get("scaling", "none")
+            assert not {"criterion", "max_leaf_nodes"} & set(summary)
         assert out.exists()
     else:
         assert code == 2

@@ -14,7 +14,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domepilot import cli
@@ -86,18 +86,57 @@ INT_FIELDS = {"version", "k", "n_features", "id", "feature", "left", "right", "n
               "max_leaf_nodes", "min_samples_leaf"}
 
 
+def _retype(doc, path, retype) -> None:
+    """Replace the int at ``path`` with ``retype`` of it."""
+    *parents, key = path
+    container = doc
+    for step in parents:
+        container = container[step]
+    container[key] = retype(container[key])
+
+
+#: A fractional float, a whole float and a bool in place of an int.
+RETYPES = (lambda value: value + 0.5, float, bool)
+
+
 def _retype_int(doc, data) -> None:
-    """Make one of the INT_FIELDS or a k-NN data label (the only int of a
-    data row) a fractional float, a whole float or a bool."""
+    """Retype one of the INT_FIELDS or a k-NN data label (the only int of a
+    data row)."""
     paths = [path for path in _int_paths(doc) if path[-1] in INT_FIELDS or path[0] == "data"]
     if paths:
-        *parents, key = data.draw(st.sampled_from(paths))
-        container = doc
-        for step in parents:
-            container = container[step]
-        value = container[key]
-        container[key] = data.draw(st.sampled_from([value + 0.5, float(value),
-                                                    value % 2 == 1]))
+        _retype(doc, data.draw(st.sampled_from(paths)), data.draw(st.sampled_from(RETYPES)))
+
+
+class Found:
+    """Stands in for ``st.data()`` in an ``@example``: an edit that a gate once
+    caught, made to the document in place of the random ones."""
+
+    def __init__(self, what: str, edit):
+        self.what, self.edit = what, edit
+
+    def __repr__(self):
+        return f"Found({self.what!r})"
+
+
+def _edit(doc, data, random_edit) -> None:
+    data.edit(doc) if isinstance(data, Found) else random_edit(doc, data)
+
+
+def _retype_first(field: str, retype) -> Found:
+    """The first ``field`` (``label``: a tree label or a k-NN data label) retyped."""
+    def edit(doc):
+        _retype(doc, next(path for path in _int_paths(doc)
+                          if path[-1] == field or field == "label" and path[0] == "data"),
+                retype)
+    return Found(f"{field} as {retype.__name__}", edit)
+
+
+def _temp_std(std: float) -> Found:
+    """A temp std of ``std`` in a standardized k-NN document; no edit of the others."""
+    def edit(doc):
+        if "stats" in doc:
+            doc["stats"]["stds"][0] = std
+    return Found(f"temp std {std}", edit)
 
 
 def _mutate(doc, data) -> None:
@@ -120,6 +159,12 @@ def _mutate(doc, data) -> None:
         container[data.draw(st.text(max_size=6))] = container[key]
 
 
+def _random_edits(doc, data) -> None:
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        if doc:
+            data.draw(st.sampled_from([_mutate, _edit_int, _retype_int]))(doc, data)
+
+
 @pytest.fixture(scope="module")
 def model_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "model.json"
@@ -128,11 +173,12 @@ def model_file(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
+# Inputs this gate once caught; each runs on every run.
+@example(data=_temp_std(1e-310))  # a z-score overflows
+@example(data=_temp_std(1e-300))  # a squared norm overflows
 def test_mutated_model_documents_predict_or_fail_naming_the_file(model_file, name, data):
     doc = json.loads(DOCUMENTS[name])
-    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
-        if doc:
-            data.draw(st.sampled_from([_mutate, _edit_int, _retype_int]))(doc, data)
+    _edit(doc, data, _random_edits)
     model_file.write_text(json.dumps(doc))
     start = time.perf_counter()
     try:
@@ -147,9 +193,14 @@ def test_mutated_model_documents_predict_or_fail_naming_the_file(model_file, nam
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
+# Inputs this gate once caught; each runs on every run.
+@example(data=_retype_first("label", float))
+@example(data=_retype_first("label", bool))
+@example(data=_retype_first("version", float))
+@example(data=_retype_first("version", bool))
 def test_a_retyped_int_field_fails_naming_the_file(model_file, name, data):
     doc = json.loads(DOCUMENTS[name])
-    _retype_int(doc, data)
+    _edit(doc, data, _retype_int)
     model_file.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="must be an integer") as err:
         cli.load_model(model_file)
