@@ -65,7 +65,7 @@ _STDERR_HANDLER = _StderrHandler()
 _STDERR_HANDLER.setFormatter(logging.Formatter("domepilot: %(levelname)s: %(message)s"))
 
 
-#: The held-out split of each model kind; the shipped values are the reference runs.
+#: The held-out split of each model kind: train and evaluate both read it, never a flag.
 SPLITS = {"dt": SplitSpec(0.33, 324), "knn": SplitSpec(0.30, 101)}
 
 
@@ -123,13 +123,12 @@ def _atomic_writer(path: Path) -> Iterator[IO[str]]:
         tmp.unlink(missing_ok=True)
 
 
-def _as_number(value, name: str, kind: type = int):
-    """``kind(value)`` for the flag ``name``; range checks are the caller's."""
+def _as_number(value, name: str) -> int:
+    """``int(value)`` for the flag ``name``; range checks are the caller's."""
     try:
-        return kind(str(value))
+        return int(str(value))
     except ValueError:
-        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
-                         f"got {value!r}") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _require(value, flag: str):
@@ -229,7 +228,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if kind not in MODEL_KINDS:
         raise ValueError(f"--model must be one of {MODEL_KINDS}, got {kind!r}")
     samples = read_labeled_csv(data)
-    spec = _split_spec(args, kind)
+    spec = SPLITS[kind]
     train_set, test_set = split(samples, spec)
     if kind == "dt":
         config = TreeConfig(criterion=args.criterion,
@@ -257,7 +256,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_model(model_path)
     kind = "dt" if isinstance(model, TreeModel) else "knn"
     samples = read_labeled_csv(data)
-    spec = _split_spec(args, kind)
+    spec = SPLITS[kind]
     _, test_set = split(samples, spec)
     report = evaluate(model.predict, test_set, model_id=_model_id(model))
     doc = {"split": {"test_fraction": spec.test_fraction, "seed": spec.seed},
@@ -274,6 +273,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     log_path = Path(_require(args.log, "--log"))
     _refuse_overwrite(log_path, "log", model=model_path, frames=frames_path,
                       config=args.config)
+    if args.sink not in (None, "-") and not args.sink.startswith("tcp:"):
+        _refuse_overwrite(Path(args.sink), "sink", model=model_path, frames=frames_path,
+                          log=log_path, config=args.config)
     model = load_model(model_path)
     frames, report = read_frames_csv(frames_path)
     if report.rejected:
@@ -320,14 +322,6 @@ def _reading(args: argparse.Namespace, name: str) -> float:
         raise ValueError(f"--{name} must be {expected}, got {text!r}") from None
 
 
-def _split_spec(args: argparse.Namespace, kind: str) -> SplitSpec:
-    base = SPLITS[kind]
-    fraction = (_as_number(args.test_frac, "--test-frac", float)
-                if args.test_frac is not None else base.test_fraction)
-    seed = _as_number(args.seed, "--seed") if args.seed is not None else base.seed
-    return SplitSpec(test_fraction=fraction, seed=seed)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="domepilot",
@@ -356,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--criterion", default="gini", help="gini or entropy")
     train.add_argument("--k", default="auto", help="neighbor count or 'auto' (sqrt rule)")
     train.add_argument("--scaling", default="none", help="none or standardize")
-    train.add_argument("--test-frac", dest="test_frac", help="held-out fraction")
-    train.add_argument("--seed", help="split seed")
     train.add_argument("--out", help="model JSON to write")
     common(train)
     train.set_defaults(func=cmd_train)
@@ -365,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev = commands.add_parser("evaluate", help="score a model on the held-out split")
     ev.add_argument("--model", help="model JSON")
     ev.add_argument("--data", help="labeled CSV")
-    ev.add_argument("--test-frac", dest="test_frac", help="held-out fraction")
-    ev.add_argument("--seed", help="split seed")
     ev.add_argument("--report", help="evaluation report JSON to write")
     common(ev)
     ev.set_defaults(func=cmd_evaluate)

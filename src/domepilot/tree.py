@@ -27,7 +27,7 @@ from .weather import _features_and_labels
 CRITERIA = ("gini", "entropy")
 
 #: Version of the JSON model document this build reads and writes.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _integer(value, name: str) -> int:
@@ -41,17 +41,13 @@ def _integer(value, name: str) -> int:
 class TreeConfig:
     criterion: str = "gini"
     max_leaf_nodes: int = 50
-    min_samples_leaf: int = 1
 
     def __post_init__(self):
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}, got {self.criterion!r}")
         _integer(self.max_leaf_nodes, "max_leaf_nodes")
-        _integer(self.min_samples_leaf, "min_samples_leaf")
         if self.max_leaf_nodes < 1:
             raise ValueError(f"max_leaf_nodes must be >= 1, got {self.max_leaf_nodes}")
-        if self.min_samples_leaf < 1:
-            raise ValueError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
 
 
 @dataclass
@@ -191,12 +187,12 @@ def _columns(samples: Sequence) -> tuple[list, list, list[int]]:
     return columns, scans, labels
 
 
-def _best_split(scans: list, y: list, rows: list, imp,
-                min_samples_leaf: int) -> Optional[tuple[int, float, float]]:
+def _best_split(scans: list, y: list, rows: list, imp) -> Optional[tuple[int, float, float]]:
     """Best (feature, threshold, gain) with gain > 0 over ``rows``, or None.
 
-    Candidate thresholds are midpoints of consecutive distinct sorted values.
-    Gain is the weighted impurity decrease relative to the node.
+    Candidate thresholds are midpoints of consecutive distinct sorted values,
+    so both children hold rows. Gain is the weighted impurity decrease
+    relative to the node.
     """
     n = len(rows)
     c1 = sum(map(y.__getitem__, rows))
@@ -215,28 +211,24 @@ def _best_split(scans: list, y: list, rows: list, imp,
             ones = counts[2 * rank + 1]
             n_left += counts[2 * rank] + ones
             l1 += ones
-            n_right = n - n_left
-            if n_left < min_samples_leaf or n_right < min_samples_leaf:
-                continue
             l0 = n_left - l1
             gain = parent - ((n_left / n) * imp(l0, l1)
-                             + (n_right / n) * imp(c0 - l0, c1 - l1))
+                             + ((n - n_left) / n) * imp(c0 - l0, c1 - l1))
             if gain > best_gain:  # strict -> lowest feature, then threshold, on ties
                 best, best_gain = (feature, (values[rank] + values[upper]) / 2.0, gain), gain
     return best
 
 
-def best_split(samples_at_node: Sequence, criterion: str = "gini",
-               min_samples_leaf: int = 1) -> Optional[tuple[int, float, float]]:
-    """Scan every feature of the node's samples for the best admissible split.
+def best_split(samples_at_node: Sequence,
+               criterion: str = "gini") -> Optional[tuple[int, float, float]]:
+    """Scan every feature of the node's samples for the best split.
 
     Returns (feature_index, threshold, impurity_decrease) maximizing the
-    weighted impurity decrease with both children >= min_samples_leaf, or
-    None when no candidate strictly decreases impurity.
+    weighted impurity decrease, or None when no candidate strictly
+    decreases impurity.
     """
     _, scans, y = _columns(samples_at_node)
-    return _best_split(scans, y, list(range(len(y))), _impurity_of(criterion),
-                       min_samples_leaf)
+    return _best_split(scans, y, list(range(len(y))), _impurity_of(criterion))
 
 
 def train_tree(train_samples: Sequence, config: TreeConfig = TreeConfig()) -> TreeModel:
@@ -256,7 +248,7 @@ def train_tree(train_samples: Sequence, config: TreeConfig = TreeConfig()) -> Tr
         return Leaf(label=1 if 2 * c1 > len(rows) else 0, counts=(len(rows) - c1, c1))
 
     def enqueue(node_id: int, rows: list) -> None:
-        found = _best_split(scans, y, rows, imp, config.min_samples_leaf)
+        found = _best_split(scans, y, rows, imp)
         if found is not None:
             feature, threshold, gain = found
             heapq.heappush(frontier, (-gain * len(rows), node_id, feature, threshold, gain, rows))

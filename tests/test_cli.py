@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -31,10 +32,31 @@ def test_default_run_config_snapshot():
     train = parser.parse_args(["train"])
     assert (train.model, train.criterion, train.max_leaves) == ("dt", "gini", 50)
     assert (train.k, train.scaling) == ("auto", "none")
-    assert (train.test_frac, train.seed) == (None, None)
     assert cli.SPLITS == {"dt": SplitSpec(test_fraction=0.33, seed=324),
                           "knn": SplitSpec(test_fraction=0.30, seed=101)}
-    assert TreeConfig() == TreeConfig(criterion="gini", max_leaf_nodes=50, min_samples_leaf=1)
+    assert TreeConfig() == TreeConfig(criterion="gini", max_leaf_nodes=50)
+
+
+#: Every option of every subcommand: a new knob is an edit here.
+OPTIONS = {
+    "prepare": {"--data", "--city", "--table", "--out", "--expect-sha256", "--config"},
+    "train": {"--data", "--model", "--max-leaves", "--criterion", "--k", "--scaling", "--out",
+              "--config"},
+    "evaluate": {"--model", "--data", "--report", "--config"},
+    "simulate": {"--model", "--frames", "--log", "--sink", "--config"},
+    "predict": {"--model", "--temp", "--wind", "--humidity", "--hour", "--visibility",
+                "--barometer", "--rain", "--config"},
+}
+
+
+def test_each_subcommand_has_exactly_its_options():
+    parser = cli.build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert set(commands) == set(OPTIONS)
+    for name, command in commands.items():
+        options = {option for action in command._actions for option in action.option_strings}
+        assert options - {"-h", "--help"} == OPTIONS[name], name
 
 
 # ---------------------------------------------------------------- prepare
@@ -171,15 +193,45 @@ def test_train_knn_auto_k_uses_the_square_root_rule(workspace, tmp_path):
 def test_train_flags_override_defaults(workspace, tmp_path):
     model_path = tmp_path / "tiny.json"
     result = run_cli("train", "--data", workspace["labeled"], "--model", "dt",
-                     "--max-leaves", 2, "--criterion", "entropy",
-                     "--test-frac", 0.5, "--seed", 7, "--out", model_path)
+                     "--max-leaves", 2, "--criterion", "entropy", "--out", model_path)
     assert result.returncode == 0, result.stderr
     summary = json.loads(result.stdout)
     assert summary["max_leaf_nodes"] == 2
     assert summary["criterion"] == "entropy"
-    assert summary["test_fraction"] == 0.5 and summary["seed"] == 7
+    assert (summary["test_fraction"], summary["seed"]) == (0.33, 324)
     doc = json.loads(model_path.read_text())
     assert doc["config"]["max_leaf_nodes"] == 2
+
+
+@pytest.mark.parametrize("kind", ["dt", "knn"])
+def test_train_and_evaluate_hold_out_the_same_split(workspace, tmp_path, kind):
+    model_path, report_path = tmp_path / f"{kind}.json", tmp_path / "report.json"
+    trained = run_cli("train", "--data", workspace["labeled"], "--model", kind,
+                      "--out", model_path)
+    assert trained.returncode == 0, trained.stderr
+    summary = json.loads(trained.stdout)
+    scored = run_cli("evaluate", "--model", model_path, "--data", workspace["labeled"],
+                     "--report", report_path)
+    assert scored.returncode == 0, scored.stderr
+    report = json.loads(report_path.read_text())
+    assert report["split"] == {"test_fraction": summary["test_fraction"],
+                               "seed": summary["seed"]}
+    assert report["n_test"] == summary["n_test"]
+    assert cli.SPLITS[kind] == SplitSpec(summary["test_fraction"], summary["seed"])
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("train", "--seed", "7"), ("train", "--test-frac", "0.5"),
+    ("evaluate", "--seed", "7"), ("evaluate", "--test-frac", "0.5")])
+def test_the_split_is_no_option(workspace, tmp_path, command, option, value):
+    out = tmp_path / "out.json"
+    args = {"train": ("--data", workspace["labeled"], "--out", out),
+            "evaluate": ("--model", workspace["dt"], "--data", workspace["labeled"],
+                         "--report", out)}[command]
+    result = run_cli(command, *args, option, value)
+    assert result.returncode == 2
+    assert f"error: unrecognized arguments: {option} {value}" in result.stderr
+    assert not out.exists()
 
 
 def test_unknown_model_kind_fails(workspace, tmp_path):
@@ -448,13 +500,13 @@ def test_config_file_supplies_values_and_flags_win(workspace, tmp_path):
     config = tmp_path / "run.conf"
     config.write_text("# reference run\n"
                       "city = Nowhere\n"
-                      "test_frac = 0.5\n"
+                      "max-leaves = 2\n"
                       f"data = {workspace['labeled']}\n")
     model_path = tmp_path / "m.json"
     result = run_cli("train", "--config", config, "--model", "dt",
                      "--out", model_path)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout)["test_fraction"] == 0.5
+    assert json.loads(result.stdout)["max_leaf_nodes"] == 2
 
     out = tmp_path / "city.csv"
     result = run_cli("prepare", "--config", config, "--data", workspace["raw"],
@@ -481,16 +533,20 @@ def test_a_shared_config_cannot_make_train_overwrite_the_labeled_csv(workspace, 
     ("prepare", "--out", "--data"), ("prepare", "--out", "--table"),
     ("train", "--out", "--data"), ("evaluate", "--report", "--model"),
     ("evaluate", "--report", "--data"), ("simulate", "--log", "--model"),
-    ("simulate", "--log", "--frames"), ("train", "--out", "--config")])
+    ("simulate", "--log", "--frames"), ("train", "--out", "--config"),
+    ("simulate", "--sink", "--frames"), ("simulate", "--sink", "--model"),
+    ("simulate", "--sink", "--log")])
 def test_an_output_that_names_an_input_exits_2_untouched(workspace, tmp_path, capsys,
                                                          command, output, source):
     config = tmp_path / "run.conf"
-    config.write_text("seed = 5\n")
+    config.write_text("city = Al Madina\n")
     inputs = {"prepare": {"--data": workspace["raw"], "--table": tmp_path / "table.csv"},
               "train": {"--data": workspace["labeled"]},
               "evaluate": {"--model": workspace["dt"], "--data": workspace["labeled"]},
               "simulate": {"--model": workspace["dt"], "--frames": workspace["frames"]}}[command]
     inputs["--config"] = config
+    if output == "--sink":  # nor may the sink be the decision log
+        inputs["--log"] = tmp_path / "log.jsonl"
 
     def contents():
         return {flag: path.read_bytes() if path.exists() else None
@@ -527,7 +583,8 @@ def test_non_utf8_table_or_config_exits_2_naming_the_file(workspace, tmp_path, f
 @pytest.mark.parametrize("line,key", [("max-leafs = 8", "max_leafs"), ("func = x", "func"),
                                       ("command = prepare", "command"),
                                       ("config = other.conf", "config"),
-                                      ("__class__ = x", "__class__"), ("help = 1", "help")])
+                                      ("__class__ = x", "__class__"), ("help = 1", "help"),
+                                      ("seed = 5", "seed"), ("test-frac = 0.5", "test_frac")])
 def test_an_unknown_config_setting_exits_2_naming_it(workspace, tmp_path, capsys, line, key):
     config = tmp_path / "run.conf"
     config.write_text(f"model = dt\ncity = Nowhere  # a prepare flag, ignored\n{line}\n")
@@ -579,7 +636,7 @@ def test_model_version_mismatch_names_both_versions(workspace, tmp_path):
                      "--humidity", 0.33, "--hour", 0, "--visibility", 16,
                      "--barometer", 1020, "--rain", 0)
     assert result.returncode == 2
-    assert "99" in result.stderr and "version 2" in result.stderr
+    assert "99" in result.stderr and "version 3" in result.stderr
 
 
 @pytest.mark.parametrize("content", [b"not json\n", b'{"kind": "tree\xff"}'],
@@ -849,7 +906,6 @@ def _set_data_label(doc, row, value):
     ("dt", lambda doc: _edit_node(doc, "right", True), "right"),
     ("dt", lambda doc: _edit_node(doc, "n", 900.0), "n"),
     ("dt", lambda doc: doc["config"].update(max_leaf_nodes=50.5), "max_leaf_nodes"),
-    ("dt", lambda doc: doc["config"].update(min_samples_leaf=True), "min_samples_leaf"),
     ("dt", lambda doc: doc.update(version=2.0), "version"),
     ("knn", lambda doc: doc.update(version=1.0), "version"),
     ("knn", lambda doc: doc.update(version=True), "version"),
@@ -858,7 +914,7 @@ def _set_data_label(doc, row, value):
     ("knn", lambda doc: _set_data_label(doc, 1, 0.0), "data row 1: label"),
 ], ids=["k-3.9", "k-true", "n_features-6.5", "n_features-6.0", "id-0.0", "feature-0.7",
         "feature-false", "left-1.5", "right-true", "n-900.0", "max_leaf_nodes-50.5",
-        "min_samples_leaf-true", "dt-version-2.0", "knn-version-1.0", "knn-version-true",
+        "dt-version-2.0", "knn-version-1.0", "knn-version-true",
         "leaf-label-0.0", "data-label-true", "data-label-0.0"])
 def test_a_non_integer_model_field_exits_2_naming_the_field(workspace, tmp_path, capsys,
                                                            kind, edit, field):

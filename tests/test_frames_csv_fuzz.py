@@ -6,6 +6,8 @@ header names, blank lines, bytes that are not UTF-8 and a cell longer than
 the csv module's field limit. ``simulate`` with a tree on it must either
 exit 0 with one decision-log entry and one wire line per accepted frame, or
 exit 2 with a ``domepilot: error:`` line naming the file. It never raises.
+The gate reads each plain ``H:MM`` or ``HH:MM`` time cell itself, and an
+accepted frame must log that hour.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -106,6 +109,38 @@ def _with_cell(column: str, value: str) -> bytes:
     return _csv_bytes(rows)
 
 
+def _plain_hours(raw: bytes):
+    """Per non-blank data row, the hour its plain ``H:MM``/``HH:MM`` time cell reads as
+    (``24:00`` is 0), -1 for such a cell outside the day, None for any other cell; None
+    in place of the list when the header has no single time column."""
+    rows = list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
+    names = [name.strip().lower() for name in rows[0]] if rows else []
+    if names.count("time") != 1:
+        return None
+    at = names.index("time")
+    hours = []
+    for row in filter(None, rows[1:]):
+        m = re.fullmatch(r"(\d{1,2}):(\d\d)", row[at] if at < len(row) else "")
+        hour, minutes = map(int, m.groups()) if m else (None, None)
+        if hour == 24 and minutes == 0:
+            hour = 0
+        hours.append(hour if m is None or (hour < 24 and minutes < 60) else -1)
+    return hours
+
+
+def _check_hours(raw: bytes, entries) -> None:
+    """The logged frames are the accepted rows in file order, so each must match a
+    later row than the one before it: one whose cell reads as its hour, or is not plain."""
+    hours = _plain_hours(raw)
+    if hours is None:
+        return
+    rows = iter(hours)
+    for entry in entries:
+        hour = entry["features"][3]
+        assert any(want is None or want == hour for want in rows), (
+            f"frame {entry['tick']} logs hour {hour}, which no row left reads as")
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("frames-fuzz")
@@ -140,6 +175,7 @@ def test_mutated_frames_csv_simulates_or_fails_naming_the_file(files, raw):
         entries = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
         assert len(entries) == accepted
         assert all(math.isfinite(v) for e in entries for v in e["features"])
+        _check_hours(raw, entries)
         assert wire.read_text(encoding="ascii").count("\n") == accepted
         assert json.loads(out.getvalue())["frames"] == accepted
     else:

@@ -83,7 +83,7 @@ def _edit_int(doc, data) -> None:
 
 #: Fields a document must hold as JSON integers, besides the k-NN data labels.
 INT_FIELDS = {"version", "k", "n_features", "id", "feature", "left", "right", "n", "label",
-              "max_leaf_nodes", "min_samples_leaf"}
+              "max_leaf_nodes"}
 
 
 def _retype(doc, path, retype) -> None:

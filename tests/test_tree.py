@@ -67,7 +67,7 @@ def numpy_impurity(n0, n1, criterion):
     return -(p0 * log0 + p1 * log1)
 
 
-def numpy_best_split(X, y, criterion, min_samples_leaf):
+def numpy_best_split(X, y, criterion):
     """Best (feature, threshold, gain) by a stable argsort and cumulative
     label sums per feature: the array grower the counting scan replaced."""
     n = y.size
@@ -85,8 +85,6 @@ def numpy_best_split(X, y, criterion, min_samples_leaf):
         values = X[order, feature]
         cum1 = np.cumsum(y[order])
         cuts = np.nonzero(values[:-1] < values[1:])[0]
-        n_left = cuts + 1
-        cuts = cuts[(n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)]
         if cuts.size == 0:
             continue
         n_left = cuts + 1
@@ -114,8 +112,7 @@ def numpy_train_tree(samples, config):
         return Leaf(label=1 if c1 > c0 else 0, counts=(c0, c1))
 
     def enqueue(node_id, indices):
-        found = numpy_best_split(X[indices], y[indices], config.criterion,
-                                 config.min_samples_leaf)
+        found = numpy_best_split(X[indices], y[indices], config.criterion)
         if found is not None:
             feature, threshold, gain = found
             heapq.heappush(frontier,
@@ -205,13 +202,6 @@ def test_xor_has_no_positive_gain_split():
     assert best_split(xor) is None
     model = train_tree(xor, TreeConfig(max_leaf_nodes=50))
     assert model.leaf_count == 1  # zero-gain splits are refused
-
-
-def test_min_samples_leaf_filters_candidates():
-    samples = [((0.0,), 0), ((1.0,), 1), ((2.0,), 1)]
-    assert best_split(samples, min_samples_leaf=2) is None
-    found = best_split(samples, min_samples_leaf=1)
-    assert found is not None and found[0] == 0
 
 
 def test_tie_break_prefers_lowest_feature_then_lowest_threshold():
@@ -339,11 +329,9 @@ def training_sets(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(samples=training_sets(), criterion=st.sampled_from(["gini", "entropy"]),
-       max_leaf_nodes=st.sampled_from([1, 2, 10, 50]), min_samples_leaf=st.integers(1, 4))
-def test_counting_grower_matches_the_numpy_grower(samples, criterion, max_leaf_nodes,
-                                                  min_samples_leaf):
-    config = TreeConfig(criterion=criterion, max_leaf_nodes=max_leaf_nodes,
-                        min_samples_leaf=min_samples_leaf)
+       max_leaf_nodes=st.sampled_from([1, 2, 10, 50]))
+def test_counting_grower_matches_the_numpy_grower(samples, criterion, max_leaf_nodes):
+    config = TreeConfig(criterion=criterion, max_leaf_nodes=max_leaf_nodes)
     got = train_tree(samples, config).to_dict()
     want = numpy_train_tree(samples, config).to_dict()
     if criterion == "gini":  # + - * / only: the same doubles
@@ -471,7 +459,12 @@ def test_version_mismatch_names_both_versions():
     model = train_tree([((1.0,), 0), ((2.0,), 1)], TreeConfig())
     doc = model.to_dict()
     doc["version"] = 99
-    with pytest.raises(ValueError, match="99.*version 2"):
+    with pytest.raises(ValueError, match="99.*version 3"):
+        TreeModel.from_dict(doc)
+    # A version 2 document, which still held config.min_samples_leaf.
+    doc.update(version=2, config={**doc["config"], "min_samples_leaf": 1})
+    with pytest.raises(ValueError, match="^unsupported tree model version 2; "
+                                         "this build reads version 3$"):
         TreeModel.from_dict(doc)
 
 
@@ -489,8 +482,6 @@ def test_config_validation():
         TreeConfig(criterion="mse")
     with pytest.raises(ValueError):
         TreeConfig(max_leaf_nodes=0)
-    with pytest.raises(ValueError):
-        TreeConfig(min_samples_leaf=0)
 
 
 def test_entropy_criterion_trains_and_serializes(tmp_path):
