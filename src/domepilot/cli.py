@@ -2,16 +2,18 @@
 
 Every flag can also come from an optional ``key = value`` config file
 (--config); explicit flags win. Output artifacts are written atomically so
-a failing command leaves nothing half-written behind. Only k-NN
-standardization and k-NN documents import numpy (``domepilot.knn``); the
-other commands, tree training and ``train --model knn`` without
-standardization never load it.
+a failing command leaves nothing half-written behind.
+
+Start-up stays lean: importing this module loads neither numpy nor
+``hashlib`` nor ``socket``. Only k-NN standardization and k-NN documents
+import numpy (``domepilot.knn``); the other commands, tree training and
+``train --model knn`` without standardization never load it. Only
+``prepare`` imports ``hashlib``, and only a ``tcp:`` sink imports ``socket``.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -179,6 +181,7 @@ def _set_config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # only prepare hashes, so no other command loads it
     digest = hashlib.sha256()
     with open(path, "rb") as stream:
         for chunk in iter(lambda: stream.read(1 << 20), b""):
@@ -271,12 +274,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     model_path = Path(_require(args.model, "--model"))
     frames_path = Path(_require(args.frames, "--frames"))
     log_path = Path(_require(args.log, "--log"))
-    _refuse_overwrite(log_path, "log", model=model_path, frames=frames_path,
-                      config=args.config)
+    inputs = {"model": model_path, "frames": frames_path, "table": args.table,
+              "config": args.config}
+    _refuse_overwrite(log_path, "log", **inputs)
     if args.sink not in (None, "-") and not args.sink.startswith("tcp:"):
-        _refuse_overwrite(Path(args.sink), "sink", model=model_path, frames=frames_path,
-                          log=log_path, config=args.config)
+        _refuse_overwrite(Path(args.sink), "sink", log=log_path, **inputs)
     model = load_model(model_path)
+    table = ConditionTable.from_csv(args.table) if args.table else None
     frames, report = read_frames_csv(frames_path)
     if report.rejected:
         logger.warning("rejected %d malformed frame rows: %s",
@@ -284,7 +288,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not frames:
         raise ValueError(f"no usable frames in {frames_path}")
     with open_sink(args.sink) if args.sink is not None else nullcontext() as sink:
-        log = replay(model.predict, frames, sink=sink)
+        log = replay(model.predict, frames, table=table, sink=sink)
         # Written before the sink closes: closing a failed sink raises too.
         with _atomic_writer(log_path) as stream:
             log.to_jsonl(stream)
@@ -366,6 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--frames", help="frames CSV (weather schema plus rain)")
     sim.add_argument("--log", help="decision log JSONL to write")
     sim.add_argument("--sink", help="actuator sink: path, tcp:host:port, or -")
+    sim.add_argument("--table", help="condition table prepare labeled with (condition,flag CSV)")
     common(sim)
     sim.set_defaults(func=cmd_simulate)
 

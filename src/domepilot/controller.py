@@ -18,11 +18,8 @@ import itertools
 import json
 import logging
 import math
-import socket
-import struct
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import IO, Callable, NamedTuple, Optional, Sequence
 
 from .weather import (
@@ -70,16 +67,22 @@ class SensorFrame(NamedTuple):
     tick: int
 
 
-@dataclass(frozen=True)
-class DomeCommand:
+class _DomeCommand(NamedTuple):
     dome: int  # 1 = open, 0 = close
     cause: str
 
-    def __post_init__(self):
-        if type(self.dome) is not int or self.dome not in (0, 1):
-            raise ValueError(f"dome must be the int 0 or 1, got {self.dome!r}")
-        if self.cause not in CAUSES:
-            raise ValueError(f"unknown cause {self.cause!r}")
+
+class DomeCommand(_DomeCommand):
+    """One decision; a tuple whose construction and unpickling check it."""
+
+    __slots__ = ()
+
+    def __new__(cls, dome: int, cause: str):
+        if type(dome) is not int or dome not in (0, 1):
+            raise ValueError(f"dome must be the int 0 or 1, got {dome!r}")
+        if cause not in CAUSES:
+            raise ValueError(f"unknown cause {cause!r}")
+        return tuple.__new__(cls, (dome, cause))
 
     @property
     def ac(self) -> int:
@@ -166,27 +169,26 @@ def _jsonl_line(entry: LogEntry) -> str:
     json (int tick, 0/1/None prediction, finite plain floats) are
     formatted directly; any other goes through the encoder.
     """
-    tick, command, prediction = entry.frame.tick, entry.command, entry.prediction
-    features = entry.frame.observation.features()
+    frame, (dome, cause), prediction = entry
+    tick, features = frame.tick, frame.observation.features()
     if (type(tick) is int
             and (prediction is None or (type(prediction) is int and prediction in (0, 1)))
             and all(type(v) is float and math.isfinite(v) for v in features)):
-        return (f'{{"ac": {command.ac}, "cause": "{command.cause}", '
-                f'"dome": {command.dome}, "features": [{", ".join(map(repr, features))}], '
+        return (f'{{"ac": {1 - dome}, "cause": "{cause}", '  # ac as DomeCommand.ac
+                f'"dome": {dome}, "features": [{", ".join(map(repr, features))}], '
                 f'"prediction": {"null" if prediction is None else prediction}, '
                 f'"tick": {tick}}}\n')
     return _JSON.encode(entry.as_dict()) + "\n"
 
 
-@dataclass
 class DecisionLog:
     """One entry per input frame, in input order.
 
     ``undelivered`` counts the frames whose wire line the sink failed to take.
     """
 
-    entries: list[LogEntry]
-    undelivered: int = 0
+    def __init__(self, entries: list[LogEntry], undelivered: int = 0):
+        self.entries, self.undelivered = entries, undelivered
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -292,8 +294,8 @@ class _TcpSink:
     discards what is still queued for the peer, the partial line included.
     """
 
-    def __init__(self, conn: socket.socket):
-        self._conn: Optional[socket.socket] = conn
+    def __init__(self, conn):
+        self._conn = conn  # a connected socket, None once dropped
 
     def write(self, text: str) -> int:
         conn = self._conn
@@ -313,6 +315,8 @@ class _TcpSink:
     def _drop(self, reset: bool) -> None:
         conn, self._conn = self._conn, None
         if reset:
+            import socket  # only a tcp: sink needs these two
+            import struct
             conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         conn.close()
 
@@ -328,6 +332,7 @@ def open_sink(spec: str):
         host, sep, port = rest.rpartition(":")
         if not sep or not host or not port.isdigit():
             raise ValueError(f"bad tcp sink spec {spec!r}; expected tcp:host:port")
+        import socket  # here, so that no other sink pays for its import
         with socket.create_connection((host, int(port)), timeout=TCP_TIMEOUT_S) as conn:
             yield _TcpSink(conn)
         return

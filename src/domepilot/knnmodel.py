@@ -11,9 +11,8 @@ the model, since an overflowing z-score shows only there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from .tree import _integer
 from .weather import _features_and_labels
@@ -34,19 +33,16 @@ def default_k(n: int) -> int:
     return max(k, 1)
 
 
-@dataclass
 class KnnModel:
-    features: Sequence[Sequence[float]]  # n rows of d features, kept as float tuples
-    labels: Sequence[int]                # n labels in {0, 1}
-    k: int
-    scaling: str
-    means: Optional[Sequence[float]] = None
-    stds: Optional[Sequence[float]] = None
-    _kernel: Any = field(default=None, init=False, repr=False, compare=False)
+    """n rows of d features, kept as float tuples, their 0/1 labels and the vote size k."""
 
-    def __post_init__(self):
-        self.features = tuple(tuple(map(float, row)) for row in self.features)
-        labels = tuple(self.labels)
+    def __init__(self, features: Sequence[Sequence[float]], labels: Sequence[int], k: int,
+                 scaling: str, means: Optional[Sequence[float]] = None,
+                 stds: Optional[Sequence[float]] = None):
+        self.features = tuple(tuple(map(float, row)) for row in features)
+        self.k, self.scaling, self.means, self.stds = k, scaling, means, stds
+        self._kernel = None  # built on first use, or here by standardize
+        labels = tuple(labels)
         widths = {len(row) for row in self.features}
         if len(widths) > 1:
             raise ValueError("feature rows must share one length")
@@ -55,11 +51,11 @@ class KnnModel:
         if not all(label in (0, 1) for label in labels):
             raise ValueError("labels must be binary 0/1")
         self.labels = tuple(map(int, labels))
-        _integer(self.k, "k")
-        if not 1 <= self.k <= len(labels):
-            raise ValueError(f"k must be in [1, {len(labels)}], got {self.k}")
-        if self.scaling not in SCALINGS:
-            raise ValueError(f"scaling must be one of {SCALINGS}, got {self.scaling!r}")
+        _integer(k, "k")
+        if not 1 <= k <= len(labels):
+            raise ValueError(f"k must be in [1, {len(labels)}], got {k}")
+        if scaling not in SCALINGS:
+            raise ValueError(f"scaling must be one of {SCALINGS}, got {scaling!r}")
         if not all(map(math.isfinite, chain.from_iterable(self.features))):
             raise ValueError("features must be finite")
         if self.scaling == "standardize":

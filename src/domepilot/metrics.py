@@ -7,22 +7,28 @@ mse == 1 - accuracy up to floating-point rounding.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class _ConfusionMatrix(NamedTuple):
     tp: int
     tn: int
     fp: int
     fn: int
 
-    def __post_init__(self):
-        if min(self.tp, self.tn, self.fp, self.fn) < 0:
+
+class ConfusionMatrix(_ConfusionMatrix):
+    """Counts of one binary evaluation; a tuple whose construction and
+    unpickling check them."""
+
+    __slots__ = ()
+
+    def __new__(cls, tp: int, tn: int, fp: int, fn: int):
+        if min(tp, tn, fp, fn) < 0:
             raise ValueError("confusion counts must be nonnegative")
-        if self.total == 0:
+        if tp + tn + fp + fn == 0:
             raise ValueError("empty confusion matrix")
+        return tuple.__new__(cls, (tp, tn, fp, fn))
 
     @property
     def total(self) -> int:
@@ -80,8 +86,7 @@ def weighted_f1(matrix: ConfusionMatrix) -> float:
     return (s1 * f1(matrix, 1) + s0 * f1(matrix, 0)) / (s1 + s0)
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     matrix: ConfusionMatrix
     accuracy: float
     f1_class1: float
@@ -94,8 +99,8 @@ class EvalReport:
     degenerate_f1_classes: tuple[int, ...] = ()
 
     def as_dict(self) -> dict:
-        doc = asdict(self)
-        doc["confusion"] = doc.pop("matrix")
+        doc = self._asdict()
+        doc["confusion"] = doc.pop("matrix")._asdict()
         doc["degenerate_f1_classes"] = list(self.degenerate_f1_classes)
         return doc
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import asdict, dataclass
 from itertools import repeat
 from math import log2
 from operator import add
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .weather import _features_and_labels
 
@@ -37,55 +36,70 @@ def _integer(value, name: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class TreeConfig:
-    criterion: str = "gini"
-    max_leaf_nodes: int = 50
-
-    def __post_init__(self):
-        if self.criterion not in CRITERIA:
-            raise ValueError(f"criterion must be one of {CRITERIA}, got {self.criterion!r}")
-        _integer(self.max_leaf_nodes, "max_leaf_nodes")
-        if self.max_leaf_nodes < 1:
-            raise ValueError(f"max_leaf_nodes must be >= 1, got {self.max_leaf_nodes}")
+class _TreeConfig(NamedTuple):
+    criterion: str
+    max_leaf_nodes: int
 
 
-@dataclass
+class TreeConfig(_TreeConfig):
+    """Growth settings; a tuple whose construction and unpickling check them."""
+
+    __slots__ = ()
+
+    def __new__(cls, criterion: str = "gini", max_leaf_nodes: int = 50):
+        if criterion not in CRITERIA:
+            raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+        _integer(max_leaf_nodes, "max_leaf_nodes")
+        if max_leaf_nodes < 1:
+            raise ValueError(f"max_leaf_nodes must be >= 1, got {max_leaf_nodes}")
+        return tuple.__new__(cls, (criterion, max_leaf_nodes))
+
+
+# Both node kinds are slotted objects, not tuples: routing reads three Split
+# attributes at every level and a Leaf's label at the end, and slots read
+# faster than tuple fields.
+
+
 class Split:
     """Internal node: go left iff feature value <= threshold."""
 
-    feature: int
-    threshold: float
-    left: int
-    right: int
-    impurity: float
-    n: int
+    __slots__ = ("feature", "threshold", "left", "right", "impurity", "n")
+
+    def __init__(self, feature: int, threshold: float, left: int, right: int,
+                 impurity: float, n: int):
+        self.feature, self.threshold, self.left, self.right = feature, threshold, left, right
+        self.impurity, self.n = impurity, n
 
 
-@dataclass
 class Leaf:
     """Terminal node predicting its training majority (tie -> class 0)."""
 
-    label: int
-    counts: tuple[int, int]  # (n class 0, n class 1)
+    __slots__ = ("label", "counts")
+
+    def __init__(self, label: int, counts: tuple[int, int]):
+        self.label, self.counts = label, counts  # counts: (n class 0, n class 1)
+
+    def __eq__(self, other):
+        if type(other) is not Leaf:
+            return NotImplemented
+        return (self.label, self.counts) == (other.label, other.counts)
 
 
-@dataclass
 class TreeModel:
     """Trained tree: a node array rooted at index 0."""
 
-    config: TreeConfig
-    nodes: list
-    n_features: int
+    def __init__(self, config: TreeConfig, nodes: list, n_features: int):
+        self.config, self.nodes, self.n_features = config, nodes, n_features
 
     def predict(self, features: Sequence[float]) -> int:
         """Route from the root (left iff value <= threshold) to a leaf class."""
         x = tuple(map(float, features))
         if len(x) != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {len(x)}")
-        node = self.nodes[0]
+        nodes = self.nodes
+        node = nodes[0]
         while isinstance(node, Split):
-            node = self.nodes[node.left if x[node.feature] <= node.threshold else node.right]
+            node = nodes[node.left if x[node.feature] <= node.threshold else node.right]
         return node.label
 
     @property
@@ -94,9 +108,10 @@ class TreeModel:
 
     def to_dict(self) -> dict:
         nodes = [{"id": i, "type": "split" if isinstance(node, Split) else "leaf",
-                  **asdict(node)} for i, node in enumerate(self.nodes)]
+                  **{key: getattr(node, key) for key in node.__slots__}}
+                 for i, node in enumerate(self.nodes)]
         return {"version": FORMAT_VERSION, "kind": "tree",
-                "config": asdict(self.config), "n_features": self.n_features,
+                "config": self.config._asdict(), "n_features": self.n_features,
                 "nodes": nodes}
 
     @classmethod

@@ -16,7 +16,6 @@ import math
 import operator
 import re
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
 from datetime import date as Date
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, Union
@@ -263,35 +262,38 @@ def _features_and_labels(samples: Sequence) -> tuple[list, list[int]]:
     return feats, labels
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Seeded holdout split: round(n * test_fraction) samples go to test."""
-
+class _SplitSpec(NamedTuple):
     test_fraction: float
     seed: int
 
-    def __post_init__(self):
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError(f"test_fraction must be in (0,1), got {self.test_fraction}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+
+class SplitSpec(_SplitSpec):
+    """Seeded holdout split: round(n * test_fraction) samples go to test."""
+
+    __slots__ = ()
+
+    def __new__(cls, test_fraction: float, seed: int):
+        if not 0.0 < test_fraction < 1.0:
+            raise ValueError(f"test_fraction must be in (0,1), got {test_fraction}")
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
+        return tuple.__new__(cls, (test_fraction, seed))
 
 
-@dataclass
 class CleaningReport:
     """Row accounting for one pipeline stage: kept + rejected = rows seen."""
 
-    rows_read: int = 0
-    kept: int = 0
-    rejected: int = 0
-    reasons: dict[str, int] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.rows_read = self.kept = self.rejected = 0
+        self.reasons: dict[str, int] = {}
 
     def reject(self, reason: str) -> None:
         self.rejected += 1
         self.reasons[reason] = self.reasons.get(reason, 0) + 1
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "reasons": dict(sorted(self.reasons.items()))}
+        return {"rows_read": self.rows_read, "kept": self.kept, "rejected": self.rejected,
+                "reasons": dict(sorted(self.reasons.items()))}
 
 
 class _RowRejected(Exception):

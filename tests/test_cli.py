@@ -15,8 +15,9 @@ from domepilot import cli
 from domepilot.cli import load_model, save_model
 from domepilot.controller import read_frames_csv, replay
 from domepilot.knnmodel import train_knn
+from domepilot.synthetic import synthetic_observations, to_raw_csv
 from domepilot.tree import TreeConfig, train_tree
-from domepilot.weather import SplitSpec
+from domepilot.weather import SplitSpec, WeatherObservation
 
 from conftest import EXPECTED_TABLE1, run_cli
 
@@ -43,7 +44,7 @@ OPTIONS = {
     "train": {"--data", "--model", "--max-leaves", "--criterion", "--k", "--scaling", "--out",
               "--config"},
     "evaluate": {"--model", "--data", "--report", "--config"},
-    "simulate": {"--model", "--frames", "--log", "--sink", "--config"},
+    "simulate": {"--model", "--frames", "--log", "--sink", "--table", "--config"},
     "predict": {"--model", "--temp", "--wind", "--humidity", "--hour", "--visibility",
                 "--barometer", "--rain", "--config"},
 }
@@ -398,6 +399,35 @@ def test_simulate_writes_log_and_sink(workspace, tmp_path):
         assert line == f"D:{record['dome']} A:{record['ac']}"
 
 
+def test_simulate_reads_frames_with_the_table_prepare_labeled_with(tmp_path):
+    # Half the rows are Drizzle, which only the custom table maps (to open).
+    observations = [WeatherObservation(*obs[:-1], "Drizzle") if i % 2 else obs
+                    for i, obs in enumerate(synthetic_observations(600, seed=3))]
+    raw, frames = tmp_path / "raw.csv", tmp_path / "frames.csv"
+    with open(raw, "w", newline="") as stream:
+        to_raw_csv(observations, stream)
+    with open(frames, "w", newline="") as stream:
+        to_raw_csv(observations[:40], stream, rain=[False] * 40)
+    table = tmp_path / "table.csv"
+    table.write_text("".join(f"{cond},{flag}\n" for cond, flag in EXPECTED_TABLE1)
+                     + "Drizzle,1\n")
+    labeled, model = tmp_path / "labeled.csv", tmp_path / "dt.json"
+    assert cli.main(["prepare", "--data", str(raw), "--out", str(labeled),
+                     "--table", str(table)]) == 0
+    assert cli.main(["train", "--data", str(labeled), "--out", str(model)]) == 0
+
+    def unmapped(*table_flag):
+        log = tmp_path / "log.jsonl"
+        assert cli.main(["simulate", "--model", str(model), "--frames", str(frames),
+                         "--log", str(log), *table_flag]) == 0
+        causes = [json.loads(line)["cause"] for line in log.read_text().splitlines()]
+        assert len(causes) == 40
+        return causes.count("unmapped_condition")
+
+    assert unmapped("--table", str(table)) == 0
+    assert unmapped() == 20  # without --table, simulate keeps the built-in table
+
+
 def test_in_process_warnings_go_to_the_current_stderr(workspace, tmp_path):
     with open(workspace["frames"], newline="") as stream:
         rows = list(csv.reader(stream))
@@ -535,7 +565,8 @@ def test_a_shared_config_cannot_make_train_overwrite_the_labeled_csv(workspace, 
     ("evaluate", "--report", "--data"), ("simulate", "--log", "--model"),
     ("simulate", "--log", "--frames"), ("train", "--out", "--config"),
     ("simulate", "--sink", "--frames"), ("simulate", "--sink", "--model"),
-    ("simulate", "--sink", "--log")])
+    ("simulate", "--sink", "--log"), ("simulate", "--log", "--table"),
+    ("simulate", "--sink", "--table")])
 def test_an_output_that_names_an_input_exits_2_untouched(workspace, tmp_path, capsys,
                                                          command, output, source):
     config = tmp_path / "run.conf"
@@ -545,6 +576,8 @@ def test_an_output_that_names_an_input_exits_2_untouched(workspace, tmp_path, ca
               "evaluate": {"--model": workspace["dt"], "--data": workspace["labeled"]},
               "simulate": {"--model": workspace["dt"], "--frames": workspace["frames"]}}[command]
     inputs["--config"] = config
+    if source == "--table":  # optional for simulate: passed where it is the input under test
+        inputs["--table"] = tmp_path / "table.csv"
     if output == "--sink":  # nor may the sink be the decision log
         inputs["--log"] = tmp_path / "log.jsonl"
 
@@ -751,7 +784,7 @@ def test_deeply_nested_model_exits_2_naming_the_file(tmp_path):
 
 # ---------------------------------------------------------------- imports
 
-PROBED_MODULES = ("numpy", "domepilot.knn")
+PROBED_MODULES = ("numpy", "domepilot.knn", "dataclasses", "hashlib", "socket")
 IMPORT_PROBE = ("import sys\n"
                 "from domepilot import cli\n"
                 "code = cli.main(sys.argv[1:])\n"
@@ -791,9 +824,11 @@ def test_numpy_is_imported_only_where_it_computes(workspace, tmp_path):
         **model_runs("dt"),
         **model_runs("knn"),
     }
-    # numpy, through the k-NN kernel, is imported only where a k-NN computes with it.
+    # numpy, through the k-NN kernel, is imported only where a k-NN computes with it,
+    # hashlib only where prepare hashes the dataset; no command imports dataclasses,
+    # and no file sink imports socket.
     expected = {
-        "prepare": "0",
+        "prepare": "0 hashlib",
         "train dt": "0",
         "train knn": "0",
         "train knn standardize": "0 domepilot.knn numpy",

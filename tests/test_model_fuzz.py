@@ -3,14 +3,18 @@
 Trained tree and k-NN documents get dropped, retyped, out-of-range and
 duplicated fields, edited ids, labels and counts, and deeply nested junk.
 Each mutated document must either load through ``cli.load_model`` and
-predict 0 or 1 on fixed queries within a time bound, or fail with a
-ValueError whose message starts with the file path. The queries are the
-training rows, so every leaf of the tree is reached. A document whose
+predict on fixed queries, within a time bound, what a reference computed
+from the document itself predicts, or fail with a ValueError whose message
+starts with the file path. The reference walks a tree document's nodes, and
+votes a k-NN document by brute force; a k-NN document whose standardized
+training values are not all finite must fail. The queries are the training
+rows, so every leaf of the tree is reached. A document whose
 version, k, ``n_features``, node id, feature, child, ``n``, leaf label,
 config budget or k-NN data label is a float or a bool must fail.
 """
 
 import json
+import math
 import time
 
 import pytest
@@ -139,6 +143,17 @@ def _temp_std(std: float) -> Found:
     return Found(f"temp std {std}", edit)
 
 
+def _twin_first_row() -> Found:
+    """k = 1 and a copy of a k-NN document's first row, with the other label,
+    put before it: the query that is that row has two rows at distance 0."""
+    def edit(doc):
+        if "data" in doc:
+            *features, label = doc["data"][0]
+            doc["data"].insert(0, [*features, 1 - label])
+            doc["k"] = 1
+    return Found("first row twinned, k = 1", edit)
+
+
 def _mutate(doc, data) -> None:
     """Drop, replace or duplicate one field at a random place: each level
     down is a coin flip, so top-level fields are hit as often as deep cells."""
@@ -165,6 +180,63 @@ def _random_edits(doc, data) -> None:
             data.draw(st.sampled_from([_mutate, _edit_int, _retype_int]))(doc, data)
 
 
+def _tree_reference(doc):
+    """Predict by walking the document's nodes from id 0: left iff value <= threshold."""
+    nodes = {rec["id"]: rec for rec in doc["nodes"]}
+
+    def predict(query):
+        rec = nodes[0]
+        while rec["type"] == "split":
+            go_left = query[rec["feature"]] <= float(rec["threshold"])
+            rec = nodes[rec["left"] if go_left else rec["right"]]
+        return rec["label"]
+    return predict
+
+
+def _knn_reference(doc):
+    """Brute-force vote over the document's rows, standardized with its stats
+    (a zero std maps the feature to 0): the k nearest by (squared distance
+    summed in feature order, row index), 0 on a tie."""
+    rows = [[float(value) for value in row[:-1]] for row in doc["data"]]
+    labels = [row[-1] for row in doc["data"]]
+    k = doc["k"]
+    if doc["scaling"] == "standardize":
+        means, stds = (list(map(float, doc["stats"][key])) for key in ("means", "stds"))
+
+        def scale(values):
+            return [(v - m) / s if s > 0 else 0.0 for v, m, s in zip(values, means, stds)]
+    else:
+        def scale(values):
+            return values
+    points = [scale(row) for row in rows]
+    assert all(math.isfinite(v) for point in points for v in point), \
+        "a document with non-finite standardized rows loaded"
+
+    def squared_distance(point, q):
+        total = 0.0
+        for a, b in zip(point, q):
+            total += (a - b) * (a - b)
+        return total
+
+    def predict(query):
+        q = scale(list(map(float, query)))
+        ranked = sorted(range(len(points)), key=lambda i: (squared_distance(points[i], q), i))
+        return 1 if 2 * sum(labels[i] for i in ranked[:k]) > k else 0
+    return predict
+
+
+def _threshold_queries(doc) -> list:
+    """Per split of a tree document, the first query with the split's feature
+    set to its threshold, where going left on ``<=`` and on ``<`` part."""
+    queries = []
+    for rec in doc["nodes"] if doc["kind"] == "tree" else ():
+        if rec["type"] == "split":
+            query = list(QUERIES[0])
+            query[rec["feature"]] = float(rec["threshold"])
+            queries.append(query)
+    return queries
+
+
 @pytest.fixture(scope="module")
 def model_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "model.json"
@@ -176,6 +248,8 @@ def model_file(tmp_path_factory):
 # Inputs this gate once caught; each runs on every run.
 @example(data=_temp_std(1e-310))  # a z-score overflows
 @example(data=_temp_std(1e-300))  # a squared norm overflows
+@example(data=_temp_std(0.0))  # a constant feature, which standardizes to 0
+@example(data=_twin_first_row())  # a distance tie, won by the earlier row
 def test_mutated_model_documents_predict_or_fail_naming_the_file(model_file, name, data):
     doc = json.loads(DOCUMENTS[name])
     _edit(doc, data, _random_edits)
@@ -186,8 +260,11 @@ def test_mutated_model_documents_predict_or_fail_naming_the_file(model_file, nam
     except ValueError as exc:
         assert str(exc).startswith(f"{model_file}: ")
         return
-    assert {model.predict(query) for query in QUERIES} <= {0, 1}
+    queries = QUERIES + _threshold_queries(doc)
+    predictions = [model.predict(query) for query in queries]
     assert time.perf_counter() - start < TIME_BOUND_S
+    reference = (_tree_reference if doc["kind"] == "tree" else _knn_reference)(doc)
+    assert predictions == [reference(query) for query in queries]
 
 
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))

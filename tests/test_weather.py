@@ -349,7 +349,7 @@ def test_cold_and_warm_memos_parse_equal_frames(tmp_path, cold_cell_memos):
     assert all(memo.cache_info().hits > before
                for memo, before in zip(CELL_MEMOS, hits))
     assert cold[0] == warm[0] and len(cold[0]) == len(rows)
-    assert cold[1] == warm[1]
+    assert cold[1].as_dict() == warm[1].as_dict()
     observations = parse_dataset(raw_csv(*(row.rsplit(",", 1)[0] for row in rows)))[0]
     assert [f.observation for f in cold[0]] == observations
 
