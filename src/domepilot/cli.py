@@ -42,6 +42,7 @@ from .weather import (
     _parse_hour,
     _parse_number,
     _RowRejected,
+    check_ranges,
     filter_city,
     parse_dataset,
     read_labeled_csv,
@@ -51,9 +52,6 @@ from .weather import (
 )
 
 logger = logging.getLogger(__name__)
-
-MODEL_KINDS = ("dt", "knn")
-
 
 class _StderrHandler(logging.StreamHandler):
     """Writes each record to ``sys.stderr`` as it is when the record comes."""
@@ -228,8 +226,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = Path(_require(args.out, "--out"))
     _refuse_overwrite(out, "out", data=data, config=args.config)
     kind = args.model
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"--model must be one of {MODEL_KINDS}, got {kind!r}")
+    if kind not in SPLITS:
+        raise ValueError(f"--model must be one of {tuple(SPLITS)}, got {kind!r}")
     samples = read_labeled_csv(data)
     spec = SPLITS[kind]
     train_set, test_set = split(samples, spec)
@@ -304,12 +302,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(Path(_require(args.model, "--model")))
     features = tuple(_reading(args, name) for name in FEATURE_NAMES)
+    temp, _, humidity, hour, visibility, barometer = features  # FEATURE_NAMES order
+    check_ranges(hour, humidity, barometer, visibility)
     rain = _require(args.rain, "--rain")
     try:
         rain_detected = _parse_rain(rain)
     except _RowRejected:
         raise ValueError(f"--rain must be 0/1, no/yes or false/true, got {rain!r}") from None
-    command, _, fault = decide(model.predict, features, rain_detected, features[0])
+    command, _, fault = decide(model.predict, features, rain_detected, temp)
     if fault is not None:
         logger.warning("model failed, so the dome was closed: %s", fault, exc_info=fault)
     emit_signal(command, sys.stdout)
@@ -397,7 +397,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"domepilot: error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

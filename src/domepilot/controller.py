@@ -159,15 +159,12 @@ class LogEntry(NamedTuple):
                 "cause": self.command.cause}
 
 
-_JSON = json.JSONEncoder(sort_keys=True)
-
-
 def _jsonl_line(entry: LogEntry) -> str:
     """``json.dumps(entry.as_dict(), sort_keys=True)`` plus a newline.
 
     Entries whose fields all print the same through ``repr`` as through
     json (int tick, 0/1/None prediction, finite plain floats) are
-    formatted directly; any other goes through the encoder.
+    formatted directly; any other goes through ``json.dumps``.
     """
     frame, (dome, cause), prediction = entry
     tick, features = frame.tick, frame.observation.features()
@@ -178,27 +175,20 @@ def _jsonl_line(entry: LogEntry) -> str:
                 f'"dome": {dome}, "features": [{", ".join(map(repr, features))}], '
                 f'"prediction": {"null" if prediction is None else prediction}, '
                 f'"tick": {tick}}}\n')
-    return _JSON.encode(entry.as_dict()) + "\n"
+    return json.dumps(entry.as_dict(), sort_keys=True) + "\n"
 
 
-class DecisionLog:
-    """One entry per input frame, in input order.
+class DecisionLog(list):
+    """The LogEntry of each input frame, in input order; logs compare by entries.
 
     ``undelivered`` counts the frames whose wire line the sink failed to take.
     """
 
-    def __init__(self, entries: list[LogEntry], undelivered: int = 0):
-        self.entries, self.undelivered = entries, undelivered
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
+    undelivered = 0
 
     def to_jsonl(self, sink: PathOrStream) -> None:
         with _opened(sink, "w") as stream:
-            stream.writelines(map(_jsonl_line, self.entries))
+            stream.writelines(map(_jsonl_line, self))
 
 
 def replay(model_predict_fn: Callable[[Sequence[float]], int],
@@ -221,7 +211,7 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
         raise ValueError("no frames to replay")
     if table is None:
         table = ConditionTable.builtin()
-    entries = []
+    log = DecisionLog()
     # tuple.__new__ skips the Python-level __new__ of the NamedTuple.
     new_entry = tuple.__new__
     last_tick = None
@@ -250,7 +240,7 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
             except SignalDeliveryError as exc:
                 undelivered += 1
                 first_undelivered = first_undelivered or exc
-        entries.append(new_entry(LogEntry, (frame, command, prediction)))
+        log.append(new_entry(LogEntry, (frame, command, prediction)))
     if faults:
         logger.warning("model failed on %d of %d frames, which were closed; "
                        "first failure: %s", faults, len(frames), first_fault,
@@ -258,7 +248,8 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
     if undelivered:
         logger.warning("actuator sink failed on %d of %d frames; first failure: %s",
                        undelivered, len(frames), first_undelivered)
-    return DecisionLog(entries, undelivered)
+    log.undelivered = undelivered
+    return log
 
 
 def read_frames_csv(source: PathOrStream) -> tuple[list[SensorFrame], CleaningReport]:

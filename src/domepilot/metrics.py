@@ -7,6 +7,7 @@ mse == 1 - accuracy up to floating-point rounding.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, NamedTuple, Sequence
 
 
@@ -43,21 +44,12 @@ def confusion(predictions: Sequence[int], labels: Sequence[int]) -> ConfusionMat
     if len(predictions) != len(labels):
         raise ValueError(f"length mismatch: {len(predictions)} predictions "
                          f"vs {len(labels)} labels")
-    tp = tn = fp = fn = 0
     for pred, label in zip(predictions, labels):
         if pred not in (0, 1) or label not in (0, 1):
             raise ValueError(f"values must be 0/1, got pred={pred!r} label={label!r}")
-        if pred == 1:
-            if label == 1:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if label == 1:
-                fn += 1
-            else:
-                tn += 1
-    return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
+    # Counter keys compare by value, so True and 1.0 count as 1.
+    counts = Counter(zip(predictions, labels))
+    return ConfusionMatrix(tp=counts[1, 1], tn=counts[0, 0], fp=counts[1, 0], fn=counts[0, 1])
 
 
 def accuracy(matrix: ConfusionMatrix) -> float:
@@ -113,7 +105,10 @@ def evaluate(model_predict_fn: Callable[[Sequence[float]], int],
     predictions, labels = [], []
     for i, sample in enumerate(test_samples):
         try:
-            predictions.append(int(model_predict_fn(sample.features)))
+            prediction = model_predict_fn(sample.features)
+            if prediction not in (0, 1):  # before int(), which would turn 0.97 into 0
+                raise ValueError(f"model returned {prediction!r}, not 0 or 1")
+            predictions.append(int(prediction))
         except Exception as exc:
             raise RuntimeError(f"prediction failed on test sample {i}: {exc}") from exc
         labels.append(int(sample.label))

@@ -120,7 +120,7 @@ class ConditionTable:
             key = normalize_condition(condition)
             if not key:
                 raise ValueError(f"entry {i}: empty condition string")
-            if int(flag) not in (0, 1):
+            if flag not in (0, 1):  # before int(), which would turn 0.5 into 0
                 raise ValueError(f"entry {i}: flag must be 0 or 1, got {flag!r}")
             if key in flags:
                 raise ValueError(f"entry {i}: duplicate condition {condition!r}")
@@ -183,6 +183,19 @@ def derive_state(flag: int, temp: float) -> int:
     return 1 if flag == 1 and TEMP_OPEN_LOW < temp < TEMP_OPEN_HIGH else 0
 
 
+def check_ranges(hour: float, humidity: float, barometer: float, visibility: float) -> None:
+    """The range rule of a reading, for CSV rows and ``predict`` flags alike:
+    raise ValueError naming the first value outside its range."""
+    if not 0 <= hour <= 23:
+        raise ValueError(f"hour out of range: {hour}")
+    if not 0.0 <= humidity <= 1.0:
+        raise ValueError(f"humidity out of range: {humidity}")
+    if not barometer > 0:
+        raise ValueError(f"barometer must be positive: {barometer}")
+    if visibility < 0:
+        raise ValueError(f"visibility must be nonnegative: {visibility}")
+
+
 class _WeatherObservation(NamedTuple):
     city: str
     date: Date
@@ -206,14 +219,7 @@ class WeatherObservation(_WeatherObservation):
 
     def __new__(cls, city: str, date: Date, hour: int, temp: float, wind: float,
                 humidity: float, barometer: float, visibility: float, condition: str):
-        if not 0 <= hour <= 23:
-            raise ValueError(f"hour out of range: {hour}")
-        if not 0.0 <= humidity <= 1.0:
-            raise ValueError(f"humidity out of range: {humidity}")
-        if not barometer > 0:
-            raise ValueError(f"barometer must be positive: {barometer}")
-        if visibility < 0:
-            raise ValueError(f"visibility must be nonnegative: {visibility}")
+        check_ranges(hour, humidity, barometer, visibility)
         if not condition.strip():
             raise ValueError("empty condition string")
         return tuple.__new__(cls, (city, date, hour, temp, wind, humidity, barometer,

@@ -368,6 +368,27 @@ def test_predict_rejects_an_hour_outside_the_day(monkeypatch, capsys, hour):
     assert captured.err.startswith("domepilot: error: --hour ")
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("humidity", "150", "humidity out of range: 1.5"),
+    ("barometer", "-1000", "barometer must be positive: -1000.0"),
+    ("barometer", "0", "barometer must be positive: 0.0"),
+    ("visibility", "-4", "visibility must be nonnegative: -4.0"),
+], ids=["humidity-150", "barometer-neg", "barometer-0", "visibility-neg"])
+def test_predict_rejects_a_reading_a_frames_row_rejects(monkeypatch, capsys, flag, value,
+                                                        message):
+    row = {"city": "Al Madina", "date": "2019-05-01", "time": "0:00", "temp": "21",
+           "wind": "0", "humidity": "0.33", "barometer": "1020", "visibility": "16",
+           "weather": "Clear", "rain": "0", flag: value}
+    frames, report = read_frames_csv(io.StringIO(f"{','.join(row)}\n{','.join(row.values())}\n"))
+    assert frames == [] and report.reasons == {"invalid_values": 1}
+    model = RecordingModel()
+    assert predict_in_process(monkeypatch, model, **{flag: value}) == 2
+    assert model.seen == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"domepilot: error: {message}\n"
+
+
 @pytest.mark.parametrize("rain,expected", [("yes", "D:0 A:1\n"), ("TRUE", "D:0 A:1\n"),
                                            ("no", "D:1 A:0\n"), ("false", "D:1 A:0\n")])
 def test_predict_accepts_the_rain_words_of_a_frames_cell(monkeypatch, capsys, rain,

@@ -195,13 +195,13 @@ def test_rain_override_is_stateless_per_frame():
     frames = [frame(tick=0), frame(tick=1, rain=True), frame(tick=2)]
     log = replay(constant_model(1), frames)
     assert [e.command.dome for e in log] == [1, 0, 1]
-    assert log.entries[1].command.cause == CAUSE_RAIN
+    assert log[1].command.cause == CAUSE_RAIN
 
 
 def test_unmapped_condition_frame_fails_safe():
     frames = [frame(tick=0), frame(tick=1, condition="Volcanic ash"), frame(tick=2)]
     log = replay(constant_model(1), frames)
-    middle = log.entries[1]
+    middle = log[1]
     assert middle.command.dome == 0
     assert middle.command.cause == CAUSE_UNMAPPED
     assert middle.prediction is None
@@ -259,7 +259,7 @@ def test_a_failing_sink_is_counted_and_the_replay_goes_on(caplog):
     frames = [frame(tick=t, rain=(t == 3)) for t in range(5)]
     sink = Flaky()
     log = replay(constant_model(1), frames, sink=sink)
-    assert log.entries == replay(constant_model(1), frames).entries
+    assert log == replay(constant_model(1), frames)
     assert log.undelivered == 2
     assert sink.lines == ["D:1 A:0\n", "D:0 A:1\n", "D:1 A:0\n"]
     warnings = [r for r in caplog.records if r.name == "domepilot.controller"]
@@ -281,10 +281,10 @@ def test_day_sweep_matches_the_labeling_rule():
 def test_replay_is_chunking_invariant():
     frames = [frame(temp=10 + t, rain=(t % 5 == 0), tick=t) for t in range(20)]
     whole = replay(constant_model(1), frames)
-    pieces = (replay(constant_model(1), frames[:7]).entries
-              + replay(constant_model(1), frames[7:12]).entries
-              + replay(constant_model(1), frames[12:]).entries)
-    assert whole.entries == pieces
+    pieces = (replay(constant_model(1), frames[:7])
+              + replay(constant_model(1), frames[7:12])
+              + replay(constant_model(1), frames[12:]))
+    assert whole == pieces
 
 
 def test_replay_requires_frames():
@@ -316,8 +316,8 @@ def test_replay_with_custom_table():
     table = ConditionTable([("Clear", 1)])
     frames = [frame(tick=0), frame(tick=1, condition="Haze")]
     log = replay(constant_model(1), frames, table=table)
-    assert log.entries[0].command.cause == CAUSE_MODEL
-    assert log.entries[1].command.cause == CAUSE_UNMAPPED
+    assert log[0].command.cause == CAUSE_MODEL
+    assert log[1].command.cause == CAUSE_UNMAPPED
 
 
 def test_replay_decides_membership_per_raw_spelling_and_per_table():
@@ -353,13 +353,28 @@ def test_sensor_frames_are_immutable_records():
 
 def test_log_entries_are_immutable_records():
     log = replay(constant_model(1), [frame(tick=0), frame(tick=1, rain=True)])
-    entry = log.entries[1]
+    entry = log[1]
     assert type(entry) is LogEntry
     assert entry.command.cause == CAUSE_RAIN  # what bench/tracing.py counts
     assert entry == LogEntry(frame=entry.frame, command=entry.command,
                              prediction=entry.prediction)
     with pytest.raises(AttributeError):
         entry.prediction = 0
+
+
+def test_the_decision_log_is_a_list_of_its_entries(monkeypatch):
+    frames = [frame(tick=0), frame(tick=1, rain=True)]
+    log = replay(constant_model(1), frames, sink=io.StringIO())
+    assert isinstance(log, list) and type(log) is DecisionLog
+    assert log.undelivered == 0  # the sink took every line
+    entries = list(log)
+    assert DecisionLog(entries) == entries == log
+    assert DecisionLog(entries).undelivered == 0
+    # bench/tracing.py rebinds to_jsonl on the class; every log must see that.
+    written = []
+    monkeypatch.setattr(DecisionLog, "to_jsonl", lambda self, sink: written.append(sink))
+    log.to_jsonl("decisions.jsonl")
+    assert written == ["decisions.jsonl"]
 
 
 # ---------------------------------------------------------------- frames CSV
@@ -398,7 +413,7 @@ def test_pickled_frames_replay_like_parsed_frames(tmp_path):
         sink = io.StringIO()
         logs.append(replay(lambda features: int(features[1] > 2), frames, sink=sink))
         wires.append(sink.getvalue())
-    assert logs[0].entries == logs[1].entries
+    assert logs[0] == logs[1]
     assert written_jsonl(logs[0]) == written_jsonl(logs[1])
     assert wires[0] == wires[1] == "D:0 A:1\nD:1 A:0\n" + "D:0 A:1\n" * 3
 
@@ -523,7 +538,7 @@ def reference_jsonl(entries):
 
 def written_jsonl(entries):
     buffer = io.StringIO()
-    DecisionLog(list(entries)).to_jsonl(buffer)
+    DecisionLog(entries).to_jsonl(buffer)
     return buffer.getvalue()
 
 

@@ -98,6 +98,11 @@ def test_ragged_rows_are_rejected():
         train_knn([((0.0,) * 6, 0), ((1.0,) * 5, 1)], k=1)
 
 
+def test_features_and_labels_must_align():
+    with pytest.raises(ValueError, match="must align"):
+        KnnModel([(0.0,) * 6, (1.0,) * 6], [0], k=1, scaling="none")
+
+
 def test_k_bounds_are_enforced():
     samples = toy_samples([((0, 0, 0, 0, 0, 0), 0), ((1, 1, 1, 1, 1, 1), 1)])
     with pytest.raises(ValueError):

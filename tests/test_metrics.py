@@ -51,6 +51,17 @@ def test_confusion_validation():
         confusion([2], [1])
 
 
+def test_confusion_names_the_first_bad_pair_and_counts_true_and_1_0_as_1():
+    with pytest.raises(ValueError, match=r"pred=0.5 label=1\b"):
+        confusion([1, 0.5, 2], [0, 1, 3])
+    assert confusion([True, 1.0, False, 0.0], [1.0, True, 0, 1]) == (2, 1, 0, 1)
+
+
+def test_confusion_matrix_rejects_negative_counts():
+    with pytest.raises(ValueError, match="nonnegative"):
+        ConfusionMatrix(tp=3, tn=1, fp=-1, fn=0)
+
+
 def test_confusion_matches_a_per_pair_recount():
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -161,6 +172,11 @@ def test_prediction_errors_abort_with_sample_context():
 
     with pytest.raises(RuntimeError, match="test sample 0"):
         evaluate(broken, sample_set([1, 0]))
+
+
+def test_a_prediction_that_is_not_0_or_1_aborts_instead_of_truncating():
+    with pytest.raises(RuntimeError, match="test sample 0: model returned 0.97, not 0 or 1"):
+        evaluate(lambda features: 0.97, sample_set([1, 1, 1, 1]))
 
 
 def test_report_dict_and_render():

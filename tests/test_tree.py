@@ -290,7 +290,8 @@ def test_mixed_numeric_samples_train_like_their_float_version():
     ([], "empty training set"),
     ([((1.0, 2.0), 0), ((3.0,), 1)], "one feature arity"),
     ([((1.0,), 0), ((2.0,), 2)], "0/1"),
-], ids=["empty", "ragged", "label-2"])
+    ([((1.0, None), 0), ((2.0, 3.0), 1)], "rows of numbers"),
+], ids=["empty", "ragged", "label-2", "not-a-number"])
 def test_sample_arrays_reject_bad_sets(samples, message):
     with pytest.raises(ValueError, match=message):
         train_tree(samples, TreeConfig())

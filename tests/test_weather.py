@@ -85,6 +85,12 @@ def test_table_rejects_duplicates_and_bad_flags():
         ConditionTable([])
 
 
+@pytest.mark.parametrize("flag", [0.5, 1.9, "1"])
+def test_table_rejects_a_flag_that_is_not_0_or_1_instead_of_truncating(flag):
+    with pytest.raises(ValueError, match=f"entry 2: flag must be 0 or 1, got {flag!r}"):
+        ConditionTable([("Clear", 1), ("Fog", flag)])
+
+
 def test_table_from_csv_supports_header_and_any_size():
     stream = io.StringIO("condition,flag\nClear,1\nMud rain,0\n")
     table = ConditionTable.from_csv(stream)
