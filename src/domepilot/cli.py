@@ -14,6 +14,7 @@ import numpy (``domepilot.knn``); the other commands, tree training and
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -386,14 +387,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the cyclic GC is off meanwhile and then as it was.
+
+    A command builds tens of thousands of acyclic records (frames, log
+    entries, samples), which the collector would walk again and again.
+    """
     logging.getLogger("domepilot").addHandler(_STDERR_HANDLER)  # adding it again is a no-op
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        if args.config is not None:
-            _set_config_defaults(parser, args.config)
-            args = parser.parse_args(argv)
-        return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"domepilot: error: {exc}", file=sys.stderr)
-        return 2
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            if args.config is not None:
+                _set_config_defaults(parser, args.config)
+                args = parser.parse_args(argv)
+            return args.func(args)
+        except (ValueError, OSError, RuntimeError) as exc:
+            print(f"domepilot: error: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()

@@ -14,6 +14,7 @@ Actuator wire protocol: one newline-delimited ASCII line per decision,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -23,6 +24,7 @@ from contextlib import contextmanager
 from typing import IO, Callable, NamedTuple, Optional, Sequence
 
 from .weather import (
+    _CELL_CACHE_SIZE,
     RAW_COLUMNS,
     TEMP_OPEN_HIGH,
     TEMP_OPEN_LOW,
@@ -166,8 +168,8 @@ def _jsonl_line(entry: LogEntry) -> str:
     json (int tick, 0/1/None prediction, finite plain floats) are
     formatted directly; any other goes through ``json.dumps``.
     """
-    frame, (dome, cause), prediction = entry
-    tick, features = frame.tick, frame.observation.features()
+    (observation, _, tick), (dome, cause), prediction = entry
+    features = observation.features()
     if (type(tick) is int
             and (prediction is None or (type(prediction) is int and prediction in (0, 1)))
             and all(type(v) is float and math.isfinite(v) for v in features)):
@@ -211,6 +213,7 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
         raise ValueError("no frames to replay")
     if table is None:
         table = ConditionTable.builtin()
+    mapped = table.__contains__
     log = DecisionLog()
     # tuple.__new__ skips the Python-level __new__ of the NamedTuple.
     new_entry = tuple.__new__
@@ -218,19 +221,20 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
     faults = undelivered = 0
     first_fault: Optional[Exception] = None
     first_undelivered: Optional[SignalDeliveryError] = None
+    # Each frame is unpacked once: CPython does not specialize reads of
+    # NamedTuple fields by name.
     for frame in frames:
-        tick = frame.tick
+        observation, rain_detected, tick = frame
         if last_tick is not None and tick <= last_tick:
             raise ValueError(f"frame ticks must be strictly increasing, "
                              f"got {tick} after {last_tick}")
         last_tick = tick
-        observation = frame.observation
-        if observation.condition not in table:
+        if not mapped(observation.condition):
             command, prediction = _CLOSED[CAUSE_UNMAPPED], None
         else:
+            features = observation.features()
             command, prediction, fault = decide(
-                model_predict_fn, observation.features(),
-                frame.rain_detected, observation.temp)
+                model_predict_fn, features, rain_detected, features[0])  # temp
             if fault is not None:
                 faults += 1
                 first_fault = first_fault or fault
@@ -258,13 +262,15 @@ def read_frames_csv(source: PathOrStream) -> tuple[list[SensorFrame], CleaningRe
     Ticks number the accepted frames sequentially from 0.
     """
     ticks = itertools.count()
+    new_frame = tuple.__new__  # SensorFrame checks nothing, so skip its __new__
     # The tick is drawn last, after both parses succeed, so rejected rows
     # leave no gap in the numbering.
     rows = (cells for _, cells in _read_rows(source, FRAME_COLUMNS))
-    return _clean_rows(rows, lambda cells: SensorFrame(
-        _observation_from_row(cells), _parse_rain(cells[-1]), next(ticks)))
+    return _clean_rows(rows, lambda cells: new_frame(SensorFrame, (
+        _observation_from_row(cells), _parse_rain(cells[-1]), next(ticks))))
 
 
+@functools.lru_cache(maxsize=_CELL_CACHE_SIZE)
 def _parse_rain(text: str) -> bool:
     value = text.strip().lower()
     if value in ("0", "false", "no"):
@@ -272,6 +278,24 @@ def _parse_rain(text: str) -> bool:
     if value in ("1", "true", "yes"):
         return True
     raise _RowRejected("bad_rain")
+
+
+class _FileSink:
+    """A path actuator sink: each wire line is one unbuffered write.
+
+    Nothing is buffered, so a write that raises or is short leaves its line
+    undelivered for good: no later write sends it, late and out of order.
+    """
+
+    def __init__(self, raw):
+        self._raw = raw  # a file opened in binary mode with buffering=0
+
+    def write(self, text: str) -> int:
+        data = text.encode("ascii")
+        written = self._raw.write(data)
+        if written != len(data):  # None: a non-blocking file took nothing
+            raise OSError(f"file sink took only {written or 0} of {len(data)} bytes")
+        return written
 
 
 class _TcpSink:
@@ -321,11 +345,13 @@ def open_sink(spec: str):
     if spec.startswith("tcp:"):
         _, _, rest = spec.partition(":")
         host, sep, port = rest.rpartition(":")
-        if not sep or not host or not port.isdigit():
-            raise ValueError(f"bad tcp sink spec {spec!r}; expected tcp:host:port")
+        # The OS would take a port above 65535 modulo 65536: another port.
+        if not sep or not host or not port.isdecimal() or not 0 < int(port) < 65536:
+            raise ValueError(f"bad tcp sink spec {spec!r}; expected tcp:host:port "
+                             f"with a port from 1 to 65535")
         import socket  # here, so that no other sink pays for its import
         with socket.create_connection((host, int(port)), timeout=TCP_TIMEOUT_S) as conn:
             yield _TcpSink(conn)
         return
-    with open(spec, "w", encoding="ascii", newline="") as stream:
-        yield stream
+    with open(spec, "wb", buffering=0) as raw:
+        yield _FileSink(raw)

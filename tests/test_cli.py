@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -526,6 +527,10 @@ def test_simulate_into_a_full_device_writes_the_log_and_exits_2(workspace, tmp_p
     assert result.returncode == 2
     assert "actuator sink failed on 30 of 30 frames" in result.stderr
     assert "domepilot: error:" in result.stderr and "Traceback" not in result.stderr
+    # Closing the sink fails no more: nothing is left buffered to flush.
+    assert result.stderr.splitlines()[-1] == (
+        f"domepilot: error: actuator sink failed on 30 of 30 frames; "
+        f"decision log written to {log}")
     assert log.read_bytes() == reference.read_bytes()
 
 
@@ -801,6 +806,35 @@ def test_deeply_nested_model_exits_2_naming_the_file(tmp_path):
     assert result.stderr.startswith(f"domepilot: error: {path}: ")
     assert "recursion" in result.stderr and "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_command_runs_without_the_cyclic_gc_and_puts_its_state_back(workspace, tmp_path,
+                                                                      monkeypatch, capsys,
+                                                                      enabled):
+    seen = []
+    cmd_train = cli.cmd_train
+
+    def recording_train(args):
+        seen.append(gc.isenabled())
+        return cmd_train(args)
+
+    monkeypatch.setattr(cli, "cmd_train", recording_train)
+    train = ["train", "--out", str(tmp_path / "dt.json"), "--data"]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli.main([*train, str(workspace["labeled"])]) == 0
+        assert gc.isenabled() is enabled
+        assert cli.main([*train, str(tmp_path / "missing.csv")]) == 2
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            cli.main([*train, str(workspace["labeled"]), "--no-such-flag"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False, False]
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------- imports

@@ -1,4 +1,5 @@
 import datetime
+import errno
 import io
 import json
 import math
@@ -527,6 +528,70 @@ def test_bad_tcp_spec_is_rejected():
     with pytest.raises(ValueError):
         with open_sink("tcp:nowhere"):
             pass
+
+
+@pytest.mark.parametrize("port", ["0", "65536", "\u00b2"])
+def test_a_tcp_port_that_is_not_1_to_65535_is_a_bad_spec(port):
+    with pytest.raises(ValueError, match="bad tcp sink spec"):
+        with open_sink(f"tcp:127.0.0.1:{port}"):
+            pass
+
+
+def test_a_tcp_port_above_65535_does_not_wrap_around():
+    # The OS takes a port modulo 65536, so p + 65536 would reach a listener on p.
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        port = listener.getsockname()[1]
+        with pytest.raises(ValueError, match="bad tcp sink spec"):
+            with open_sink(f"tcp:127.0.0.1:{port + 65536}"):
+                pass
+        listener.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            listener.accept()  # nothing connected
+
+
+def test_a_file_sink_write_that_fails_drops_its_line(tmp_path, monkeypatch):
+    writes = 0
+
+    class FullOnSecondWrite(io.FileIO):
+        def write(self, data):
+            nonlocal writes
+            writes += 1
+            if writes == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(data)
+
+    def open_with_full_raw(file, mode="r", buffering=-1, **text_args):
+        # The layers the builtin open would stack for mode and buffering,
+        # over a raw file whose second write fails.
+        raw = FullOnSecondWrite(file, mode.replace("b", "").replace("t", ""))
+        if buffering == 0:
+            return raw
+        buffered = io.BufferedWriter(raw)
+        return buffered if "b" in mode else io.TextIOWrapper(buffered, **text_args)
+
+    monkeypatch.setattr(controller, "open", open_with_full_raw, raising=False)
+    path = tmp_path / "wire.txt"
+    frames = [frame(tick=0), frame(tick=1, rain=True), frame(tick=2), frame(tick=3)]
+    with open_sink(str(path)) as sink:
+        log = replay(constant_model(1), frames, sink=sink)
+    assert [entry.command.dome for entry in log] == [1, 0, 1, 1]
+    assert log.undelivered == 1
+    # The rain frame's close line never reaches the file, not even late.
+    assert path.read_bytes() == b"D:1 A:0\n" * 3
+
+
+def test_a_short_file_sink_write_is_undelivered():
+    class Short:
+        def write(self, data):
+            return None if data.startswith(b"D:0") else 3
+
+    sink = controller._FileSink(Short())
+    with pytest.raises(SignalDeliveryError, match="only 3 of 8 bytes"):
+        emit_signal(command_for(1), sink)
+    with pytest.raises(SignalDeliveryError, match="only 0 of 8 bytes"):
+        emit_signal(command_for(0, rain=True), sink)
 
 
 # ---------------------------------------------------------------- log writer
