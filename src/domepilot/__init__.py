@@ -42,9 +42,7 @@ from .weather import (
     CleaningReport,
     ConditionTable,
     LabeledSample,
-    SchemaError,
     SplitSpec,
-    UnmappedConditionError,
     WeatherObservation,
     derive_state,
     filter_city,

@@ -303,14 +303,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(Path(_require(args.model, "--model")))
     features = tuple(_reading(args, name) for name in FEATURE_NAMES)
-    temp, _, humidity, hour, visibility, barometer = features  # FEATURE_NAMES order
+    _, _, humidity, hour, visibility, barometer = features  # FEATURE_NAMES order
     check_ranges(hour, humidity, barometer, visibility)
     rain = _require(args.rain, "--rain")
     try:
         rain_detected = _parse_rain(rain)
     except _RowRejected:
         raise ValueError(f"--rain must be 0/1, no/yes or false/true, got {rain!r}") from None
-    command, _, fault = decide(model.predict, features, rain_detected, temp)
+    command, _, fault = decide(model.predict, features, rain_detected)
     if fault is not None:
         logger.warning("model failed, so the dome was closed: %s", fault, exc_info=fault)
     emit_signal(command, sys.stdout)

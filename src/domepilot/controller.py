@@ -98,16 +98,17 @@ _OPEN = DomeCommand(1, CAUSE_MODEL)
 
 
 def decide(model_predict_fn: Callable[[Sequence[float]], int],
-           features: Sequence[float], rain_detected: bool, temp: float
+           features: Sequence[float], rain_detected: bool
            ) -> tuple[DomeCommand, Optional[int], Optional[Exception]]:
     """(command, prediction, fault) for one set of sensor inputs.
 
     The model is always asked first. If it raises or returns anything but 0
     or 1, the dome closes with cause ``rain_override`` if it is raining,
     else ``model_error``; the prediction is then None and ``fault`` holds
-    the failure. Otherwise rain closes the dome, then a temperature outside
-    the open interval (TEMP_OPEN_LOW, TEMP_OPEN_HIGH) does, and only then
-    does the model's prediction drive it.
+    the failure. Otherwise rain closes the dome, then a temperature
+    ``features[0]`` (FEATURE_NAMES order) outside the open interval
+    (TEMP_OPEN_LOW, TEMP_OPEN_HIGH) does, and only then does the model's
+    prediction drive it.
     """
     try:
         output = model_predict_fn(features)
@@ -118,7 +119,7 @@ def decide(model_predict_fn: Callable[[Sequence[float]], int],
     prediction = int(output)
     if rain_detected:
         command = _CLOSED[CAUSE_RAIN]
-    elif not TEMP_OPEN_LOW < temp < TEMP_OPEN_HIGH:
+    elif not TEMP_OPEN_LOW < features[0] < TEMP_OPEN_HIGH:
         command = _CLOSED[CAUSE_TEMP]
     else:
         command = _OPEN if prediction else _CLOSED[CAUSE_MODEL]
@@ -232,9 +233,8 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
         if not mapped(observation.condition):
             command, prediction = _CLOSED[CAUSE_UNMAPPED], None
         else:
-            features = observation.features()
             command, prediction, fault = decide(
-                model_predict_fn, features, rain_detected, features[0])  # temp
+                model_predict_fn, observation.features(), rain_detected)
             if fault is not None:
                 faults += 1
                 first_fault = first_fault or fault
@@ -284,16 +284,21 @@ class _FileSink:
     """A path actuator sink: each wire line is one unbuffered write.
 
     Nothing is buffered, so a write that raises or is short leaves its line
-    undelivered for good: no later write sends it, late and out of order.
+    undelivered for good: no later write sends it, late and out of order;
+    after one that took part of a line, every later write fails as well.
     """
 
     def __init__(self, raw):
-        self._raw = raw  # a file opened in binary mode with buffering=0
+        self._raw = raw  # a file opened in binary mode with buffering=0, None once cut
 
     def write(self, text: str) -> int:
+        if self._raw is None:
+            raise OSError("file sink cut off after an earlier partial write")
         data = text.encode("ascii")
         written = self._raw.write(data)
         if written != len(data):  # None: a non-blocking file took nothing
+            if written:  # no later line may follow the partial one in the file
+                self._raw = None
             raise OSError(f"file sink took only {written or 0} of {len(data)} bytes")
         return written
 

@@ -47,8 +47,7 @@ class TreeConfig(_TreeConfig):
     __slots__ = ()
 
     def __new__(cls, criterion: str = "gini", max_leaf_nodes: int = 50):
-        if criterion not in CRITERIA:
-            raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+        _impurity_of(criterion)  # raises on an unknown criterion
         _integer(max_leaf_nodes, "max_leaf_nodes")
         if max_leaf_nodes < 1:
             raise ValueError(f"max_leaf_nodes must be >= 1, got {max_leaf_nodes}")

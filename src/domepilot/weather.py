@@ -15,6 +15,7 @@ import logging
 import math
 import operator
 import re
+from collections import Counter
 from contextlib import contextmanager
 from datetime import date as Date
 from pathlib import Path
@@ -44,18 +45,6 @@ PathOrStream = Union[str, Path, IO[str]]
 # all-distinct cells from growing the memo without limit. Only results are
 # kept: a cell that raises is parsed, rejected and counted every time.
 _CELL_CACHE_SIZE = 4096
-
-
-class SchemaError(ValueError):
-    """Input CSV is missing a required column."""
-
-
-class UnmappedConditionError(LookupError):
-    """A weather description has no entry in the condition table."""
-
-    def __init__(self, condition: str):
-        super().__init__(f"unmapped weather condition: {condition!r}")
-        self.condition = condition
 
 
 @functools.lru_cache(maxsize=_CELL_CACHE_SIZE)
@@ -139,7 +128,7 @@ class ConditionTable:
         try:
             return self._flags[normalize_condition(condition)]
         except KeyError:
-            raise UnmappedConditionError(condition) from None
+            raise LookupError(f"unmapped weather condition: {condition!r}") from None
 
     @classmethod
     def builtin(cls) -> "ConditionTable":
@@ -287,15 +276,11 @@ class SplitSpec(_SplitSpec):
 
 
 class CleaningReport:
-    """Row accounting for one pipeline stage: kept + rejected = rows seen."""
+    """Row accounting for one pipeline stage: rows_read = kept + rejected."""
 
-    def __init__(self) -> None:
-        self.rows_read = self.kept = self.rejected = 0
-        self.reasons: dict[str, int] = {}
-
-    def reject(self, reason: str) -> None:
-        self.rejected += 1
-        self.reasons[reason] = self.reasons.get(reason, 0) + 1
+    def __init__(self, kept: int, reasons: Counter) -> None:
+        self.kept, self.reasons, self.rejected = kept, reasons, sum(reasons.values())
+        self.rows_read = kept + self.rejected
 
     def as_dict(self) -> dict:
         return {"rows_read": self.rows_read, "kept": self.kept, "rejected": self.rejected,
@@ -422,7 +407,7 @@ def _read_rows(source: PathOrStream,
     """(line number, cells in ``columns`` order) for each non-blank CSV row.
 
     Header names match case-insensitively, in any order; extra columns are
-    ignored and a missing one raises SchemaError naming the file. Short rows
+    ignored and a missing one raises a ValueError naming the file. Short rows
     read as empty cells.
     """
     rows = _csv_rows(source)
@@ -430,7 +415,7 @@ def _read_rows(source: PathOrStream,
     by_name = {name.strip().lower(): i for i, name in enumerate(header) if name}
     missing = [col for col in columns if col not in by_name]
     if missing:
-        raise SchemaError(_named(source, "missing required column(s): " + ", ".join(missing)))
+        raise ValueError(_named(source, "missing required column(s): " + ", ".join(missing)))
     positions = [by_name[col] for col in columns]
     pick = operator.itemgetter(*positions)
     width = max(positions) + 1
@@ -447,23 +432,21 @@ T = TypeVar("T")
 
 def _clean_rows(rows: Iterable, parse: Callable[..., T]) -> tuple[list[T], CleaningReport]:
     """``parse`` applied to each row; a row it rejects is counted, not kept."""
-    report = CleaningReport()
     kept: list[T] = []
+    reasons: Counter = Counter()
     for row in rows:
-        report.rows_read += 1
         try:
             kept.append(parse(row))
         except _RowRejected as rej:
-            report.reject(rej.reason)
-    report.kept = len(kept)
-    return kept, report
+            reasons[rej.reason] += 1
+    return kept, CleaningReport(len(kept), reasons)
 
 
 def parse_dataset(source: PathOrStream) -> tuple[list[WeatherObservation], CleaningReport]:
     """Parse a raw weather CSV into observations plus a cleaning report.
 
     The header must name at least the RAW_COLUMNS (case-insensitive, any
-    order); a missing column raises SchemaError. Rows with unparsable or
+    order); a missing column raises ValueError. Rows with unparsable or
     out-of-range cells are dropped and counted, never fatal. Row order is
     preserved.
     """
@@ -493,7 +476,7 @@ def to_samples(observations: Sequence[WeatherObservation],
     def label(obs: WeatherObservation) -> LabeledSample:
         try:
             flag = table.flag(obs.condition)
-        except UnmappedConditionError:
+        except LookupError:
             raise _RowRejected("unmapped_condition") from None
         return LabeledSample(obs.features(), derive_state(flag, obs.temp))
 

@@ -926,8 +926,32 @@ def test_load_rejects_unrecognized_documents(tmp_path):
         load_model(path)
 
 
+def test_a_model_file_that_is_no_object_is_no_model_document(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: not a model document"
+
+
 PREDICT_ARGS = ("--temp", 21, "--wind", 0, "--humidity", 0.33, "--hour", 0,
                 "--visibility", 16, "--barometer", 1020, "--rain", 0)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["predict", "--model", "m.json", *map(str, PREDICT_ARGS[:-1]), "maybe"],
+     "--rain must be 0/1, no/yes or false/true, got 'maybe'"),
+    (["train", "--out", "m.json"], "--data is required"),
+    (["train", "--data", "l.csv", "--model", "svm", "--out", "m.json"],
+     "--model must be one of ('dt', 'knn'), got 'svm'"),
+], ids=["predict-rain-maybe", "train-without-data", "train-model-svm"])
+def test_a_bad_flag_exits_2_with_its_message(monkeypatch, tmp_path, capsys, argv, message):
+    model = RecordingModel()
+    monkeypatch.setattr(cli, "load_model", lambda path: model)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"domepilot: error: {message}\n")
+    assert model.seen == [] and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("edit", [
@@ -1035,8 +1059,9 @@ def _edit_features(doc, value):
     (lambda doc: doc["stats"]["means"].__setitem__(1, float("nan")), "means"),
     (lambda doc: doc["stats"]["stds"].__setitem__(1, float("inf")), "stds"),
     (lambda doc: doc["stats"]["stds"].__setitem__(1, -0.5), "stds"),
+    (lambda doc: doc["stats"].update(means=1), "knn model stats must be lists of numbers"),
 ], ids=["3-means", "3-stds", "7-stds", "nan-feature", "inf-feature",
-        "nan-mean", "inf-std", "negative-std"])
+        "nan-mean", "inf-std", "negative-std", "int-means"])
 def test_invalid_knn_values_exit_2_naming_the_field(tmp_path, edit, field):
     samples = [((float(i), 1.0 + i % 3, 0.5, 3.0, 10.0, 1010.0 + i), i % 2)
                for i in range(10)]

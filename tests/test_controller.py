@@ -36,7 +36,6 @@ from domepilot.controller import (
 )
 from domepilot.weather import (
     ConditionTable,
-    SchemaError,
     WeatherObservation,
     derive_state,
 )
@@ -63,8 +62,9 @@ def failing_model(features):
 
 
 def decide_with(model, rain=False, temp=20.0):
-    """decide() on the features of one observation at ``temp``."""
-    return decide(model, observation(temp=temp).features(), rain, temp)
+    """decide() on the features of one observation at ``temp``; the gate reads
+    the temperature from those features."""
+    return decide(model, observation(temp=temp).features(), rain)
 
 
 def command_for(prediction, rain=False, temp=20.0):
@@ -422,7 +422,7 @@ def test_pickled_frames_replay_like_parsed_frames(tmp_path):
 def test_read_frames_csv_requires_rain_column(tmp_path):
     path = tmp_path / "frames.csv"
     path.write_text("city,date,time,temp,wind,humidity,barometer,visibility,weather\n")
-    with pytest.raises(SchemaError, match="rain"):
+    with pytest.raises(ValueError, match="missing required column.*rain"):
         read_frames_csv(path)
 
 
@@ -588,10 +588,33 @@ def test_a_short_file_sink_write_is_undelivered():
             return None if data.startswith(b"D:0") else 3
 
     sink = controller._FileSink(Short())
-    with pytest.raises(SignalDeliveryError, match="only 3 of 8 bytes"):
-        emit_signal(command_for(1), sink)
+    # A write that took nothing leaves the sink usable, so it goes first.
     with pytest.raises(SignalDeliveryError, match="only 0 of 8 bytes"):
         emit_signal(command_for(0, rain=True), sink)
+    with pytest.raises(SignalDeliveryError, match="only 3 of 8 bytes"):
+        emit_signal(command_for(1), sink)
+
+
+def test_a_partial_file_sink_write_fails_every_later_line(tmp_path, monkeypatch):
+    writes = 0
+
+    class ShortOnSecondWrite(io.FileIO):
+        def write(self, data):
+            nonlocal writes
+            writes += 1
+            return super().write(data[:3] if writes == 2 else data)
+
+    monkeypatch.setattr(controller, "open",
+                        lambda file, mode, buffering: ShortOnSecondWrite(file, "w"),
+                        raising=False)
+    path = tmp_path / "wire.txt"
+    frames = [frame(tick=t) for t in range(4)]
+    with open_sink(str(path)) as sink:
+        log = replay(constant_model(1), frames, sink=sink)
+    assert [entry.command.dome for entry in log] == [1, 1, 1, 1]
+    assert log.undelivered == 3 and writes == 2
+    # Nothing is glued onto the fragment of the second line.
+    assert path.read_bytes() == b"D:1 A:0\nD:1"
 
 
 # ---------------------------------------------------------------- log writer

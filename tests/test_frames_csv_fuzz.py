@@ -7,7 +7,9 @@ the csv module's field limit. ``simulate`` with a tree on it must either
 exit 0 with one decision-log entry and one wire line per accepted frame, or
 exit 2 with a ``domepilot: error:`` line naming the file. It never raises.
 The gate reads each plain ``H:MM`` or ``HH:MM`` time cell itself, and an
-accepted frame must log that hour.
+accepted frame must log that hour. For a file that parses, the cleaning
+report must count one row per non-blank record after the header, keep one
+per frame, and give the rejected rows their reasons.
 """
 
 import contextlib
@@ -160,10 +162,16 @@ def test_mutated_frames_csv_simulates_or_fails_naming_the_file(files, raw):
     path.write_bytes(raw)
 
     try:
-        accepted = len(read_frames_csv(path)[0])
+        frames, report = read_frames_csv(path)
     except ValueError as exc:
         assert str(exc).startswith(f"{path}: "), exc
         accepted = None
+    else:
+        accepted = len(frames)
+        records = list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))[1:]
+        assert report.rows_read == sum(1 for cells in records if cells)
+        assert report.kept == accepted
+        assert sum(report.reasons.values()) == report.rejected
     log.unlink(missing_ok=True)
     wire.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()

@@ -348,6 +348,14 @@ def test_standardized_overflow_is_rejected():
                  scaling="standardize", means=[0.0, 0.0], stds=[1e-300, 1.0])
 
 
+def test_a_standardized_query_that_overflows_is_rejected():
+    # Within float range, but its standardized squared norm is not.
+    model = train_knn(toy_samples([((0,) * 6, 0), ((1,) * 6, 1)]), k=1,
+                      scaling="standardize")
+    with pytest.raises(ValueError, match="^standardized query overflows; stds too small$"):
+        model.predict([1e300] + [0.5] * 5)
+
+
 def test_k_equals_n_returns_the_global_majority():
     rng = np.random.default_rng(3)
     features = rng.uniform(0, 10, size=(25, 6))

@@ -159,6 +159,8 @@ def test_constant_model_on_balanced_labels_flags_degenerate_f1():
     assert report.accuracy == 0.5
     assert report.f1_class0 == 0.0
     assert report.degenerate_f1_classes == (0,)
+    assert render_reports([report]).splitlines()[-1] == (
+        "model: F1 degenerate (no predicted or actual instances) for class 0")
 
 
 def test_empty_test_set_is_an_error():

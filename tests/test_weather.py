@@ -17,9 +17,7 @@ from domepilot.weather import (
     CleaningReport,
     ConditionTable,
     LabeledSample,
-    SchemaError,
     SplitSpec,
-    UnmappedConditionError,
     WeatherObservation,
     derive_state,
     filter_city,
@@ -71,9 +69,9 @@ def test_lookup_is_case_insensitive_and_whitespace_collapsed():
 
 def test_unknown_condition_raises_carrying_the_string():
     table = ConditionTable.builtin()
-    with pytest.raises(UnmappedConditionError) as err:
+    with pytest.raises(LookupError) as err:
         table.flag("Frogs falling")
-    assert err.value.condition == "Frogs falling"
+    assert str(err.value) == "unmapped weather condition: 'Frogs falling'"
 
 
 def test_table_rejects_duplicates_and_bad_flags():
@@ -158,7 +156,7 @@ def test_unparsable_numeric_rejects_only_that_row():
 
 def test_missing_column_is_a_schema_error_naming_it():
     stream = io.StringIO("city,date,time,temp,wind,humidity,barometer,weather\n")
-    with pytest.raises(SchemaError, match="visibility"):
+    with pytest.raises(ValueError, match="missing required column.*visibility"):
         parse_dataset(stream)
 
 
@@ -551,7 +549,7 @@ def test_labeled_csv_prints_each_float_as_its_repr():
 def test_labeled_csv_missing_column_is_schema_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("temp,wind,humidity,hour,visibility,state\n")
-    with pytest.raises(SchemaError, match="barometer"):
+    with pytest.raises(ValueError, match="missing required column.*barometer"):
         read_labeled_csv(path)
 
 
