@@ -18,7 +18,6 @@ from .controller import (
     CAUSE_UNMAPPED,
     DecisionLog,
     DomeCommand,
-    SensorFrame,
     SignalDeliveryError,
     decide,
     emit_signal,
@@ -42,6 +41,7 @@ from .weather import (
     CleaningReport,
     ConditionTable,
     LabeledSample,
+    SensorFrame,
     SplitSpec,
     WeatherObservation,
     derive_state,

@@ -23,15 +23,7 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import IO, Iterator, Union
 
-from .controller import (
-    SignalDeliveryError,
-    _parse_rain,
-    decide,
-    emit_signal,
-    open_sink,
-    read_frames_csv,
-    replay,
-)
+from .controller import SignalDeliveryError, decide, emit_signal, open_sink, replay
 from .knnmodel import KnnModel, default_k, train_knn
 from .metrics import evaluate, render_reports
 from .tree import TreeConfig, TreeModel, train_tree
@@ -42,10 +34,12 @@ from .weather import (
     _opened,
     _parse_hour,
     _parse_number,
+    _parse_rain,
     _RowRejected,
     check_ranges,
     filter_city,
     parse_dataset,
+    read_frames_csv,
     read_labeled_csv,
     split,
     to_samples,
@@ -77,8 +71,8 @@ def save_model(model: Union[TreeModel, KnnModel], path: Union[str, Path]) -> Non
 
 def load_model(path: Union[str, Path]) -> Union[TreeModel, KnnModel]:
     """Model saved by save_model; a malformed document raises ValueError."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:  # utf-8-sig: a leading byte-order mark is dropped
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):

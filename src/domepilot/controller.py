@@ -1,12 +1,13 @@
-"""Dome controller loop: sense -> predict -> gate -> override -> actuate.
+"""Dome controller: ``decide``, ``replay``, the decision log and the actuator sinks.
 
-The rain sensor is a hard, stateless override: any positive forces the dome
-closed for that frame, whatever the model does. A model that raises or
-returns anything but 0 or 1 closes the dome for that frame. The temperature
-gate is re-checked at decision time as defense in depth even though the
-model was trained on gated labels. A command stores only the dome bit; the
-air conditioning bit is derived from it, so the AC runs exactly when the
-dome is closed.
+Each frame goes sense -> predict -> gate -> override -> actuate; the frames
+CSV is read by ``domepilot.weather``. The rain sensor is a hard, stateless
+override: any positive forces the dome closed for that frame, whatever the
+model does. A model that raises or returns anything but 0 or 1 closes the
+dome for that frame. The temperature gate is re-checked at decision time as
+defense in depth even though the model was trained on gated labels. A
+command stores only the dome bit; the air conditioning bit is derived from
+it, so the AC runs exactly when the dome is closed.
 
 Actuator wire protocol: one newline-delimited ASCII line per decision,
 ``D:<0|1> A:<0|1>`` (dome, ac).
@@ -14,8 +15,6 @@ Actuator wire protocol: one newline-delimited ASCII line per decision,
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 import logging
 import math
@@ -24,19 +23,13 @@ from contextlib import contextmanager
 from typing import IO, Callable, NamedTuple, Optional, Sequence
 
 from .weather import (
-    _CELL_CACHE_SIZE,
-    RAW_COLUMNS,
     TEMP_OPEN_HIGH,
     TEMP_OPEN_LOW,
-    CleaningReport,
     ConditionTable,
     PathOrStream,
-    WeatherObservation,
-    _clean_rows,
-    _observation_from_row,
+    SensorFrame,
     _opened,
-    _read_rows,
-    _RowRejected,
+    read_frames_csv,  # noqa: F401  re-exported: bench/child.py parses frames through here
 )
 
 CAUSE_MODEL = "model"
@@ -45,9 +38,6 @@ CAUSE_TEMP = "temp_gate"
 CAUSE_UNMAPPED = "unmapped_condition"
 CAUSE_MODEL_ERROR = "model_error"
 CAUSES = (CAUSE_MODEL, CAUSE_RAIN, CAUSE_TEMP, CAUSE_UNMAPPED, CAUSE_MODEL_ERROR)
-
-#: Columns of a frames CSV: the raw weather schema plus a rain flag.
-FRAME_COLUMNS = RAW_COLUMNS + ("rain",)
 
 #: Seconds a ``tcp:`` sink may take to connect or to accept one wire line; a
 #: peer that stops reading then fails that frame's delivery, and the sink
@@ -59,14 +49,6 @@ logger = logging.getLogger(__name__)
 
 class SignalDeliveryError(RuntimeError):
     """Writing to the actuator sink failed; safe to retry next frame."""
-
-
-class SensorFrame(NamedTuple):
-    """Current conditions plus the rain sensor, at a monotonic tick."""
-
-    observation: WeatherObservation
-    rain_detected: bool
-    tick: int
 
 
 class _DomeCommand(NamedTuple):
@@ -254,30 +236,6 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
                        undelivered, len(frames), first_undelivered)
     log.undelivered = undelivered
     return log
-
-
-def read_frames_csv(source: PathOrStream) -> tuple[list[SensorFrame], CleaningReport]:
-    """Parse a frames CSV (raw weather schema plus ``rain`` 0/1 column).
-
-    Ticks number the accepted frames sequentially from 0.
-    """
-    ticks = itertools.count()
-    new_frame = tuple.__new__  # SensorFrame checks nothing, so skip its __new__
-    # The tick is drawn last, after both parses succeed, so rejected rows
-    # leave no gap in the numbering.
-    rows = (cells for _, cells in _read_rows(source, FRAME_COLUMNS))
-    return _clean_rows(rows, lambda cells: new_frame(SensorFrame, (
-        _observation_from_row(cells), _parse_rain(cells[-1]), next(ticks))))
-
-
-@functools.lru_cache(maxsize=_CELL_CACHE_SIZE)
-def _parse_rain(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("0", "false", "no"):
-        return False
-    if value in ("1", "true", "yes"):
-        return True
-    raise _RowRejected("bad_rain")
 
 
 class _FileSink:

@@ -14,7 +14,7 @@ import math
 from itertools import chain
 from typing import Optional, Sequence
 
-from .tree import _integer
+from .tree import _integer, _number
 from .weather import _features_and_labels
 
 SCALINGS = ("none", "standardize")
@@ -61,16 +61,13 @@ class KnnModel:
         if self.scaling == "standardize":
             if self.means is None or self.stds is None:
                 raise ValueError("standardize scaling requires means and stds")
-            self.means = tuple(map(float, self.means))
-            self.stds = tuple(map(float, self.stds))
+            self.means = tuple(_number(v, f"means[{j}]") for j, v in enumerate(self.means))
+            self.stds = tuple(_number(v, f"stds[{j}]", nonnegative=True)
+                              for j, v in enumerate(self.stds))
             for name, stat in (("means", self.means), ("stds", self.stds)):
                 if len(stat) != self.n_features:
                     raise ValueError(f"{name} must hold one value per feature "
                                      f"({self.n_features}), got {len(stat)}")
-                if not all(map(math.isfinite, stat)):
-                    raise ValueError(f"{name} must be finite")
-            if any(std < 0 for std in self.stds):
-                raise ValueError("stds must be >= 0")
             # A z-score can overflow to infinity; building the kernel rejects that.
             self._build_kernel()
 

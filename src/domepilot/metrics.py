@@ -111,7 +111,7 @@ def evaluate(model_predict_fn: Callable[[Sequence[float]], int],
             predictions.append(int(prediction))
         except Exception as exc:
             raise RuntimeError(f"prediction failed on test sample {i}: {exc}") from exc
-        labels.append(int(sample.label))
+        labels.append(sample.label)  # confusion refuses any label but 0/1
     matrix = confusion(predictions, labels)
     scores = {klass: f1(matrix, klass) for klass in (0, 1)}
     return EvalReport(

@@ -15,8 +15,7 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .controller import FRAME_COLUMNS, SensorFrame
-from .weather import RAW_COLUMNS, WeatherObservation
+from .weather import FRAME_COLUMNS, RAW_COLUMNS, SensorFrame, WeatherObservation
 
 
 def bucket_condition(visibility: float, barometer: float) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from itertools import repeat
-from math import log2
+from math import isfinite, log2
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
@@ -34,6 +34,14 @@ def _integer(value, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _number(value, name: str, nonnegative: bool = False) -> float:
+    """``value`` as a float if it is a finite JSON number (an int or a float, not a bool)."""
+    if type(value) not in (int, float) or not isfinite(value) or nonnegative and value < 0:
+        kind = "non-negative number" if nonnegative else "number"
+        raise ValueError(f"{name} must be a finite {kind}, got {value!r}")
+    return float(value)
 
 
 class _TreeConfig(NamedTuple):
@@ -126,7 +134,9 @@ class TreeModel:
             if not 0 <= i < len(nodes):
                 raise ValueError(f"tree node id {i} out of range")
             if rec["type"] == "split":
-                node = Split(threshold=float(rec["threshold"]), impurity=float(rec["impurity"]),
+                node = Split(threshold=_number(rec["threshold"], f"tree node {i}: threshold"),
+                             impurity=_number(rec["impurity"], f"tree node {i}: impurity",
+                                              nonnegative=True),
                              **{key: _integer(rec[key], f"tree node {i}: {key}")
                                 for key in ("feature", "left", "right", "n")})
                 # Children are created after their parent, so ids only grow

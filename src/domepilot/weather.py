@@ -1,5 +1,6 @@
-"""Hourly weather ingestion, condition labeling, and seeded train/test splits.
+"""Input rows, condition labeling, and seeded train/test splits.
 
+Every input CSV is read here, the frames CSV (raw weather plus rain) too.
 The pipeline goes raw CSV -> WeatherObservation -> LabeledSample. A 36-entry
 condition table maps each weather description to a binary open-compatibility
 flag, and a temperature gate turns that flag into the final dome state:
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import logging
 import math
 import operator
@@ -29,6 +31,9 @@ FEATURE_NAMES = ("temp", "wind", "humidity", "hour", "visibility", "barometer")
 #: Required header names of the raw input CSV (any column order).
 RAW_COLUMNS = ("city", "date", "time", "temp", "wind", "humidity",
                "barometer", "visibility", "weather")
+
+#: Columns of a frames CSV: the raw weather schema plus a rain flag.
+FRAME_COLUMNS = RAW_COLUMNS + ("rain",)
 
 #: Header of the canonical labeled-dataset CSV.
 LABELED_COLUMNS = FEATURE_NAMES + ("state",)
@@ -220,6 +225,14 @@ class WeatherObservation(_WeatherObservation):
         return (temp, wind, humidity, float(hour), visibility, barometer)
 
 
+class SensorFrame(NamedTuple):
+    """Current conditions plus the rain sensor, at a monotonic tick."""
+
+    observation: WeatherObservation
+    rain_detected: bool
+    tick: int
+
+
 class _LabeledSample(NamedTuple):
     features: tuple[float, ...]
     label: int
@@ -288,11 +301,7 @@ class CleaningReport:
 
 
 class _RowRejected(Exception):
-    """Internal: a raw row failed cleaning; .reason says why."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """Internal: a raw row failed cleaning; its one argument is the reason."""
 
 
 #: Accepted date layouts, tried in this order (slash dates day-first).
@@ -371,6 +380,16 @@ def _parse_number(text: str, column: str) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=_CELL_CACHE_SIZE)
+def _parse_rain(text: str) -> bool:
+    value = text.strip().lower()
+    if value in ("0", "false", "no"):
+        return False
+    if value in ("1", "true", "yes"):
+        return True
+    raise _RowRejected("bad_rain")
+
+
 def _observation_from_row(cells: Sequence[str]) -> WeatherObservation:
     """Observation from the cells of one row, in RAW_COLUMNS order."""
     city, day, time, temp, wind, humidity, barometer, visibility, weather = cells[:9]
@@ -438,7 +457,7 @@ def _clean_rows(rows: Iterable, parse: Callable[..., T]) -> tuple[list[T], Clean
         try:
             kept.append(parse(row))
         except _RowRejected as rej:
-            reasons[rej.reason] += 1
+            reasons[rej.args[0]] += 1
     return kept, CleaningReport(len(kept), reasons)
 
 
@@ -452,6 +471,20 @@ def parse_dataset(source: PathOrStream) -> tuple[list[WeatherObservation], Clean
     """
     rows = (cells for _, cells in _read_rows(source, RAW_COLUMNS))
     return _clean_rows(rows, _observation_from_row)
+
+
+def read_frames_csv(source: PathOrStream) -> tuple[list[SensorFrame], CleaningReport]:
+    """Parse a frames CSV (raw weather schema plus ``rain`` 0/1 column).
+
+    Ticks number the accepted frames sequentially from 0.
+    """
+    ticks = itertools.count()
+    new_frame = tuple.__new__  # SensorFrame checks nothing, so skip its __new__
+    # The tick is drawn last, after both parses succeed, so rejected rows
+    # leave no gap in the numbering.
+    rows = (cells for _, cells in _read_rows(source, FRAME_COLUMNS))
+    return _clean_rows(rows, lambda cells: new_frame(SensorFrame, (
+        _observation_from_row(cells), _parse_rain(cells[-1]), next(ticks))))
 
 
 def filter_city(observations: Sequence[WeatherObservation],
@@ -547,13 +580,15 @@ def read_labeled_csv(source: PathOrStream) -> list[LabeledSample]:
 def _opened(source: PathOrStream, mode: str = "r") -> Iterator[IO[str]]:
     """Open paths for the caller, pass streams through unchanged.
 
-    Bytes that are not UTF-8 raise a ValueError naming the file and, for a
-    path, the line of the first such byte.
+    A path read drops one leading UTF-8 byte-order mark; nothing written gets
+    one. Bytes that are not UTF-8 raise a ValueError naming the file and, for
+    a path, the line of the first such byte.
     """
     is_path = isinstance(source, (str, Path))
+    encoding = "utf-8-sig" if mode == "r" else "utf-8"
     try:
         if is_path:
-            with open(source, mode, encoding="utf-8", newline="") as stream:
+            with open(source, mode, encoding=encoding, newline="") as stream:
                 yield stream
         else:
             yield source

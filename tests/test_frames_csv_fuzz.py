@@ -24,10 +24,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domepilot import cli
-from domepilot.controller import FRAME_COLUMNS, read_frames_csv
 from domepilot.synthetic import synthetic_observations, to_raw_csv
 from domepilot.tree import TreeConfig, train_tree
-from domepilot.weather import ConditionTable, to_samples
+from domepilot.weather import FRAME_COLUMNS, ConditionTable, read_frames_csv, to_samples
 
 OBSERVATIONS = synthetic_observations(40, seed=13)
 _written = io.StringIO()

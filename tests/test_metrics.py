@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,17 @@ def test_prediction_errors_abort_with_sample_context():
 def test_a_prediction_that_is_not_0_or_1_aborts_instead_of_truncating():
     with pytest.raises(RuntimeError, match="test sample 0: model returned 0.97, not 0 or 1"):
         evaluate(lambda features: 0.97, sample_set([1, 1, 1, 1]))
+
+
+def test_a_label_that_is_not_0_or_1_aborts_instead_of_truncating():
+    samples = [SimpleNamespace(features=(1,), label=0.5), SimpleNamespace(features=(1,), label=1)]
+    with pytest.raises(ValueError, match="label=0.5"):
+        evaluate(lambda features: 0, samples)
+
+
+def test_true_and_1_0_labels_count_as_1():
+    samples = [SimpleNamespace(features=(1,), label=label) for label in (True, 1.0, 0)]
+    assert evaluate(lambda features: 1, samples).matrix == ConfusionMatrix(tp=2, tn=0, fp=1, fn=0)
 
 
 def test_report_dict_and_render():

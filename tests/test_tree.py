@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domepilot.cli import load_model, save_model
+from domepilot.cli import load_model, main, save_model
 from domepilot.knnmodel import train_knn
 from domepilot.synthetic import synthetic_observations
 from domepilot.tree import (
@@ -567,3 +567,38 @@ def test_every_node_but_the_root_has_exactly_one_parent(edit):
     edit(doc["nodes"])
     with pytest.raises(ValueError, match="not a tree"):
         TreeModel.from_dict(doc)
+
+
+def test_split_numbers_may_be_json_ints():
+    doc = two_split_document()
+    doc["nodes"][1].update(threshold=5, impurity=0)
+    model = TreeModel.from_dict(doc)
+    assert (model.nodes[1].threshold, model.nodes[1].impurity) == (5.0, 0.0)
+    assert type(model.nodes[1].threshold) is float
+
+
+# A split's threshold and impurity must be finite JSON numbers, not strings or
+# bools; an impurity must also be >= 0. A NaN threshold would route every
+# query right.
+@pytest.mark.parametrize("key,value,expected", [
+    ("threshold", math.nan, "a finite number, got nan"),
+    ("threshold", "nan", "a finite number, got 'nan'"),
+    ("threshold", "20.5", "a finite number, got '20.5'"),
+    ("threshold", True, "a finite number, got True"),
+    ("threshold", -math.inf, "a finite number, got -inf"),
+    ("impurity", math.nan, "a finite non-negative number, got nan"),
+    ("impurity", "0.5", "a finite non-negative number, got '0.5'"),
+    ("impurity", -1, "a finite non-negative number, got -1"),
+])
+def test_a_split_number_that_is_no_finite_json_number_exits_2_naming_the_node(
+        tmp_path, capsys, key, value, expected):
+    doc = two_split_document()
+    doc["nodes"][1][key] = value
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+    argv = ["predict", "--model", str(path), "--temp", "25", "--wind", "0",
+            "--humidity", "0.3", "--hour", "12", "--visibility", "10",
+            "--barometer", "1010", "--rain", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"domepilot: error: {path}: tree node 1: {key} must be {expected}\n")
