@@ -144,20 +144,27 @@ class LogEntry(NamedTuple):
                 "cause": self.command.cause}
 
 
+#: Each command's log line up to its features (``ac`` is DomeCommand.ac).
+_LOG_HEADS = {(dome, cause): (f'{{"ac": {1 - dome}, "cause": "{cause}", '
+                              f'"dome": {dome}, "features": [')
+              for dome in (0, 1) for cause in CAUSES}
+
+
 def _jsonl_line(entry: LogEntry) -> str:
     """``json.dumps(entry.as_dict(), sort_keys=True)`` plus a newline.
 
     Entries whose fields all print the same through ``repr`` as through
     json (int tick, 0/1/None prediction, finite plain floats) are
-    formatted directly; any other goes through ``json.dumps``.
+    formatted directly; any other goes through ``json.dumps``. A sum of
+    finite features that overflows takes that path too, with the same bytes.
     """
-    (observation, _, tick), (dome, cause), prediction = entry
-    features = observation.features()
+    (observation, _, tick), command, prediction = entry
+    t, w, h, hr, v, b = observation.features()
     if (type(tick) is int
             and (prediction is None or (type(prediction) is int and prediction in (0, 1)))
-            and all(type(v) is float and math.isfinite(v) for v in features)):
-        return (f'{{"ac": {1 - dome}, "cause": "{cause}", '  # ac as DomeCommand.ac
-                f'"dome": {dome}, "features": [{", ".join(map(repr, features))}], '
+            and type(t) is type(w) is type(h) is type(hr) is type(v) is type(b) is float
+            and math.isfinite(t + w + h + hr + v + b)):
+        return (f'{_LOG_HEADS[command]}{t!r}, {w!r}, {h!r}, {hr!r}, {v!r}, {b!r}], '
                 f'"prediction": {"null" if prediction is None else prediction}, '
                 f'"tick": {tick}}}\n')
     return json.dumps(entry.as_dict(), sort_keys=True) + "\n"

@@ -22,6 +22,13 @@ from .knnmodel import KnnModel
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).smallest_subnormal)
 
+#: The vote samples every stride-th row, stride = n // (SAMPLE_PER_K k), if
+#: stride >= MIN_STRIDE. In-process on a shared 2-core Linux machine, sampling
+#: saved ~12 µs of a ~70 µs vote at n = 13,707 (stride 14), broke even at
+#: n = 5,472 (stride 9) and cost ~2 µs at n = 2,745 (stride 6).
+SAMPLE_PER_K = 8
+MIN_STRIDE = 10
+
 
 def _standardize(values: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
     """Z-score features; zero-variance features collapse to 0 on both sides.
@@ -63,6 +70,9 @@ class Kernel:
         # vote() refuses every standardized query when 4 max |x|² overflows.
         if self.stats is not None and not 4 * self.max_norm < math.inf:
             raise ValueError("standardized features overflow; stds too small")
+        # vote() selects a_k through a sample when rank > 0; see its docstring.
+        self.stride = n // (SAMPLE_PER_K * self.k)
+        self.rank = -(-2 * self.k // self.stride) if self.stride >= MIN_STRIDE else 0
 
     def _transform(self, values: np.ndarray) -> np.ndarray:
         return values if self.stats is None else _standardize(values, *self.stats)
@@ -86,13 +96,27 @@ class Kernel:
         therefore have ``D - |q|² <= a_k + E``, so the k-th smallest D is at
         most ``|q|² + a_k + E``, and every row with D at or below it has
         ``a <= a_k + 2E``: no row of the k nearest is ruled out. The bound
-        needs every ``a_i`` and ``D_i`` finite, which holds when ``4 S`` is;
-        otherwise (a norm or a distance overflows) the cutoff is infinite.
-        The test ``~(a > cutoff)`` keeps a row whose ``a`` is NaN, so then
-        every row survives and the same vote runs on all of them. A
-        standardized query for which ``4 S`` overflows raises ValueError
-        instead: its z-scores come from stds too small to trust, and all its
-        distances could overflow, leaving the vote to training order.
+        needs every ``a_i`` and ``D_i`` finite, which holds when ``4 S`` is
+        (then ``|a_i| <= 2 S``, so no ``a_i`` is NaN). Otherwise (a norm or
+        a distance overflows) every row survives and the same vote runs on
+        all of them. A standardized query for which ``4 S`` overflows
+        raises ValueError instead: its z-scores come from stds too small to
+        trust, and all its distances could overflow, leaving the vote to
+        training order.
+
+        Selecting ``a_k`` (after Floyd & Rivest, "Expected time bounds for
+        selection", CACM 1975). When the stride ``n // (8k)`` is at least
+        MIN_STRIDE, the vote first takes ``u``, the r-th smallest ``a`` of
+        every stride-th row, with ``r = ceil(2k / stride)``; about 2k rows
+        lie at or below it. It keeps the rows with ``a <= u + 2E``, in
+        index order, and takes ``a_k`` as the k-th smallest kept value if
+        that value is at most ``u``. Then k rows have ``a <= u``, so the
+        true ``a_k <= u``: every row at or below ``a_k + 2E`` was kept, the
+        k smallest among them, and the k-th smallest kept value is the true
+        ``a_k``. The survivors are the kept rows with ``a <= a_k + 2E``, the
+        same rows in the same order as one partition of all n values gives.
+        If fewer than k rows were kept, or the k-th kept value exceeds
+        ``u``, that one partition runs; a smaller model always takes it.
 
         Vote: every row with ``a <= a_k`` survives, so at least k do, and
         if exactly k survive they are the k nearest. Otherwise the
@@ -107,22 +131,46 @@ class Kernel:
         if not all(map(math.isfinite, values)):
             raise ValueError(f"query features must be finite, got {list(values)}")
         q = self._transform(np.array(values))
-        # Only standardizing can blow a finite query up so far that its
-        # distances may overflow; the vote would then be arbitrary.
-        if self.stats is not None:
+        if self.stats is None:
+            qq = float(q @ q)
+        else:
             with np.errstate(over="ignore"):
-                if not 4 * (float(q @ q) + self.max_norm) < math.inf:
-                    raise ValueError("standardized query overflows; stds too small")
-        a = self.screen @ np.append(-2.0 * q, 1.0)
-        a_k = np.partition(a, self.k - 1)[self.k - 1]
-        spread = float(q @ q) + self.max_norm
-        bound = 16 * (d + 2) * EPS * spread + 64 * (d + 2) * TINY
-        cutoff = a_k + 2 * bound if 4 * spread < math.inf else math.inf
-        near = np.flatnonzero(~(a > cutoff))
+                qq = float(q @ q)
+            # Only standardizing can blow a finite query up so far that its
+            # distances may overflow; the vote would then be arbitrary.
+            if not 4 * (qq + self.max_norm) < math.inf:
+                raise ValueError("standardized query overflows; stds too small")
+        v = np.empty(d + 1)
+        np.multiply(q, -2.0, out=v[:d])
+        v[d] = 1.0
+        a = self.screen @ v
+        spread = qq + self.max_norm
+        if 4 * spread < math.inf:
+            bound = 16 * (d + 2) * EPS * spread + 64 * (d + 2) * TINY
+            near = self._survivors(a, 2 * bound)
+        else:
+            near = np.arange(a.size)
         if near.size > self.k:
             sq = _squared_distances(q, self.columns[:, near])
             near = near[np.argsort(sq, kind="stable")[:self.k]]
         return int(self.labels[near].sum() * 2 > self.k)
+
+    def _survivors(self, a: np.ndarray, margin: float) -> np.ndarray:
+        """Indices, in order, of the rows with ``a <= a_k + margin`` (see vote)."""
+        k = self.k
+        if self.rank:
+            u = _kth_smallest(a[::self.stride], self.rank)
+            kept = np.flatnonzero(a <= u + margin)
+            if kept.size >= k:
+                b = a[kept]
+                a_k = _kth_smallest(b, k)
+                if a_k <= u:  # so the true a_k is at most u, and this is it
+                    return kept[b <= a_k + margin]
+        return np.flatnonzero(a <= _kth_smallest(a, k) + margin)
+
+
+def _kth_smallest(values: np.ndarray, k: int) -> float:
+    return np.partition(values, k - 1)[k - 1]
 
 
 def _squared_distances(q: np.ndarray, columns: np.ndarray) -> np.ndarray:

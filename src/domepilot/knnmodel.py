@@ -111,6 +111,11 @@ class KnnModel:
         means, stds = stats.get("means"), stats.get("stds")
         if not all(stat is None or isinstance(stat, list) for stat in (means, stds)):
             raise ValueError("knn model stats must be lists of numbers")
+        # One pass over the types of every cell; only a bad one costs a second.
+        if not {*map(type, chain.from_iterable(rows))} <= {int, float}:
+            for i, row in enumerate(rows):
+                for j, value in enumerate(row[:-1]):
+                    _number(value, f"data row {i}: feature {j}")
         labels = [_integer(row[-1], f"data row {i}: label") for i, row in enumerate(rows)]
         return cls(features=[row[:-1] for row in rows], labels=labels,
                    k=doc["k"], scaling=doc["scaling"], means=means, stds=stds)

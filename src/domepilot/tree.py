@@ -17,8 +17,9 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from itertools import repeat
-from math import isfinite, log2
+from math import log2
 from operator import add
+from sys import float_info
 from typing import NamedTuple, Optional, Sequence
 
 from .weather import _features_and_labels
@@ -38,7 +39,9 @@ def _integer(value, name: str) -> int:
 
 def _number(value, name: str, nonnegative: bool = False) -> float:
     """``value`` as a float if it is a finite JSON number (an int or a float, not a bool)."""
-    if type(value) not in (int, float) or not isfinite(value) or nonnegative and value < 0:
+    # An int compares with a float exactly: one too large for a float fails here.
+    if (type(value) not in (int, float) or not -float_info.max <= value <= float_info.max
+            or nonnegative and value < 0):
         kind = "non-negative number" if nonnegative else "number"
         raise ValueError(f"{name} must be a finite {kind}, got {value!r}")
     return float(value)

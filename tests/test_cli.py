@@ -1068,8 +1068,15 @@ def _edit_features(doc, value):
      "means[0] must be a finite number, got '1.5'"),
     (lambda doc: doc["stats"]["stds"].__setitem__(2, True),
      "stds[2] must be a finite non-negative number, got True"),
+    (lambda doc: doc["stats"]["means"].__setitem__(1, 10**400),
+     f"means[1] must be a finite number, got {10**400}"),
+    (lambda doc: _edit_features(doc, "20.5"),
+     "data row 3: feature 2 must be a finite number, got '20.5'"),
+    (lambda doc: _edit_features(doc, True),
+     "data row 3: feature 2 must be a finite number, got True"),
 ], ids=["3-means", "3-stds", "7-stds", "nan-feature", "inf-feature",
-        "nan-mean", "inf-std", "negative-std", "int-means", "string-mean", "true-std"])
+        "nan-mean", "inf-std", "negative-std", "int-means", "string-mean", "true-std",
+        "huge-int-mean", "string-feature", "true-feature"])
 def test_invalid_knn_values_exit_2_naming_the_field(tmp_path, edit, field):
     samples = [((float(i), 1.0 + i % 3, 0.5, 3.0, 10.0, 1010.0 + i), i % 2)
                for i in range(10)]

@@ -664,6 +664,12 @@ def log_entries(draw):
           log_entry(prediction=True), log_entry(prediction=False)])
 @example([log_entry(dome=0, cause=cause, prediction=None) for cause in CAUSES]
          + [log_entry(dome=1, cause=CAUSE_MODEL, prediction=1)])
+# Finite features whose sum overflows take the encoder's path: same bytes.
+@example([log_entry(temp=1e308, wind=1e308, visibility=1e308, barometer=1e308),
+          log_entry(temp=-1e308, wind=-1e308, hour=23)])
+# Every feature a negative zero: the sum is -0.0, finite, so the direct path.
+@example([log_entry(temp=-0.0, wind=-0.0, humidity=-0.0, visibility=-0.0),
+          log_entry(dome=1, cause=CAUSE_RAIN, temp=-0.0, prediction=None)])
 def test_log_writer_matches_the_json_encoder(entries):
     assert written_jsonl(entries) == reference_jsonl(entries)
 

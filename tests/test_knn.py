@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from domepilot import knn
 from domepilot.cli import load_model, save_model
 from domepilot.knn import _squared_distances, _standardize
 from domepilot.knnmodel import KnnModel, default_k, train_knn
@@ -229,6 +232,21 @@ def test_partition_selection_matches_the_argsort_reference(case):
         assert model.predict(query) == argsort_predict(model, query)
 
 
+def _screen_cell(draw):
+    """(kind, cell strategy) for one of the screen's rounding regimes."""
+    kind = draw(st.sampled_from(("offset", "ulp", "tiny", "huge")))
+    if kind == "offset":
+        base = draw(st.floats(1e6, 1e12)) * draw(st.sampled_from((1, -1)))
+        return kind, st.integers(-3, 3).map(lambda c: base + c)
+    if kind == "ulp":
+        base = draw(st.floats(1e-3, 1e15))
+        return kind, st.integers(-3, 3).map(lambda c: base + c * math.ulp(base))
+    scales = ((1e-160, 3e-162, 1e-310, 5e-324) if kind == "tiny"
+              else (1e153, 3e153, 5e153, 1e154, 1e200, 1e300))
+    scale = draw(st.sampled_from(scales))
+    return kind, st.integers(-3, 3).map(lambda c: c * scale)
+
+
 @st.composite
 def screen_cases(draw):
     """Rows on which the screen's rounding decides which rows survive.
@@ -242,18 +260,7 @@ def screen_cases(draw):
     """
     d = draw(st.integers(1, 6))
     n = draw(st.integers(1, 30))
-    kind = draw(st.sampled_from(("offset", "ulp", "tiny", "huge")))
-    if kind == "offset":
-        base = draw(st.floats(1e6, 1e12)) * draw(st.sampled_from((1, -1)))
-        cell = st.integers(-3, 3).map(lambda c: base + c)
-    elif kind == "ulp":
-        base = draw(st.floats(1e-3, 1e15))
-        cell = st.integers(-3, 3).map(lambda c: base + c * math.ulp(base))
-    else:
-        scales = ((1e-160, 3e-162, 1e-310, 5e-324) if kind == "tiny"
-                  else (1e153, 3e153, 5e153, 1e154, 1e200, 1e300))
-        scale = draw(st.sampled_from(scales))
-        cell = st.integers(-3, 3).map(lambda c: c * scale)
+    kind, cell = _screen_cell(draw)
     rows = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n))
     labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     k = draw(st.integers(1, n))
@@ -285,6 +292,144 @@ def test_the_screen_keeps_every_row_of_the_k_nearest(case):
             reject()
         for query in queries:
             assert model.predict(query) == argsort_predict(model, query)
+
+
+# ---------------------------------------------------------------- sampled selection
+#
+# Kernel.vote selects the k-th screen value through a strided sample only for
+# n >= MIN_STRIDE * 8k rows, which no case above reaches. These cases set the
+# kernel's stride and rank directly, so a few dozen rows take that path.
+
+
+def with_sample(model, stride, rank):
+    kernel = model._kernel or model._build_kernel()
+    kernel.stride, kernel.rank = stride, rank
+    return model
+
+
+@st.composite
+def sampled_cases(draw):
+    """n >= 16 k rows of small integers (ties at the k-th distance abound) or
+    of screen-rounding cells, with a stride of 2 or more and a rank at most
+    the sample's size; small ranks often bound too few rows."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(16 * k, 16 * k + 24))
+    if draw(st.booleans()):
+        kind, cell = "small", st.integers(0, 3).map(float)
+    else:
+        kind, cell = _screen_cell(draw)
+    rows = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    stride = draw(st.integers(2, n // (8 * k)))
+    rank = draw(st.integers(1, min(2 * k, len(range(0, n, stride)))))
+    scaling = draw(st.sampled_from(("none", "standardize")))
+    query_cell = st.just(0.0) if kind == "ulp" and draw(st.booleans()) else cell
+    queries = draw(st.lists(st.lists(query_cell, min_size=d, max_size=d),
+                            min_size=1, max_size=4))
+    return rows, labels, k, scaling, queries, stride, rank
+
+
+# Row 29 is nearest, and the fifteen other odd rows tie at the k-th distance.
+# None of them is in the sample (the even rows); only row 1 may vote with it.
+TIES_OFF_SAMPLE = ([[9.0] if i % 2 == 0 else [0.0] if i == 29 else [1.0] for i in range(32)],
+                   [int(i in (1, 29)) for i in range(32)], 2, "none", [[0.0]], 2, 1)
+
+
+@given(case=sampled_cases())
+@settings(max_examples=300, deadline=None)
+@example(case=TIES_OFF_SAMPLE)
+@example(case=TIES_OFF_SAMPLE[:3] + ("standardize",) + TIES_OFF_SAMPLE[4:])
+# The sample's smallest value is the overall smallest: too few rows are kept,
+# so the vote falls back to one partition of every row.
+@example(case=([[0.0]] + [[float(i)] for i in range(5, 36)], [1] + [0, 1] * 15 + [0], 2,
+               "none", [[0.0], [20.0]], 2, 1))
+# Norms overflow: every row survives and no sample is taken.
+@example(case=([[1e300], [-1e300]] * 16, [0, 1] * 16, 2, "none", [[1e300]], 2, 1))
+def test_sampled_selection_matches_the_argsort_reference(case):
+    rows, labels, k, scaling, queries, stride, rank = case
+    with np.errstate(all="ignore"):
+        try:
+            model = train_knn(list(zip(map(tuple, rows), labels)), k=k, scaling=scaling)
+        except ValueError:  # the stats or z-scores of huge features overflow
+            reject()
+        with_sample(model, stride, rank)
+        for query in queries:
+            assert model.predict(query) == argsort_predict(model, query)
+
+
+@st.composite
+def survivor_cases(draw):
+    """Screen values with many ties, k, a stride, a rank (0: no sample) and a margin."""
+    a = draw(st.lists(st.integers(0, 12).map(float), min_size=2, max_size=80))
+    k = draw(st.integers(1, len(a)))
+    stride = draw(st.integers(2, len(a)))
+    rank = draw(st.integers(0, len(range(0, len(a), stride))))
+    margin = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]))
+    return a, k, stride, rank, margin
+
+
+@given(case=survivor_cases())
+@settings(max_examples=500, deadline=None)
+# u = 3, the sample's smallest; rows 0 and 1 are kept, but the second kept
+# value, 4, exceeds u, and row 3, at 5, survives without being kept: the
+# selection must fall back to one partition of every row.
+@example(case=([3.0, 4.0, 9.0, 5.0, 9.0, 9.0], 2, 2, 1, 1.5))
+def test_survivors_are_the_rows_one_partition_of_every_row_keeps(case):
+    """The selection alone, on any screen values and margin: the rows at or
+    below the k-th smallest plus the margin, in index order."""
+    a, k, stride, rank, margin = case
+    a = np.array(a)
+    selection = types.SimpleNamespace(k=k, stride=stride, rank=rank)
+    expected = np.flatnonzero(a <= np.partition(a, k - 1)[k - 1] + margin)
+    assert knn.Kernel._survivors(selection, a, margin).tolist() == expected.tolist()
+
+
+def test_sampled_selection_takes_both_paths(monkeypatch):
+    """Over seeded small-integer cases, the sample settles some votes and the
+    single partition of every row others; both agree with the reference."""
+    sizes = []
+
+    def spy(values, k):
+        sizes.append(values.size)
+        return np.partition(values, k - 1)[k - 1]
+    monkeypatch.setattr(knn, "_kth_smallest", spy)
+    rng = np.random.default_rng(29)
+    paths = Counter()
+    for _ in range(150):
+        k = int(rng.integers(1, 6))
+        n = int(rng.integers(16 * k, 16 * k + 40))
+        features = rng.integers(0, 4, size=(n, int(rng.integers(1, 5)))).astype(float)
+        labels = rng.integers(0, 2, size=n)
+        scaling = ("none", "standardize")[int(rng.integers(2))]
+        model = train_knn(list(zip(map(tuple, features), labels)), k=k, scaling=scaling)
+        stride = int(rng.integers(2, n // (8 * k) + 1))
+        with_sample(model, stride, int(rng.integers(1, 2 * k + 1)))
+        for query in rng.integers(0, 4, size=(4, features.shape[1])).astype(float):
+            sizes.clear()
+            assert model.predict(query) == argsort_predict(model, query)
+            # Fewer than n values in the last partition: the kept rows settled
+            # the vote. A third partition: they failed the check. Two of n
+            # values: all rows were kept, or too few, so either path.
+            paths["sample" if sizes[-1] < n else "partition" if len(sizes) == 3 else "either"] += 1
+    assert paths["sample"] > 0 and paths["partition"] > 0, paths
+
+
+@pytest.mark.parametrize("n,k,stride,rank", [
+    (2_745, 51, 6, 0),      # replay-dt's k-NN: one partition of every row
+    (5_472, 73, 9, 0),
+    (8_212, 89, 11, 17),
+    (13_707, 117, 14, 17),  # replay-knn's k-NN, at the paper's size
+])
+def test_the_model_size_decides_whether_the_vote_samples(n, k, stride, rank):
+    rng = np.random.default_rng(n)
+    features = rng.integers(0, 20, size=(n, 2)).astype(float)
+    labels = rng.integers(0, 2, size=n)
+    model = train_knn(list(zip(map(tuple, features), labels)), k=k)
+    kernel = model._build_kernel()
+    assert (kernel.stride, kernel.rank) == (stride, rank)
+    for query in rng.integers(0, 20, size=(5, 2)).astype(float):
+        assert model.predict(query) == argsort_predict(model, query)
 
 
 def test_squared_distances_match_the_per_feature_loop_bitwise():

@@ -6,11 +6,12 @@ Each mutated document must either load through ``cli.load_model`` and
 predict on fixed queries, within a time bound, what a reference computed
 from the document itself predicts, or fail with a ValueError whose message
 starts with the file path. The reference walks a tree document's nodes, and
-votes a k-NN document by brute force; a k-NN document whose standardized
-training values are not all finite must fail. The queries are the training
-rows, so every leaf of the tree is reached. A document whose
-version, k, ``n_features``, node id, feature, child, ``n``, leaf label,
-config budget or k-NN data label is a float or a bool must fail.
+votes a k-NN document by brute force; a k-NN document whose data cells are
+not all JSON numbers, or whose standardized training values are not all
+finite, must fail. The queries are the training rows, so every leaf of the
+tree is reached. A document whose version, k, ``n_features``, node id,
+feature, child, ``n``, leaf label, config budget or k-NN data label is a
+float or a bool must fail.
 """
 
 import json
@@ -197,6 +198,8 @@ def _knn_reference(doc):
     """Brute-force vote over the document's rows, standardized with its stats
     (a zero std maps the feature to 0): the k nearest by (squared distance
     summed in feature order, row index), 0 on a tie."""
+    assert all(type(value) in (int, float) for row in doc["data"] for value in row[:-1]), \
+        "a document with a data cell that is not a JSON number loaded"
     rows = [[float(value) for value in row[:-1]] for row in doc["data"]]
     labels = [row[-1] for row in doc["data"]]
     k = doc["k"]

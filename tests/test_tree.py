@@ -589,6 +589,11 @@ def test_split_numbers_may_be_json_ints():
     ("impurity", math.nan, "a finite non-negative number, got nan"),
     ("impurity", "0.5", "a finite non-negative number, got '0.5'"),
     ("impurity", -1, "a finite non-negative number, got -1"),
+    # An int beyond the float range, which float() cannot convert.
+    pytest.param("threshold", 10**400, f"a finite number, got {10**400}",
+                 id="threshold-int-beyond-float"),
+    pytest.param("impurity", -10**400, f"a finite non-negative number, got {-10**400}",
+                 id="impurity-int-beyond-float"),
 ])
 def test_a_split_number_that_is_no_finite_json_number_exits_2_naming_the_node(
         tmp_path, capsys, key, value, expected):
