@@ -8,32 +8,14 @@ Only k-NN prediction and standardization compute with numpy, which
 ``domepilot.knn`` imports on first use: labeling, tree growth and
 prediction, the models' documents, k-NN training without standardization
 and the controller never import it.
+
+Importing the package loads ``domepilot.weather`` alone: a name of
+``controller``, ``metrics``, ``knnmodel`` or ``tree`` imports its module the
+first time it is read (PEP 562), so each command loads what it runs.
 """
 
-from .controller import (
-    CAUSE_MODEL,
-    CAUSE_MODEL_ERROR,
-    CAUSE_RAIN,
-    CAUSE_TEMP,
-    CAUSE_UNMAPPED,
-    DecisionLog,
-    DomeCommand,
-    SignalDeliveryError,
-    decide,
-    emit_signal,
-    replay,
-)
-from .metrics import (
-    ConfusionMatrix,
-    EvalReport,
-    accuracy,
-    confusion,
-    evaluate,
-    f1,
-    weighted_f1,
-)
-from .knnmodel import KnnModel, default_k, train_knn
-from .tree import TreeConfig, TreeModel, best_split, impurity, train_tree
+from importlib import import_module
+
 from .weather import (
     FEATURE_NAMES,
     TEMP_OPEN_HIGH,
@@ -53,3 +35,30 @@ from .weather import (
 
 __version__ = "0.1.0"
 
+
+def _lazy(namespace: dict, owners: dict):
+    """A module's ``__getattr__`` and ``__dir__`` that bind each name of
+    ``owners`` (module -> names) into ``namespace`` on its first read."""
+    owner = {name: module for module, names in owners.items() for name in names}
+
+    def __getattr__(name):
+        if name not in owner:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        namespace[name] = value = getattr(import_module(f"{__name__}.{owner[name]}"), name)
+        return value
+
+    def __dir__():
+        return sorted(namespace.keys() | owner.keys())
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy(globals(), {
+    "controller": ("CAUSE_MODEL", "CAUSE_MODEL_ERROR", "CAUSE_RAIN", "CAUSE_TEMP",
+                   "CAUSE_UNMAPPED", "DecisionLog", "DomeCommand", "SignalDeliveryError",
+                   "decide", "emit_signal", "replay"),
+    "metrics": ("ConfusionMatrix", "EvalReport", "accuracy", "confusion", "evaluate", "f1",
+                "weighted_f1"),
+    "knnmodel": ("KnnModel", "default_k", "train_knn"),
+    "tree": ("TreeConfig", "TreeModel", "best_split", "impurity", "train_tree"),
+})

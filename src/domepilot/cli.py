@@ -5,10 +5,14 @@ Every flag can also come from an optional ``key = value`` config file
 a failing command leaves nothing half-written behind.
 
 Start-up stays lean: importing this module loads neither numpy nor
-``hashlib`` nor ``socket``. Only k-NN standardization and k-NN documents
-import numpy (``domepilot.knn``); the other commands, tree training and
-``train --model knn`` without standardization never load it. Only
-``prepare`` imports ``hashlib``, and only a ``tcp:`` sink imports ``socket``.
+``hashlib`` nor ``socket``, and of the package only ``weather``. A command
+loads what it runs: ``train`` its model's module (``tree``, or ``knnmodel``
+with ``tree``), ``evaluate`` that and ``metrics``, ``simulate`` and
+``predict`` that and ``controller``. Only k-NN standardization and k-NN
+documents import numpy (``domepilot.knn``); the other commands, tree
+training and ``train --model knn`` without standardization never load it.
+Only ``prepare`` imports ``hashlib``, and only a ``tcp:`` sink imports
+``socket``.
 """
 
 from __future__ import annotations
@@ -23,10 +27,7 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import IO, Iterator, Union
 
-from .controller import SignalDeliveryError, decide, emit_signal, open_sink, replay
-from .knnmodel import KnnModel, default_k, train_knn
-from .metrics import evaluate, render_reports
-from .tree import TreeConfig, TreeModel, train_tree
+from . import _lazy
 from .weather import (
     FEATURE_NAMES,
     ConditionTable,
@@ -47,6 +48,16 @@ from .weather import (
 )
 
 logger = logging.getLogger(__name__)
+
+# Bound on first read, so each command imports only the modules it runs; the
+# commands read them by ``from .cli import``, which sees a name set on cli.
+__getattr__, __dir__ = _lazy(globals(), {
+    "controller": ("SignalDeliveryError", "decide", "emit_signal", "open_sink", "replay"),
+    "knnmodel": ("KnnModel", "default_k", "train_knn"),
+    "metrics": ("evaluate", "render_reports"),
+    "tree": ("TreeConfig", "TreeModel", "train_tree"),
+})
+
 
 class _StderrHandler(logging.StreamHandler):
     """Writes each record to ``sys.stderr`` as it is when the record comes."""
@@ -79,9 +90,11 @@ def load_model(path: Union[str, Path]) -> Union[TreeModel, KnnModel]:
         raise ValueError(f"{path}: not a model document")
     kind = doc.get("kind")
     if kind == "tree":
+        from .cli import TreeModel
         loader = TreeModel.from_dict
     elif kind == "knn":
         from . import knn  # noqa: F401  numpy, imported here and not in the first prediction
+        from .cli import KnnModel
         loader = KnnModel.from_dict
     else:
         raise ValueError(f"{path}: unrecognized model kind {kind!r}")
@@ -97,12 +110,6 @@ def load_model(path: Union[str, Path]) -> Union[TreeModel, KnnModel]:
         raise ValueError(f"{path}: model takes {model.n_features} features, not the "
                          f"{len(FEATURE_NAMES)} of {', '.join(FEATURE_NAMES)}")
     return model
-
-
-def _model_id(model: Union[TreeModel, KnnModel]) -> str:
-    if isinstance(model, TreeModel):
-        return f"dt({model.config.criterion},leaves={model.config.max_leaf_nodes})"
-    return f"knn(k={model.k},scaling={model.scaling})"
 
 
 @contextmanager
@@ -227,12 +234,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     spec = SPLITS[kind]
     train_set, test_set = split(samples, spec)
     if kind == "dt":
+        from .cli import TreeConfig, train_tree
         config = TreeConfig(criterion=args.criterion,
                             max_leaf_nodes=_as_number(args.max_leaves, "--max-leaves"))
         model: Union[TreeModel, KnnModel] = train_tree(train_set, config)
         extra = {"criterion": config.criterion, "max_leaf_nodes": config.max_leaf_nodes,
                  "leaf_count": model.leaf_count}
     else:
+        from .cli import default_k, train_knn
         k = default_k(len(train_set)) if args.k == "auto" else _as_number(args.k, "--k")
         model = train_knn(train_set, k, args.scaling)
         extra = {"k": k, "scaling": args.scaling}
@@ -249,12 +258,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     data = Path(_require(args.data, "--data"))
     report_path = Path(_require(args.report, "--report"))
     _refuse_overwrite(report_path, "report", model=model_path, data=data, config=args.config)
+    from .cli import TreeModel, evaluate, render_reports
     model = load_model(model_path)
     kind = "dt" if isinstance(model, TreeModel) else "knn"
     samples = read_labeled_csv(data)
     spec = SPLITS[kind]
     _, test_set = split(samples, spec)
-    report = evaluate(model.predict, test_set, model_id=_model_id(model))
+    model_id = (f"dt({model.config.criterion},leaves={model.config.max_leaf_nodes})"
+                if kind == "dt" else f"knn(k={model.k},scaling={model.scaling})")
+    report = evaluate(model.predict, test_set, model_id=model_id)
     doc = {"split": {"test_fraction": spec.test_fraction, "seed": spec.seed},
            **report.as_dict()}
     with _atomic_writer(report_path) as stream:
@@ -272,6 +284,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _refuse_overwrite(log_path, "log", **inputs)
     if args.sink not in (None, "-") and not args.sink.startswith("tcp:"):
         _refuse_overwrite(Path(args.sink), "sink", log=log_path, **inputs)
+    from .cli import SignalDeliveryError, open_sink, replay
     model = load_model(model_path)
     table = ConditionTable.from_csv(args.table) if args.table else None
     frames, report = read_frames_csv(frames_path)
@@ -295,6 +308,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    from .cli import decide, emit_signal
     model = load_model(Path(_require(args.model, "--model")))
     features = tuple(_reading(args, name) for name in FEATURE_NAMES)
     _, _, humidity, hour, visibility, barometer = features  # FEATURE_NAMES order

@@ -113,12 +113,21 @@ class KnnModel:
             raise ValueError("knn model stats must be lists of numbers")
         # One pass over the types of every cell; only a bad one costs a second.
         if not {*map(type, chain.from_iterable(rows))} <= {int, float}:
-            for i, row in enumerate(rows):
-                for j, value in enumerate(row[:-1]):
-                    _number(value, f"data row {i}: feature {j}")
+            _check_cells(rows)
         labels = [_integer(row[-1], f"data row {i}: label") for i, row in enumerate(rows)]
-        return cls(features=[row[:-1] for row in rows], labels=labels,
-                   k=doc["k"], scaling=doc["scaling"], means=means, stds=stds)
+        try:
+            return cls(features=[row[:-1] for row in rows], labels=labels,
+                       k=doc["k"], scaling=doc["scaling"], means=means, stds=stds)
+        except (ValueError, OverflowError):
+            _check_cells(rows)  # a non-finite or too large number fails only in the model
+            raise
+
+
+def _check_cells(rows: list) -> None:
+    """Raise ValueError naming the first feature cell that is no finite JSON number."""
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row[:-1]):
+            _number(value, f"data row {i}: feature {j}")
 
 
 def train_knn(samples: Sequence, k: int, scaling: str = "none") -> KnnModel:

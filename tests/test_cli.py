@@ -3,6 +3,7 @@ import contextlib
 import csv
 import gc
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import domepilot
 from domepilot import cli
 from domepilot.cli import load_model, save_model
 from domepilot.controller import read_frames_csv, replay
@@ -840,7 +842,9 @@ def test_a_command_runs_without_the_cyclic_gc_and_puts_its_state_back(workspace,
 
 # ---------------------------------------------------------------- imports
 
-PROBED_MODULES = ("numpy", "domepilot.knn", "dataclasses", "hashlib", "socket")
+PROBED_MODULES = ("numpy", "domepilot.knn", "dataclasses", "hashlib", "socket",
+                  "domepilot.controller", "domepilot.tree", "domepilot.knnmodel",
+                  "domepilot.metrics")
 IMPORT_PROBE = ("import sys\n"
                 "from domepilot import cli\n"
                 "code = cli.main(sys.argv[1:])\n"
@@ -882,17 +886,87 @@ def test_numpy_is_imported_only_where_it_computes(workspace, tmp_path):
     }
     # numpy, through the k-NN kernel, is imported only where a k-NN computes with it,
     # hashlib only where prepare hashes the dataset; no command imports dataclasses,
-    # and no file sink imports socket.
+    # and no file sink imports socket. Each command imports only the package modules
+    # it runs: the model's, metrics to evaluate and the controller to decide.
+    tree = {"domepilot.tree"}
+    knn = {"domepilot.knnmodel", "domepilot.tree"}
+    numpy = {"domepilot.knn", "numpy"}
+    controller, metrics = {"domepilot.controller"}, {"domepilot.metrics"}
     expected = {
-        "prepare": "0 hashlib",
-        "train dt": "0",
-        "train knn": "0",
-        "train knn standardize": "0 domepilot.knn numpy",
-        **dict.fromkeys(model_runs("dt"), "0"),
-        **dict.fromkeys(model_runs("knn"), "0 domepilot.knn numpy"),
+        "prepare": {"hashlib"},
+        "train dt": tree,
+        "train knn": knn,
+        "train knn standardize": knn | numpy,
+        "evaluate dt": metrics | tree,
+        "evaluate knn": metrics | knn | numpy,
+        **{f"{command} dt": controller | tree for command in ("simulate", "predict")},
+        **{f"{command} knn": controller | knn | numpy for command in ("simulate", "predict")},
     }
     for name, args in runs.items():
-        assert exit_code_and_modules(*args) == expected[name], name
+        assert exit_code_and_modules(*args) == " ".join(["0", *sorted(expected[name])]), name
+
+
+#: Every name the package re-exports from a module it imports on first read.
+LAZY_EXPORTS = {
+    "controller": ("CAUSE_MODEL", "CAUSE_MODEL_ERROR", "CAUSE_RAIN", "CAUSE_TEMP",
+                   "CAUSE_UNMAPPED", "DecisionLog", "DomeCommand", "SignalDeliveryError",
+                   "decide", "emit_signal", "replay"),
+    "metrics": ("ConfusionMatrix", "EvalReport", "accuracy", "confusion", "evaluate", "f1",
+                "weighted_f1"),
+    "knnmodel": ("KnnModel", "default_k", "train_knn"),
+    "tree": ("TreeConfig", "TreeModel", "best_split", "impurity", "train_tree"),
+}
+
+
+@pytest.mark.parametrize("module, name", [(module, name) for module, names
+                                          in LAZY_EXPORTS.items() for name in names])
+def test_a_lazy_package_name_is_its_modules_object(monkeypatch, module, name):
+    monkeypatch.delitem(vars(domepilot), name, raising=False)  # unbound, as at start-up
+    assert name in dir(domepilot)
+    namespace: dict = {}
+    exec(f"from domepilot import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module(f"domepilot.{module}"), name)
+    assert vars(domepilot)[name] is namespace[name]  # bound: read once
+
+
+def test_an_unknown_name_raises_attribute_error_and_submodules_still_import():
+    probe = ("import domepilot, domepilot.cli as cli\n"
+             "for module in (domepilot, cli):\n"
+             "    assert not hasattr(module, 'no_such_name')\n"
+             "    try:\n"
+             "        module.no_such_name\n"
+             "    except AttributeError as exc:\n"
+             "        assert 'no_such_name' in str(exc)\n"
+             "assert not hasattr(domepilot, 'synthetic')\n"
+             "from domepilot import synthetic\n"
+             "assert domepilot.synthetic is synthetic\n"
+             "print('ok')\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
+                                                       os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert (result.returncode, result.stdout) == (0, "ok\n"), result.stderr
+
+
+@pytest.mark.parametrize("name, command", [
+    ("train_tree", ["train", "--model", "dt", "--data", "@labeled", "--out", "@out"]),
+    ("train_knn", ["train", "--model", "knn", "--data", "@labeled", "--out", "@out"]),
+    ("evaluate", ["evaluate", "--model", "@dt", "--data", "@labeled", "--report", "@out"]),
+    ("replay", ["simulate", "--model", "@dt", "--frames", "@frames", "--log", "@out"]),
+    ("open_sink", ["simulate", "--model", "@dt", "--frames", "@frames", "--log", "@out",
+                   "--sink", "@wire"]),
+])
+def test_a_lazy_cli_name_replaced_on_the_module_is_what_the_command_calls(
+        workspace, tmp_path, monkeypatch, capsys, name, command):
+    def fake(*args, **kwargs):
+        raise ValueError(f"fake {name}")
+
+    monkeypatch.setattr(cli, name, fake)
+    paths = {**workspace, "out": tmp_path / "out", "wire": tmp_path / "wire"}
+    argv = [str(paths[arg[1:]]) if arg.startswith("@") else arg for arg in command]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"domepilot: error: fake {name}\n"
 
 
 # ---------------------------------------------------------------- save/load
@@ -1055,8 +1129,12 @@ def _edit_features(doc, value):
     (lambda doc: doc["stats"].update(means=doc["stats"]["means"][:3]), "means"),
     (lambda doc: doc["stats"].update(stds=doc["stats"]["stds"][:3]), "stds"),
     (lambda doc: doc["stats"]["stds"].append(1.0), "stds"),
-    (lambda doc: _edit_features(doc, float("nan")), "features"),
-    (lambda doc: _edit_features(doc, float("inf")), "features"),
+    (lambda doc: _edit_features(doc, float("nan")),
+     "data row 3: feature 2 must be a finite number, got nan"),
+    (lambda doc: _edit_features(doc, float("inf")),
+     "data row 3: feature 2 must be a finite number, got inf"),
+    (lambda doc: _edit_features(doc, 10**400),
+     f"data row 3: feature 2 must be a finite number, got {10**400}"),
     (lambda doc: doc["stats"]["means"].__setitem__(1, float("nan")),
      "means[1] must be a finite number, got nan"),
     (lambda doc: doc["stats"]["stds"].__setitem__(1, float("inf")),
@@ -1074,7 +1152,7 @@ def _edit_features(doc, value):
      "data row 3: feature 2 must be a finite number, got '20.5'"),
     (lambda doc: _edit_features(doc, True),
      "data row 3: feature 2 must be a finite number, got True"),
-], ids=["3-means", "3-stds", "7-stds", "nan-feature", "inf-feature",
+], ids=["3-means", "3-stds", "7-stds", "nan-feature", "inf-feature", "huge-int-feature",
         "nan-mean", "inf-std", "negative-std", "int-means", "string-mean", "true-std",
         "huge-int-mean", "string-feature", "true-feature"])
 def test_invalid_knn_values_exit_2_naming_the_field(tmp_path, edit, field):

@@ -155,6 +155,14 @@ def _twin_first_row() -> Found:
     return Found("first row twinned, k = 1", edit)
 
 
+def _data_cell(value) -> Found:
+    """Feature 2 of data row 3 of a k-NN document set to ``value``."""
+    def edit(doc):
+        if "data" in doc:
+            doc["data"][3][2] = value
+    return Found(f"data cell {value!r:.10}", edit)
+
+
 def _mutate(doc, data) -> None:
     """Drop, replace or duplicate one field at a random place: each level
     down is a coin flip, so top-level fields are hit as often as deep cells."""
@@ -253,6 +261,8 @@ def model_file(tmp_path_factory):
 @example(data=_temp_std(1e-300))  # a squared norm overflows
 @example(data=_temp_std(0.0))  # a constant feature, which standardizes to 0
 @example(data=_twin_first_row())  # a distance tie, won by the earlier row
+@example(data=_data_cell(float("nan")))  # a JSON number that is no finite float
+@example(data=_data_cell(10**400))  # a JSON number too large for a float
 def test_mutated_model_documents_predict_or_fail_naming_the_file(model_file, name, data):
     doc = json.loads(DOCUMENTS[name])
     _edit(doc, data, _random_edits)
