@@ -59,18 +59,6 @@ __getattr__, __dir__ = _lazy(globals(), {
 })
 
 
-class _StderrHandler(logging.StreamHandler):
-    """Writes each record to ``sys.stderr`` as it is when the record comes."""
-
-    def emit(self, record):
-        self.stream = sys.stderr
-        super().emit(record)
-
-
-_STDERR_HANDLER = _StderrHandler()
-_STDERR_HANDLER.setFormatter(logging.Formatter("domepilot: %(levelname)s: %(message)s"))
-
-
 #: The held-out split of each model kind: train and evaluate both read it, never a flag.
 SPLITS = {"dt": SplitSpec(0.33, 324), "knn": SplitSpec(0.30, 101)}
 
@@ -82,9 +70,10 @@ def save_model(model: Union[TreeModel, KnnModel], path: Union[str, Path]) -> Non
 
 def load_model(path: Union[str, Path]) -> Union[TreeModel, KnnModel]:
     """Model saved by save_model; a malformed document raises ValueError."""
-    try:  # utf-8-sig: a leading byte-order mark is dropped
-        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+    try:
+        with _opened(path) as stream:  # raises a ValueError naming a non-UTF-8 byte's line
+            doc = json.load(stream)
+    except (json.JSONDecodeError, RecursionError) as exc:  # not JSON, too deep
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a model document")
@@ -295,7 +284,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"no usable frames in {frames_path}")
     with open_sink(args.sink) if args.sink is not None else nullcontext() as sink:
         log = replay(model.predict, frames, table=table, sink=sink)
-        # Written before the sink closes: closing a failed sink raises too.
         with _atomic_writer(log_path) as stream:
             log.to_jsonl(stream)
     if log.undelivered:
@@ -303,7 +291,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                   f"{len(log)} frames; decision log written to {log_path}")
     opened = sum(entry.command.dome for entry in log)
     print(json.dumps({"frames": len(log), "opened": opened,
-                      "closed": len(log) - opened, "log": str(log_path)}))
+                      "closed": len(log) - opened, "log": str(log_path)}),
+          file=sys.stderr if args.sink == "-" else sys.stdout)  # stdout of `-`: wire lines only
     return 0
 
 
@@ -400,7 +389,10 @@ def main(argv=None) -> int:
     A command builds tens of thousands of acyclic records (frames, log
     entries, samples), which the collector would walk again and again.
     """
-    logging.getLogger("domepilot").addHandler(_STDERR_HANDLER)  # adding it again is a no-op
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("domepilot: %(levelname)s: %(message)s"))
+    package_logger = logging.getLogger("domepilot")
+    package_logger.addHandler(handler)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -415,5 +407,6 @@ def main(argv=None) -> int:
             print(f"domepilot: error: {exc}", file=sys.stderr)
             return 2
     finally:
+        package_logger.removeHandler(handler)
         if gc_was_enabled:
             gc.enable()

@@ -26,9 +26,7 @@ from .weather import (
     TEMP_OPEN_HIGH,
     TEMP_OPEN_LOW,
     ConditionTable,
-    PathOrStream,
     SensorFrame,
-    _opened,
     read_frames_csv,  # noqa: F401  re-exported: bench/child.py parses frames through here
 )
 
@@ -178,9 +176,8 @@ class DecisionLog(list):
 
     undelivered = 0
 
-    def to_jsonl(self, sink: PathOrStream) -> None:
-        with _opened(sink, "w") as stream:
-            stream.writelines(map(_jsonl_line, self))
+    def to_jsonl(self, stream: IO[str]) -> None:
+        stream.writelines(map(_jsonl_line, self))
 
 
 def replay(model_predict_fn: Callable[[Sequence[float]], int],
@@ -312,16 +309,20 @@ def open_sink(spec: str):
     if spec == "-":
         yield sys.stdout
         return
-    if spec.startswith("tcp:"):
-        _, _, rest = spec.partition(":")
-        host, sep, port = rest.rpartition(":")
-        # The OS would take a port above 65535 modulo 65536: another port.
-        if not sep or not host or not port.isdecimal() or not 0 < int(port) < 65536:
-            raise ValueError(f"bad tcp sink spec {spec!r}; expected tcp:host:port "
-                             f"with a port from 1 to 65535")
-        import socket  # here, so that no other sink pays for its import
-        with socket.create_connection((host, int(port)), timeout=TCP_TIMEOUT_S) as conn:
-            yield _TcpSink(conn)
-        return
-    with open(spec, "wb", buffering=0) as raw:
-        yield _FileSink(raw)
+    is_tcp = spec.startswith("tcp:")
+    try:
+        if is_tcp:
+            _, _, rest = spec.partition(":")
+            host, sep, port = rest.rpartition(":")
+            # The OS would take a port above 65535 modulo 65536: another port.
+            if not sep or not host or not port.isdecimal() or not 0 < int(port) < 65536:
+                raise ValueError(f"bad tcp sink spec {spec!r}; expected tcp:host:port "
+                                 f"with a port from 1 to 65535")
+            import socket  # here, so that no other sink pays for its import
+            resource = socket.create_connection((host, int(port)), timeout=TCP_TIMEOUT_S)
+        else:
+            resource = open(spec, "wb", buffering=0)
+    except OSError as exc:  # opening or connecting; errors in the block pass as they are
+        raise OSError(f"actuator sink {spec}: {exc}") from None
+    with resource:
+        yield (_TcpSink if is_tcp else _FileSink)(resource)

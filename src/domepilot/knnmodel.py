@@ -15,7 +15,6 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from .tree import _integer, _number
-from .weather import _features_and_labels
 
 SCALINGS = ("none", "standardize")
 
@@ -131,8 +130,10 @@ def _check_cells(rows: list) -> None:
 
 
 def train_knn(samples: Sequence, k: int, scaling: str = "none") -> KnnModel:
-    """Store the training rows as they are; compute scaling stats if requested."""
-    features, labels = _features_and_labels(samples)
+    """Store the rows as they are, for KnnModel to check; compute scaling stats if requested."""
+    if len(samples) == 0:
+        raise ValueError("empty training set")
+    features, labels = [f for f, _ in samples], [y for _, y in samples]
     means = stds = None
     if scaling == "standardize":
         from .knn import standardize_stats  # numpy

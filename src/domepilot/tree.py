@@ -22,8 +22,6 @@ from operator import add
 from sys import float_info
 from typing import NamedTuple, Optional, Sequence
 
-from .weather import _features_and_labels
-
 CRITERIA = ("gini", "entropy")
 
 #: Version of the JSON model document this build reads and writes.
@@ -198,7 +196,12 @@ def impurity(class_counts: tuple[int, int], criterion: str = "gini") -> float:
 def _columns(samples: Sequence) -> tuple[list, list, list[int]]:
     """One float list per feature, each feature's scan (its sorted distinct values and
     each row's key ``2 * rank of its value + label``, NaN last) and the int labels."""
-    feats, labels = _features_and_labels(samples)
+    if len(samples) == 0:
+        raise ValueError("empty training set")
+    feats, labels = [f for f, _ in samples], [y for _, y in samples]
+    if not all(y in (0, 1) for y in labels):  # before int(), which would turn 0.5 into 0
+        raise ValueError("labels must be binary 0/1")
+    labels = list(map(int, labels))
     try:
         if len(set(map(len, feats))) != 1:
             raise ValueError("samples must share one feature arity")

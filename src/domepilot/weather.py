@@ -256,20 +256,6 @@ class LabeledSample(_LabeledSample):
         return tuple.__new__(cls, (features, label))
 
 
-def _features_and_labels(samples: Sequence) -> tuple[list, list[int]]:
-    """Feature rows as given and int labels of (features, label) pairs such
-    as LabeledSample; the models check and convert the rows."""
-    if len(samples) == 0:
-        raise ValueError("empty training set")
-    feats, labels = [], []
-    for f, y in samples:
-        if y not in (0, 1):  # before int(), which would turn 0.5 into 0
-            raise ValueError("labels must be binary 0/1")
-        feats.append(f)
-        labels.append(int(y))
-    return feats, labels
-
-
 class _SplitSpec(NamedTuple):
     test_fraction: float
     seed: int
@@ -550,19 +536,18 @@ def split(samples: Sequence[T], spec: SplitSpec) -> tuple[list[T], list[T]]:
     return train, test
 
 
-def write_labeled_csv(samples: Iterable[LabeledSample], sink: PathOrStream) -> None:
-    """Write samples as the canonical labeled CSV (see LABELED_COLUMNS)."""
-    with _opened(sink, "w") as stream:
-        writer = csv.writer(stream)
-        writer.writerow(LABELED_COLUMNS)
-        writer.writerows((*s.features, s.label) for s in samples)
+def write_labeled_csv(samples: Iterable[LabeledSample], stream: IO[str]) -> None:
+    """Write samples to ``stream`` as the canonical labeled CSV (see LABELED_COLUMNS)."""
+    writer = csv.writer(stream)
+    writer.writerow(LABELED_COLUMNS)
+    writer.writerows((*s.features, s.label) for s in samples)
 
 
 def read_labeled_csv(source: PathOrStream) -> list[LabeledSample]:
     """Read a labeled CSV produced by write_labeled_csv.
 
-    Features must be finite numbers and the state 0 or 1; any other cell is
-    a ValueError naming its file and line.
+    Features must be finite numbers within the range rule of check_ranges and
+    the state 0 or 1; any other cell is a ValueError naming its file and line.
     """
     samples = []
     for line, cells in _read_rows(source, LABELED_COLUMNS):
@@ -570,6 +555,8 @@ def read_labeled_csv(source: PathOrStream) -> list[LabeledSample]:
             features = tuple(map(float, cells[:-1]))
             if not all(map(math.isfinite, features)):
                 raise ValueError(f"non-finite feature in {cells[:-1]}")
+            _, _, humidity, hour, visibility, barometer = features  # FEATURE_NAMES order
+            check_ranges(hour, humidity, barometer, visibility)
             samples.append(LabeledSample(features, int(cells[-1])))
         except ValueError as exc:
             raise ValueError(_named(source, f"labeled CSV line {line}: {exc}")) from None
@@ -577,18 +564,17 @@ def read_labeled_csv(source: PathOrStream) -> list[LabeledSample]:
 
 
 @contextmanager
-def _opened(source: PathOrStream, mode: str = "r") -> Iterator[IO[str]]:
-    """Open paths for the caller, pass streams through unchanged.
+def _opened(source: PathOrStream) -> Iterator[IO[str]]:
+    """Open a path for reading, pass a stream through unchanged.
 
-    A path read drops one leading UTF-8 byte-order mark; nothing written gets
-    one. Bytes that are not UTF-8 raise a ValueError naming the file and, for
-    a path, the line of the first such byte.
+    A path read drops one leading UTF-8 byte-order mark. Bytes that are not
+    UTF-8 raise a ValueError naming the file and, for a path, the line of the
+    first such byte.
     """
     is_path = isinstance(source, (str, Path))
-    encoding = "utf-8-sig" if mode == "r" else "utf-8"
     try:
         if is_path:
-            with open(source, mode, encoding=encoding, newline="") as stream:
+            with open(source, encoding="utf-8-sig", newline="") as stream:
                 yield stream
         else:
             yield source

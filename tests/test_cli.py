@@ -6,8 +6,10 @@ import hashlib
 import importlib
 import io
 import json
+import logging
 import os
 import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -424,6 +426,31 @@ def test_simulate_writes_log_and_sink(workspace, tmp_path):
         assert line == f"D:{record['dome']} A:{record['ac']}"
 
 
+def test_simulate_to_stdout_prints_only_wire_lines_there(workspace, tmp_path):
+    log = tmp_path / "log.jsonl"
+    result = run_cli("simulate", "--model", workspace["dt"], "--frames", workspace["frames"],
+                     "--log", log, "--sink", "-")
+    assert result.returncode == 0, result.stderr
+    wire_lines = result.stdout.splitlines()
+    assert len(wire_lines) == 30
+    assert all(line in ("D:1 A:0", "D:0 A:1") for line in wire_lines)
+    summary = json.loads(result.stderr.splitlines()[-1])  # the summary goes to stderr
+    assert summary["frames"] == 30 and summary["opened"] == wire_lines.count("D:1 A:0")
+
+
+def test_a_sink_that_fails_to_open_exits_2_naming_it(workspace, tmp_path, capsys):
+    with socket.socket() as closed:  # bound, then closed: nothing listens there
+        closed.bind(("127.0.0.1", 0))
+        port = closed.getsockname()[1]
+    log = tmp_path / "log.jsonl"
+    assert cli.main(["simulate", "--model", str(workspace["dt"]), "--frames",
+                     str(workspace["frames"]), "--log", str(log),
+                     "--sink", f"tcp:127.0.0.1:{port}"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"domepilot: error: actuator sink tcp:127.0.0.1:{port}: ")
+    assert not log.exists()
+
+
 def test_simulate_reads_frames_with_the_table_prepare_labeled_with(tmp_path):
     # Half the rows are Drizzle, which only the custom table maps (to open).
     observations = [WeatherObservation(*obs[:-1], "Drizzle") if i % 2 else obs
@@ -551,6 +578,13 @@ def test_simulate_with_a_failing_sink_writes_the_log_and_exits_2(workspace, tmp_
     err = capsys.readouterr().err
     assert "domepilot: error: actuator sink failed on 30 of 30 frames" in err
     assert len(log.read_text().splitlines()) == 30
+
+
+def test_main_leaves_the_package_logger_as_it_found_it(workspace, capsys, monkeypatch):
+    package_logger = logging.getLogger("domepilot")
+    monkeypatch.setattr(package_logger, "handlers", [])
+    assert cli.main(["predict", "--model", str(workspace["dt"]), *map(str, PREDICT_ARGS)]) == 0
+    assert package_logger.handlers == []
 
 
 # ---------------------------------------------------------------- config file
@@ -731,10 +765,12 @@ def test_non_utf8_csv_exits_2_naming_the_file(workspace, tmp_path, source, args)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source", ["raw", "labeled", "frames", "table", "config"])
+@pytest.mark.parametrize("source", ["raw", "labeled", "frames", "table", "config", "model"])
 def test_a_byte_that_is_not_utf8_is_named_by_its_line(workspace, tmp_path, source):
     """The reader decodes in 8 KiB chunks; the error names the line in the file."""
-    if source == "table":
+    if source == "model":  # one line of JSON, after the blank lines
+        text = "\n" + workspace["dt"].read_text()
+    elif source == "table":
         text = "condition,flag\n" + "".join(f"{c},{f}\n" for c, f in EXPECTED_TABLE1)
     elif source == "config":
         text = "city = Al Madina\n# the reference run\n"
@@ -753,7 +789,8 @@ def test_a_byte_that_is_not_utf8_is_named_by_its_line(workspace, tmp_path, sourc
             "frames": ["simulate", "--model", workspace["dt"], "--frames", bad, "--log", out],
             "table": ["prepare", "--data", workspace["raw"], "--out", out, "--table", bad],
             "config": ["prepare", "--data", workspace["raw"], "--out", out,
-                       "--config", bad]}[source]
+                       "--config", bad],
+            "model": ["predict", "--model", bad, *PREDICT_ARGS]}[source]
     result = run_cli(*args)
     assert result.returncode == 2
     assert result.stderr.splitlines()[-1] == (

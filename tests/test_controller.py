@@ -4,6 +4,7 @@ import io
 import json
 import math
 import pickle
+import re
 import socket
 import socketserver
 import struct
@@ -298,14 +299,14 @@ def test_replay_rejects_non_monotonic_ticks():
         replay(constant_model(1), [frame(tick=3), frame(tick=3)])
 
 
-def test_replay_emits_to_sink_and_logs_jsonl(tmp_path):
+def test_replay_emits_to_sink_and_logs_jsonl():
     frames = [frame(tick=0), frame(tick=1, rain=True)]
     sink = io.StringIO()
     log = replay(constant_model(1), frames, sink=sink)
     assert sink.getvalue() == "D:1 A:0\nD:0 A:1\n"
-    path = tmp_path / "log.jsonl"
-    log.to_jsonl(path)
-    text = path.read_text()
+    out = io.StringIO()
+    log.to_jsonl(out)
+    text = out.getvalue()
     assert text == "".join(json.dumps(e.as_dict(), sort_keys=True) + "\n" for e in log)
     records = [json.loads(line) for line in text.splitlines()]
     assert [r["tick"] for r in records] == [0, 1]
@@ -549,6 +550,20 @@ def test_a_tcp_port_above_65535_does_not_wrap_around():
         listener.setblocking(False)
         with pytest.raises(BlockingIOError):
             listener.accept()  # nothing connected
+
+
+def test_a_sink_that_fails_to_open_is_named(tmp_path):
+    with socket.socket() as closed:  # bound, then closed: nothing listens there
+        closed.bind(("127.0.0.1", 0))
+        port = closed.getsockname()[1]
+    for spec in (f"tcp:127.0.0.1:{port}", str(tmp_path / "no-such-dir" / "wire")):
+        with pytest.raises(OSError, match=f"^actuator sink {re.escape(spec)}: "):
+            with open_sink(spec):
+                pass
+    # An error raised in the block is not the sink's: it passes through as it is.
+    with pytest.raises(OSError, match="^wire cut$"):
+        with open_sink(str(tmp_path / "wire")):
+            raise OSError("wire cut")
 
 
 def test_a_file_sink_write_that_fails_drops_its_line(tmp_path, monkeypatch):

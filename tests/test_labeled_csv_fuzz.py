@@ -3,7 +3,7 @@
 Files written by ``write_labeled_csv`` get junk, non-finite, missing and
 extra cells, states other than 0 and 1, renamed header names, blank lines
 and bytes that are not UTF-8. Each mutated file must either load with
-finite features and 0/1 states, or fail with a ValueError whose message
+finite features inside the range rule of ``check_ranges`` and 0/1 states, or fail with a ValueError whose message
 starts with the file path; ``train --model knn`` on it must exit 0, or exit
 2 with a ``domepilot: error:`` line and no model file.
 """
@@ -114,6 +114,7 @@ def files(tmp_path_factory):
 @given(raw=labeled_files())
 # An input this gate once caught; it runs on every run.
 @example(raw=_with_cell("temp", "9" * 400))  # read as float("inf")
+@example(raw=_with_cell("hour", "99"))  # a number outside the range rule
 def test_mutated_labeled_csv_loads_or_fails_naming_the_file(files, raw):
     path, model = files
     path.write_bytes(raw)
@@ -126,6 +127,8 @@ def test_mutated_labeled_csv_loads_or_fails_naming_the_file(files, raw):
         for sample in samples:
             assert all(type(v) is float and math.isfinite(v) for v in sample.features)
             assert sample.label in (0, 1) and type(sample.label) is int
+            _, _, humidity, hour, visibility, barometer = sample.features
+            assert 0 <= hour <= 23 and 0 <= humidity <= 1 and barometer > 0 and visibility >= 0
 
     model.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()

@@ -528,20 +528,22 @@ def test_labeled_csv_round_trip(tmp_path):
                                      (20.0, "Hail"), (18.25, "Overcast")])],
         table)
     path = tmp_path / "labeled.csv"
-    write_labeled_csv(samples, path)
+    with open(path, "w", newline="") as stream:
+        write_labeled_csv(samples, stream)
     assert read_labeled_csv(path) == samples
     header = path.read_text().splitlines()[0]
     assert header == "temp,wind,humidity,hour,visibility,barometer,state"
 
 
 def test_labeled_csv_prints_each_float_as_its_repr():
-    samples = [LabeledSample((0.1, 1e-05, 1015.0, -0.0, 5e-324, 1.7976931348623157e+308), 1),
+    # Each feature within the range rule, so the file reads back.
+    samples = [LabeledSample((1.7976931348623157e+308, 1e-05, 0.1, -0.0, 5e-324, 1015.0), 1),
                LabeledSample((21.0, 0.0, 0.4, 23.0, 16.0, 1012.5), 0)]
     out = io.StringIO()
     write_labeled_csv(samples, out)
     assert out.getvalue() == (
         "temp,wind,humidity,hour,visibility,barometer,state\r\n"
-        "0.1,1e-05,1015.0,-0.0,5e-324,1.7976931348623157e+308,1\r\n"
+        "1.7976931348623157e+308,1e-05,0.1,-0.0,5e-324,1015.0,1\r\n"
         "21.0,0.0,0.4,23.0,16.0,1012.5,0\r\n")
     assert read_labeled_csv(io.StringIO(out.getvalue())) == samples
 
@@ -562,7 +564,11 @@ GOOD_ROW = "21.0,3.0,0.4,12.0,16.0,1012.0,1\n"
                                  "21.0,3.0,0.4,12.0,16.0,-Infinity,0\n",
                                  "21.0,3.0,abc,12.0,16.0,1012.0,1\n",
                                  "21.0,3.0,0.4,12.0,16.0,1012.0,7\n",
-                                 "21.0,3.0,0.4,12.0\n"])
+                                 "21.0,3.0,0.4,12.0\n",
+                                 "21.0,3.0,0.4,99.0,16.0,1012.0,1\n",
+                                 "21.0,3.0,5.0,12.0,16.0,1012.0,1\n",
+                                 "21.0,3.0,0.4,12.0,16.0,-3.0,1\n",
+                                 "21.0,3.0,0.4,12.0,-1.0,1012.0,0\n"])
 def test_labeled_csv_bad_cells_name_their_line(row):
     stream = io.StringIO(LABELED_HEADER + GOOD_ROW + "\n" + row)
     with pytest.raises(ValueError, match="line 4"):
