@@ -36,12 +36,12 @@ print(f"parsed {parse_report.kept}/{parse_report.rows_read} rows, "
 
 dt_train, dt_test = split(samples, SplitSpec(0.33, 324))
 tree = train_tree(dt_train, TreeConfig())
-dt_report = evaluate(tree.predict, dt_test, model_id="decision tree")
+dt_report = evaluate(tree.predict_many, dt_test, model_id="decision tree")
 
 knn_train, knn_test = split(samples, SplitSpec(0.30, 101))
 k = default_k(len(knn_train))
 knn = train_knn(knn_train, k)
-knn_report = evaluate(knn.predict, knn_test, model_id=f"knn (k={k})")
+knn_report = evaluate(knn.predict_many, knn_test, model_id=f"knn (k={k})")
 
 # Below the metrics table, each model's confusion counts (tp/tn/fp/fn).
 print(render_reports([dt_report, knn_report]), end="")

@@ -255,7 +255,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _, test_set = split(samples, spec)
     model_id = (f"dt({model.config.criterion},leaves={model.config.max_leaf_nodes})"
                 if kind == "dt" else f"knn(k={model.k},scaling={model.scaling})")
-    report = evaluate(model.predict, test_set, model_id=model_id)
+    report = evaluate(model.predict_many, test_set, model_id=model_id)
     doc = {"split": {"test_fraction": spec.test_fraction, "seed": spec.seed},
            **report.as_dict()}
     with _atomic_writer(report_path) as stream:
@@ -320,7 +320,7 @@ def _reading(args: argparse.Namespace, name: str) -> float:
     try:
         return float(_parse_hour(text)) if name == "hour" else _parse_number(text, name)
     except _RowRejected:
-        expected = "an hour of the day" if name == "hour" else "a finite number"
+        expected = "an hour of the day" if name == "hour" else "a finite decimal (unit optional)"
         raise ValueError(f"--{name} must be {expected}, got {text!r}") from None
 
 

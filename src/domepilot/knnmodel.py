@@ -3,7 +3,7 @@
 k-NN is a lazy learner, so training only stores the labeled rows, here as
 tuples of floats, and nothing in this module imports numpy: ``train --model
 knn`` without standardization never loads it. The exact distance kernel is
-in ``domepilot.knn``; a model builds it on its first ``predict``.
+in ``domepilot.knn``; a model builds it on its first prediction.
 Standardization computes its stats with numpy and builds the kernel with
 the model, since an overflowing z-score shows only there.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .tree import _integer, _number
 
@@ -87,6 +87,10 @@ class KnnModel:
         ValueError. See ``knn.Kernel.vote`` for the selection.
         """
         return (self._kernel or self._build_kernel()).vote(query)
+
+    def predict_many(self, rows: Sequence[Sequence[float]]) -> Iterator[int]:
+        """``predict`` of each row, lazily; see ``knn.Kernel.votes``."""
+        return (self._kernel or self._build_kernel()).votes(rows)
 
     def to_dict(self) -> dict:
         doc = {"version": FORMAT_VERSION, "kind": "knn", "k": self.k,

@@ -8,7 +8,7 @@ mse == 1 - accuracy up to floating-point rounding.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class _ConfusionMatrix(NamedTuple):
@@ -97,15 +97,17 @@ class EvalReport(NamedTuple):
         return doc
 
 
-def evaluate(model_predict_fn: Callable[[Sequence[float]], int],
+def evaluate(predict_many: Callable[[Sequence[Sequence[float]]], Iterable[int]],
              test_samples: Sequence, model_id: str = "model") -> EvalReport:
-    """Apply the model to every test sample and assemble all metrics."""
+    """All metrics of one batch call (a model's ``predict_many``) on the test
+    samples; a per-sample ``fn`` adapts as ``lambda rows: map(fn, rows)``."""
     if len(test_samples) == 0:
         raise ValueError("empty test set")
     predictions, labels = [], []
+    stream = iter(predict_many([sample.features for sample in test_samples]))
     for i, sample in enumerate(test_samples):
         try:
-            prediction = model_predict_fn(sample.features)
+            prediction = next(stream, None)  # a short stream shows as None
             if prediction not in (0, 1):  # before int(), which would turn 0.97 into 0
                 raise ValueError(f"model returned {prediction!r}, not 0 or 1")
             predictions.append(int(prediction))

@@ -20,7 +20,7 @@ from itertools import repeat
 from math import log2
 from operator import add
 from sys import float_info
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 CRITERIA = ("gini", "entropy")
 
@@ -109,6 +109,10 @@ class TreeModel:
         while isinstance(node, Split):
             node = nodes[node.left if x[node.feature] <= node.threshold else node.right]
         return node.label
+
+    def predict_many(self, rows: Iterable[Sequence[float]]) -> Iterator[int]:
+        """``self.predict`` of each row, lazily: a wrapper set on the instance sees each."""
+        return map(self.predict, rows)
 
     @property
     def leaf_count(self) -> int:

@@ -144,7 +144,8 @@ class ConditionTable:
     def from_csv(cls, source: PathOrStream) -> "ConditionTable":
         """Load a user override table from ``condition,flag`` lines; blank
         lines and ``condition,flag`` header lines (any case) are skipped."""
-        rows = list(_csv_rows(source))  # read first: its errors are named already
+        with _csv_reader(source) as reader:  # read first: its errors are named already
+            rows = [(reader.line_num, row) for row in reader]
         line = 0
 
         def pairs() -> Iterator[tuple[str, int]]:
@@ -395,41 +396,36 @@ def _observation_from_row(cells: Sequence[str]) -> WeatherObservation:
         raise _RowRejected("invalid_values") from exc
 
 
-def _csv_rows(source: PathOrStream) -> Iterator[tuple[int, list[str]]]:
-    """(line number, cells) of each CSV row, a blank row as []; bytes that are not
-    UTF-8 and text the csv module cannot split raise a ValueError naming the file."""
+@contextmanager
+def _csv_reader(source: PathOrStream) -> Iterator:
+    """A csv reader of ``source``; bytes that are not UTF-8 and text the csv
+    module cannot split raise a ValueError naming the file and the line."""
     with _opened(source) as stream:
         reader = csv.reader(stream)
         try:
-            for row in reader:
-                yield reader.line_num, row
+            yield reader
         except csv.Error as exc:
             raise ValueError(_named(source, f"line {reader.line_num}: {exc}")) from None
 
 
-def _read_rows(source: PathOrStream,
-               columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """(line number, cells in ``columns`` order) for each non-blank CSV row.
+@contextmanager
+def _read_rows(source: PathOrStream, columns: Sequence[str]) -> Iterator:
+    """(csv reader, the cells in ``columns`` order of each non-blank row, drawn
+    by C iterators); the reader's line_num is the line of the row last drawn.
 
     Header names match case-insensitively, in any order; extra columns are
     ignored and a missing one raises a ValueError naming the file. Short rows
-    read as empty cells.
-    """
-    rows = _csv_rows(source)
-    _, header = next(rows, (0, []))
-    by_name = {name.strip().lower(): i for i, name in enumerate(header) if name}
-    missing = [col for col in columns if col not in by_name]
-    if missing:
-        raise ValueError(_named(source, "missing required column(s): " + ", ".join(missing)))
-    positions = [by_name[col] for col in columns]
-    pick = operator.itemgetter(*positions)
-    width = max(positions) + 1
-    for line, row in rows:
-        if not row:
-            continue
-        if len(row) < width:
-            row += [""] * (width - len(row))
-        yield line, pick(row)
+    read as empty cells."""
+    with _csv_reader(source) as reader:
+        header = next(reader, [])
+        by_name = {name.strip().lower(): i for i, name in enumerate(header) if name}
+        missing = [col for col in columns if col not in by_name]
+        if missing:
+            raise ValueError(_named(source, "missing required column(s): " + ", ".join(missing)))
+        positions = [by_name[col] for col in columns]
+        # A non-blank row has a cell, so max(positions) more reach every column.
+        padded = map(operator.add, filter(None, reader), itertools.repeat([""] * max(positions)))
+        yield reader, map(operator.itemgetter(*positions), padded)
 
 
 T = TypeVar("T")
@@ -455,8 +451,8 @@ def parse_dataset(source: PathOrStream) -> tuple[list[WeatherObservation], Clean
     out-of-range cells are dropped and counted, never fatal. Row order is
     preserved.
     """
-    rows = (cells for _, cells in _read_rows(source, RAW_COLUMNS))
-    return _clean_rows(rows, _observation_from_row)
+    with _read_rows(source, RAW_COLUMNS) as (_, rows):
+        return _clean_rows(rows, _observation_from_row)
 
 
 def read_frames_csv(source: PathOrStream) -> tuple[list[SensorFrame], CleaningReport]:
@@ -468,9 +464,9 @@ def read_frames_csv(source: PathOrStream) -> tuple[list[SensorFrame], CleaningRe
     new_frame = tuple.__new__  # SensorFrame checks nothing, so skip its __new__
     # The tick is drawn last, after both parses succeed, so rejected rows
     # leave no gap in the numbering.
-    rows = (cells for _, cells in _read_rows(source, FRAME_COLUMNS))
-    return _clean_rows(rows, lambda cells: new_frame(SensorFrame, (
-        _observation_from_row(cells), _parse_rain(cells[-1]), next(ticks))))
+    with _read_rows(source, FRAME_COLUMNS) as (_, rows):
+        return _clean_rows(rows, lambda cells: new_frame(SensorFrame, (
+            _observation_from_row(cells), _parse_rain(cells[-1]), next(ticks))))
 
 
 def filter_city(observations: Sequence[WeatherObservation],
@@ -550,16 +546,18 @@ def read_labeled_csv(source: PathOrStream) -> list[LabeledSample]:
     the state 0 or 1; any other cell is a ValueError naming its file and line.
     """
     samples = []
-    for line, cells in _read_rows(source, LABELED_COLUMNS):
-        try:
-            features = tuple(map(float, cells[:-1]))
-            if not all(map(math.isfinite, features)):
-                raise ValueError(f"non-finite feature in {cells[:-1]}")
-            _, _, humidity, hour, visibility, barometer = features  # FEATURE_NAMES order
-            check_ranges(hour, humidity, barometer, visibility)
-            samples.append(LabeledSample(features, int(cells[-1])))
-        except ValueError as exc:
-            raise ValueError(_named(source, f"labeled CSV line {line}: {exc}")) from None
+    with _read_rows(source, LABELED_COLUMNS) as (reader, rows):
+        for cells in rows:
+            try:
+                features = tuple(map(float, cells[:-1]))
+                if not all(map(math.isfinite, features)):
+                    raise ValueError(f"non-finite feature in {cells[:-1]}")
+                _, _, humidity, hour, visibility, barometer = features  # FEATURE_NAMES order
+                check_ranges(hour, humidity, barometer, visibility)
+                samples.append(LabeledSample(features, int(cells[-1])))
+            except ValueError as exc:
+                raise ValueError(_named(source, f"labeled CSV line {reader.line_num}: "
+                                                f"{exc}")) from None
     return samples
 
 

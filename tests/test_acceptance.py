@@ -144,7 +144,8 @@ def test_criterion_5_metrics_identities():
         labels = list(rng.integers(0, 2, size=n))
         matrix = confusion(preds, labels)
         samples = [LabeledSample((float(i),) + (0.0,) * 5, int(y)) for i, y in enumerate(labels)]
-        report = evaluate(lambda features: preds[int(features[0])], samples)
+        report = evaluate(lambda rows: map(lambda features: preds[int(features[0])], rows),
+                          samples)
         squared = sum((int(p) - int(y)) ** 2 for p, y in zip(preds, labels)) / n
         worst = max(worst, abs(report.mse - squared), abs(report.mse - (1.0 - accuracy(matrix))))
         swapped = ConfusionMatrix(tp=matrix.tn, tn=matrix.tp,
@@ -330,9 +331,9 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
 
     from domepilot.metrics import evaluate
     _, test_set = split(samples, SplitSpec(0.33, 324))
-    report_a = json.dumps(evaluate(dt_a.predict, test_set, "dt").as_dict(),
+    report_a = json.dumps(evaluate(dt_a.predict_many, test_set, "dt").as_dict(),
                           sort_keys=True)
-    report_b = json.dumps(evaluate(dt_b.predict, test_set, "dt").as_dict(),
+    report_b = json.dumps(evaluate(dt_b.predict_many, test_set, "dt").as_dict(),
                           sort_keys=True)
     reports_identical = report_a == report_b
 

@@ -374,6 +374,17 @@ def test_predict_rejects_an_hour_outside_the_day(monkeypatch, capsys, hour):
     assert captured.err.startswith("domepilot: error: --hour ")
 
 
+@pytest.mark.parametrize("value", ["1e3", "2.5e1", "abc"])
+def test_predict_names_the_number_grammar_a_reading_breaks(monkeypatch, capsys, value):
+    # A frames cell takes no exponent, so 1e3 is refused as "abc" is; the
+    # message says what a cell takes, not only that it must be finite.
+    model = RecordingModel()
+    assert predict_in_process(monkeypatch, model, temp=value) == 2
+    assert model.seen == []
+    assert capsys.readouterr().err == ("domepilot: error: --temp must be a finite decimal "
+                                       f"(unit optional), got {value!r}\n")
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("humidity", "150", "humidity out of range: 1.5"),
     ("barometer", "-1000", "barometer must be positive: -1000.0"),

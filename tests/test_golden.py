@@ -1,0 +1,72 @@
+"""The evaluate reports and every command's output, pinned byte for byte.
+
+``bench/gen.py`` writes a raw weather CSV big enough that the k-NN training
+split (6,842 rows, k = 81, stride 10) takes the vote's sampled selection. ``prepare``,
+``train`` and ``evaluate`` then run in-process for a tree, a k-NN and a
+standardized k-NN, and the sha256 of each command's exit code, stdout and
+stderr, and of each file it writes, is compared with ``golden.json``. The
+standardized model document is left out: its numpy means and stds may differ
+in the last bits between numpy builds, and its evaluate report pins its votes.
+
+A change that moves a split, a tree, a vote or a report line fails here. On a
+mismatch the test names each output that differs and prints the manifest the
+code now gives; it never writes the file. A change that means to move an
+entry updates ``golden.json`` by hand and says which entry and why.
+"""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+from domepilot import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+MANIFEST = Path(__file__).with_name("golden.json")
+SEED, ROWS = 7, 10_000
+
+COMMANDS = (
+    ("prepare", ["prepare", "--data", "raw.csv", "--out", "labeled.csv"], ["labeled.csv"]),
+    ("train dt", ["train", "--data", "labeled.csv", "--out", "dt.json"], ["dt.json"]),
+    ("train knn", ["train", "--data", "labeled.csv", "--model", "knn", "--out", "knn.json"],
+     ["knn.json"]),
+    ("train knn-z", ["train", "--data", "labeled.csv", "--model", "knn",
+                     "--scaling", "standardize", "--out", "knn-z.json"], []),
+    *((f"evaluate {name}", ["evaluate", "--model", f"{name}.json", "--data", "labeled.csv",
+                            "--report", f"{name}.report.json"], [f"{name}.report.json"])
+      for name in ("dt", "knn", "knn-z")),
+)
+
+
+def _sha256(data: str) -> str:
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def _outputs(tmp_path, monkeypatch, capsys) -> dict:
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up there
+    spec.loader.exec_module(gen)
+    (tmp_path / "raw.csv").write_text(gen.raw_dataset(SEED, ROWS)[0], encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # relative paths, so stdout names no temp directory
+    outputs = {}
+    for name, argv, written in COMMANDS:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        outputs[f"{name}: exit"] = str(code)
+        outputs[f"{name}: stdout"] = _sha256(captured.out)
+        outputs[f"{name}: stderr"] = _sha256(captured.err)
+        for path in written:
+            outputs[f"{name}: {path}"] = _sha256((tmp_path / path).read_text(encoding="utf-8"))
+    return outputs
+
+
+def test_evaluate_reports_and_outputs_match_the_manifest(tmp_path, monkeypatch, capsys):
+    outputs = _outputs(tmp_path, monkeypatch, capsys)
+    expected = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    differ = sorted(key for key in expected.keys() | outputs.keys()
+                    if expected.get(key) != outputs.get(key))
+    assert not differ, (f"outputs that differ from {MANIFEST.name}: {differ}\n"
+                        f"the manifest this code gives:\n"
+                        f"{json.dumps(outputs, indent=2, sort_keys=True)}")

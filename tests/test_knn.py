@@ -380,9 +380,10 @@ def test_survivors_are_the_rows_one_partition_of_every_row_keeps(case):
     below the k-th smallest plus the margin, in index order."""
     a, k, stride, rank, margin = case
     a = np.array(a)
-    selection = types.SimpleNamespace(k=k, stride=stride, rank=rank)
+    selection = types.SimpleNamespace(k=k)
+    u = np.partition(a[::stride], rank - 1)[rank - 1] if rank else None
     expected = np.flatnonzero(a <= np.partition(a, k - 1)[k - 1] + margin)
-    assert knn.Kernel._survivors(selection, a, margin).tolist() == expected.tolist()
+    assert knn.Kernel._survivors(selection, a, margin, u).tolist() == expected.tolist()
 
 
 def test_sampled_selection_takes_both_paths(monkeypatch):
@@ -413,6 +414,112 @@ def test_sampled_selection_takes_both_paths(monkeypatch):
             # values: all rows were kept, or too few, so either path.
             paths["sample" if sizes[-1] < n else "partition" if len(sizes) == 3 else "either"] += 1
     assert paths["sample"] > 0 and paths["partition"] > 0, paths
+
+
+# ---------------------------------------------------------------- batch votes
+#
+# Kernel.votes screens BLOCK queries with one matrix product and then selects
+# and votes row by row as Kernel.vote does. Its rounding differs from the
+# gemv's, so these cases check that the bound still keeps every vote.
+
+
+def votes_until_refused(predictions):
+    """The predictions drawn from an iterable up to the first refusal, and that error."""
+    votes = []
+    try:
+        for prediction in predictions:
+            votes.append(prediction)
+    except (TypeError, ValueError) as exc:
+        return votes, repr(exc)
+    return votes, None
+
+
+@given(case=st.one_of(knn_cases(), screen_cases(), sampled_cases()))
+@settings(max_examples=300, deadline=None)
+def test_the_batch_votes_as_one_query_at_a_time(case):
+    rows, labels, k, scaling, queries, *sample = case
+    queries = queries * 3  # up to 12 queries: a full block and a partial one
+    with np.errstate(all="ignore"):
+        try:
+            model = train_knn(list(zip(map(tuple, rows), labels)), k=k, scaling=scaling)
+        except ValueError:  # the stats or z-scores of huge features overflow
+            reject()
+        if sample:
+            with_sample(model, *sample)
+        single = votes_until_refused(model.predict(query) for query in queries)
+        assert votes_until_refused(model.predict_many(queries)) == single
+
+
+def _grid_model(n, k=None, scaling="none", seed=0):
+    rng = np.random.default_rng(seed)
+    features = rng.integers(0, 20, size=(n, 6)).astype(float)
+    labels = rng.integers(0, 2, size=n)
+    return train_knn(list(zip(map(tuple, features), labels)), k=k or default_k(n),
+                     scaling=scaling)
+
+
+def _tie_block_model():
+    # 12 copies of one vector outnumber k = 5; the five lowest-index copies vote 1.
+    rows = [ORIGIN] * 12 + [[float(i)] * 6 for i in range(1, 9)]
+    return train_knn(toy_samples(zip(rows, [1] * 5 + [0] * 15)), k=5)
+
+
+def _even_k_tie_model():
+    # At [0] * 6 the four nearest vote 2-2, so the prediction is 0.
+    rows = [[float(x)] * 6 for x in (0, 1, 2, 3, 9, 9)]
+    return train_knn(toy_samples(zip(rows, [1, 0, 1, 0, 1, 1])), k=4)
+
+
+@pytest.mark.parametrize("build,branch", [
+    (lambda: _grid_model(6_500), "sampled"),  # k = 79, stride 10
+    (lambda: _grid_model(300), "single partition"),
+    (lambda: _grid_model(6_500, scaling="standardize"), "sampled"),
+    (lambda: train_knn(toy_samples(zip([[s * 1e300] * 6 for s in (1, -1, 2, -2) * 5],
+                                       [0, 1, 1, 0] * 5)), k=3), "all survive"),
+    (_tie_block_model, "single partition"),
+    (_even_k_tie_model, "single partition"),
+])
+def test_batch_single_and_oracle_agree_on_every_branch(build, branch):
+    with np.errstate(over="ignore"):
+        model = build()
+    kernel = model._build_kernel()
+    assert branch == ("all survive" if not 4 * kernel.max_norm < math.inf
+                      else "sampled" if kernel.rank else "single partition")
+    rng = np.random.default_rng(len(model.labels))
+    queries = [ORIGIN, *rng.integers(0, 20, size=(20, 6)).astype(float).tolist()]
+    if branch == "all survive":
+        queries = [[x * 1e299 for x in query] for query in queries]
+    assert len(queries) % knn.BLOCK != 0
+    with np.errstate(all="ignore"):
+        batch = list(model.predict_many(queries))
+        assert batch == [model.predict(query) for query in queries]
+        assert batch == [argsort_predict(model, query) for query in queries]
+    if build is _tie_block_model:
+        assert batch[0] == 1
+    if build is _even_k_tie_model:
+        assert batch[0] == 0 and 0 < sum(batch)
+
+
+@pytest.mark.parametrize("bad", [[math.nan] * 6, [0.0] * 5 + [math.inf], [0.0] * 5,
+                                 ["x"] * 6, [[0.0]] * 6, "123456"])
+def test_a_batch_refuses_what_vote_refuses_at_the_same_query(bad):
+    model = _grid_model(300)
+    queries = [[float(i % 20)] * 6 for i in range(20)]
+    queries[9] = bad
+    single = votes_until_refused(map(model.predict, queries))
+    assert votes_until_refused(model.predict_many(queries)) == single
+
+
+def test_evaluate_names_the_sample_whose_standardized_query_overflows():
+    from domepilot.metrics import evaluate
+    from domepilot.weather import LabeledSample
+
+    model = _grid_model(300, scaling="standardize")
+    samples = [LabeledSample((1.0,) * 6, 0)] * 11
+    samples[5] = LabeledSample((1e300,) + (0.5,) * 5, 0)
+    with pytest.raises(RuntimeError, match="^prediction failed on test sample 5: "
+                                           "standardized query overflows; stds too small$"):
+        evaluate(model.predict_many, samples)
 
 
 @pytest.mark.parametrize("n,k,stride,rank", [

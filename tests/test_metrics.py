@@ -27,9 +27,14 @@ def sample_set(labels):
             for i, y in enumerate(labels)]
 
 
+def each(fn):
+    """The batch predictor ``evaluate`` takes, from a per-sample function."""
+    return lambda rows: map(fn, rows)
+
+
 def report_of(preds, labels):
     """``evaluate`` of a model that answers ``preds[i]`` for sample i."""
-    return evaluate(lambda features: int(preds[int(features[0])]), sample_set(labels))
+    return evaluate(each(lambda features: int(preds[int(features[0])])), sample_set(labels))
 
 
 def mean_squared_difference(preds, labels):
@@ -151,13 +156,13 @@ def test_mse_equals_one_minus_accuracy_on_random_vectors():
 # ---------------------------------------------------------------- evaluate
 
 def test_constant_model_on_uniform_labels():
-    report = evaluate(lambda features: 1, sample_set([1, 1, 1, 1]), "const1")
+    report = evaluate(each(lambda features: 1), sample_set([1, 1, 1, 1]), "const1")
     assert report.accuracy == 1.0 and report.mse == 0.0
     assert report.n_test == 4 and report.model_id == "const1"
 
 
 def test_constant_model_on_balanced_labels_flags_degenerate_f1():
-    report = evaluate(lambda features: 1, sample_set([1, 0, 1, 0]))
+    report = evaluate(each(lambda features: 1), sample_set([1, 0, 1, 0]))
     assert report.accuracy == 0.5
     assert report.f1_class0 == 0.0
     assert report.degenerate_f1_classes == (0,)
@@ -167,7 +172,7 @@ def test_constant_model_on_balanced_labels_flags_degenerate_f1():
 
 def test_empty_test_set_is_an_error():
     with pytest.raises(ValueError):
-        evaluate(lambda features: 1, [])
+        evaluate(each(lambda features: 1), [])
 
 
 def test_prediction_errors_abort_with_sample_context():
@@ -175,27 +180,45 @@ def test_prediction_errors_abort_with_sample_context():
         raise KeyError("boom")
 
     with pytest.raises(RuntimeError, match="test sample 0"):
-        evaluate(broken, sample_set([1, 0]))
+        evaluate(each(broken), sample_set([1, 0]))
+
+
+def test_the_batch_predictor_is_called_once_with_every_row_in_order():
+    calls = []
+
+    def predict_many(rows):
+        calls.append(list(rows))
+        return iter([1, 0, 1])
+
+    report = evaluate(predict_many, sample_set([1, 0, 0]))
+    assert calls == [[sample.features for sample in sample_set([1, 0, 0])]]
+    assert report.matrix == ConfusionMatrix(tp=1, tn=1, fp=1, fn=0)
+
+
+def test_a_batch_predictor_that_stops_early_fails_at_the_first_missing_sample():
+    with pytest.raises(RuntimeError, match="test sample 2: model returned None, not 0 or 1"):
+        evaluate(lambda rows: [1, 0], sample_set([1, 0, 1]))
 
 
 def test_a_prediction_that_is_not_0_or_1_aborts_instead_of_truncating():
     with pytest.raises(RuntimeError, match="test sample 0: model returned 0.97, not 0 or 1"):
-        evaluate(lambda features: 0.97, sample_set([1, 1, 1, 1]))
+        evaluate(each(lambda features: 0.97), sample_set([1, 1, 1, 1]))
 
 
 def test_a_label_that_is_not_0_or_1_aborts_instead_of_truncating():
     samples = [SimpleNamespace(features=(1,), label=0.5), SimpleNamespace(features=(1,), label=1)]
     with pytest.raises(ValueError, match="label=0.5"):
-        evaluate(lambda features: 0, samples)
+        evaluate(each(lambda features: 0), samples)
 
 
 def test_true_and_1_0_labels_count_as_1():
     samples = [SimpleNamespace(features=(1,), label=label) for label in (True, 1.0, 0)]
-    assert evaluate(lambda features: 1, samples).matrix == ConfusionMatrix(tp=2, tn=0, fp=1, fn=0)
+    assert evaluate(each(lambda features: 1), samples).matrix == ConfusionMatrix(
+        tp=2, tn=0, fp=1, fn=0)
 
 
 def test_report_dict_and_render():
-    report = evaluate(lambda features: int(features[0] < 2), sample_set([1, 1, 0, 0]))
+    report = evaluate(each(lambda features: int(features[0] < 2)), sample_set([1, 1, 0, 0]))
     doc = report.as_dict()
     assert doc["confusion"] == {"tp": 2, "tn": 2, "fp": 0, "fn": 0}
     text = render_reports([report])
