@@ -6,13 +6,12 @@ a failing command leaves nothing half-written behind.
 
 Start-up stays lean: importing this module loads neither numpy nor
 ``hashlib`` nor ``socket``, and of the package only ``weather``. A command
-loads what it runs: ``train`` its model's module (``tree``, or ``knnmodel``
-with ``tree``), ``evaluate`` that and ``metrics``, ``simulate`` and
-``predict`` that and ``controller``. Only k-NN standardization and k-NN
-documents import numpy (``domepilot.knn``); the other commands, tree
-training and ``train --model knn`` without standardization never load it.
-Only ``prepare`` imports ``hashlib``, and only a ``tcp:`` sink imports
-``socket``.
+loads what it runs: ``train`` its model's module (``tree`` or ``knnmodel``),
+``evaluate`` that and ``metrics``, ``simulate`` and ``predict`` that and
+``controller``. Only k-NN standardization and k-NN documents import numpy
+(``domepilot.knn``); the other commands, tree training and ``train --model
+knn`` without standardization never load it. Only ``prepare`` imports
+``hashlib``, and only a ``tcp:`` sink imports ``socket``.
 """
 
 from __future__ import annotations
@@ -247,14 +246,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     data = Path(_require(args.data, "--data"))
     report_path = Path(_require(args.report, "--report"))
     _refuse_overwrite(report_path, "report", model=model_path, data=data, config=args.config)
-    from .cli import TreeModel, evaluate, render_reports
+    from .cli import evaluate, render_reports
     model = load_model(model_path)
-    kind = "dt" if isinstance(model, TreeModel) else "knn"
-    samples = read_labeled_csv(data)
-    spec = SPLITS[kind]
-    _, test_set = split(samples, spec)
+    spec = SPLITS[model.kind]
+    _, test_set = split(read_labeled_csv(data), spec)
     model_id = (f"dt({model.config.criterion},leaves={model.config.max_leaf_nodes})"
-                if kind == "dt" else f"knn(k={model.k},scaling={model.scaling})")
+                if model.kind == "dt" else f"knn(k={model.k},scaling={model.scaling})")
     report = evaluate(model.predict_many, test_set, model_id=model_id)
     doc = {"split": {"test_fraction": spec.test_fraction, "seed": spec.seed},
            **report.as_dict()}

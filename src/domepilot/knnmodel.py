@@ -14,7 +14,7 @@ import math
 from itertools import chain
 from typing import Iterator, Optional, Sequence
 
-from .tree import _integer, _number
+from .weather import _integer, _number
 
 SCALINGS = ("none", "standardize")
 
@@ -34,6 +34,7 @@ def default_k(n: int) -> int:
 
 class KnnModel:
     """n rows of d features, kept as float tuples, their 0/1 labels and the vote size k."""
+    kind = "knn"  # its --model name and key of cli.SPLITS
 
     def __init__(self, features: Sequence[Sequence[float]], labels: Sequence[int], k: int,
                  scaling: str, means: Optional[Sequence[float]] = None,

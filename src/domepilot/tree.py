@@ -19,30 +19,14 @@ from collections import Counter
 from itertools import repeat
 from math import log2
 from operator import add
-from sys import float_info
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+
+from .weather import _integer, _number
 
 CRITERIA = ("gini", "entropy")
 
 #: Version of the JSON model document this build reads and writes.
 FORMAT_VERSION = 3
-
-
-def _integer(value, name: str) -> int:
-    """``value`` if it is an int (a JSON integer), not a float or a bool."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, name: str, nonnegative: bool = False) -> float:
-    """``value`` as a float if it is a finite JSON number (an int or a float, not a bool)."""
-    # An int compares with a float exactly: one too large for a float fails here.
-    if (type(value) not in (int, float) or not -float_info.max <= value <= float_info.max
-            or nonnegative and value < 0):
-        kind = "non-negative number" if nonnegative else "number"
-        raise ValueError(f"{name} must be a finite {kind}, got {value!r}")
-    return float(value)
 
 
 class _TreeConfig(NamedTuple):
@@ -95,6 +79,7 @@ class Leaf:
 
 class TreeModel:
     """Trained tree: a node array rooted at index 0."""
+    kind = "dt"  # its --model name and key of cli.SPLITS
 
     def __init__(self, config: TreeConfig, nodes: list, n_features: int):
         self.config, self.nodes, self.n_features = config, nodes, n_features

@@ -937,7 +937,7 @@ def test_numpy_is_imported_only_where_it_computes(workspace, tmp_path):
     # and no file sink imports socket. Each command imports only the package modules
     # it runs: the model's, metrics to evaluate and the controller to decide.
     tree = {"domepilot.tree"}
-    knn = {"domepilot.knnmodel", "domepilot.tree"}
+    knn = {"domepilot.knnmodel"}  # and never the tree's module
     numpy = {"domepilot.knn", "numpy"}
     controller, metrics = {"domepilot.controller"}, {"domepilot.metrics"}
     expected = {

@@ -1,10 +1,13 @@
 """The evaluate reports and every command's output, pinned byte for byte.
 
 ``bench/gen.py`` writes a raw weather CSV big enough that the k-NN training
-split (6,842 rows, k = 81, stride 10) takes the vote's sampled selection. ``prepare``,
-``train`` and ``evaluate`` then run in-process for a tree, a k-NN and a
-standardized k-NN, and the sha256 of each command's exit code, stdout and
-stderr, and of each file it writes, is compared with ``golden.json``. The
+split (6,842 rows, k = 81, stride 10) takes the vote's sampled selection, and
+a frames CSV of 2,000 rows. ``prepare``, ``train`` and ``evaluate`` then run
+in-process for a tree, a k-NN and a standardized k-NN; ``simulate`` replays
+the frames through the tree and the k-NN into a sink file, and through the
+tree with ``--sink -``; ``predict`` asks each of the two once. The sha256 of
+each command's exit code, stdout and stderr, and of each file it writes
+(decision logs and wire files too), is compared with ``golden.json``. The
 standardized model document is left out: its numpy means and stds may differ
 in the last bits between numpy builds, and its evaluate report pins its votes.
 
@@ -24,7 +27,7 @@ from domepilot import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).with_name("golden.json")
-SEED, ROWS = 7, 10_000
+SEED, ROWS, FRAMES = 7, 10_000, 2_000
 
 COMMANDS = (
     ("prepare", ["prepare", "--data", "raw.csv", "--out", "labeled.csv"], ["labeled.csv"]),
@@ -36,6 +39,17 @@ COMMANDS = (
     *((f"evaluate {name}", ["evaluate", "--model", f"{name}.json", "--data", "labeled.csv",
                             "--report", f"{name}.report.json"], [f"{name}.report.json"])
       for name in ("dt", "knn", "knn-z")),
+    *((f"simulate {name}", ["simulate", "--model", f"{name}.json", "--frames", "frames.csv",
+                            "--log", f"{name}.log.jsonl", "--sink", f"{name}.wire.txt"],
+       [f"{name}.log.jsonl", f"{name}.wire.txt"])
+      for name in ("dt", "knn")),
+    ("simulate dt --sink -", ["simulate", "--model", "dt.json", "--frames", "frames.csv",
+                              "--log", "dt-stdout.log.jsonl", "--sink", "-"],
+     ["dt-stdout.log.jsonl"]),
+    *((f"predict {name}", ["predict", "--model", f"{name}.json", "--temp", "21", "--wind", "5",
+                           "--humidity", "0.3", "--hour", "14", "--visibility", "10",
+                           "--barometer", "1012", "--rain", "0"], [])
+      for name in ("dt", "knn")),
 )
 
 
@@ -49,6 +63,7 @@ def _outputs(tmp_path, monkeypatch, capsys) -> dict:
     monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up there
     spec.loader.exec_module(gen)
     (tmp_path / "raw.csv").write_text(gen.raw_dataset(SEED, ROWS)[0], encoding="utf-8")
+    (tmp_path / "frames.csv").write_text(gen.frames(SEED, FRAMES)[0], encoding="utf-8")
     monkeypatch.chdir(tmp_path)  # relative paths, so stdout names no temp directory
     outputs = {}
     for name, argv, written in COMMANDS:
