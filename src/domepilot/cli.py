@@ -11,7 +11,9 @@ loads what it runs: ``train`` its model's module (``tree`` or ``knnmodel``),
 ``controller``. Only k-NN standardization and k-NN documents import numpy
 (``domepilot.knn``); the other commands, tree training and ``train --model
 knn`` without standardization never load it. Only ``prepare`` imports
-``hashlib``, and only a ``tcp:`` sink imports ``socket``.
+``hashlib``, and only a ``tcp:`` sink imports ``socket``. ``simulate`` tells
+a k-NN model the frames it will ask about (``KnnModel.expect``), so their
+votes come in blocks; ``predict`` votes alone.
 """
 
 from __future__ import annotations
@@ -272,13 +274,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _refuse_overwrite(Path(args.sink), "sink", log=log_path, **inputs)
     from .cli import SignalDeliveryError, open_sink, replay
     model = load_model(model_path)
-    table = ConditionTable.from_csv(args.table) if args.table else None
+    table = ConditionTable.from_csv(args.table) if args.table else ConditionTable.builtin()
     frames, report = read_frames_csv(frames_path)
     if report.rejected:
         logger.warning("rejected %d malformed frame rows: %s",
                        report.rejected, report.as_dict()["reasons"])
     if not frames:
         raise ValueError(f"no usable frames in {frames_path}")
+    if model.kind == "knn":  # the rows replay asks for; a tree's predict_many is its predict
+        model.expect([frame.observation.features() for frame in frames
+                      if frame.observation.condition in table])
     with open_sink(args.sink) if args.sink is not None else nullcontext() as sink:
         log = replay(model.predict, frames, table=table, sink=sink)
         with _atomic_writer(log_path) as stream:

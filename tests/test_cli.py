@@ -20,10 +20,10 @@ import domepilot
 from domepilot import cli
 from domepilot.cli import load_model, save_model
 from domepilot.controller import read_frames_csv, replay
-from domepilot.knnmodel import train_knn
+from domepilot.knnmodel import KnnModel, train_knn
 from domepilot.synthetic import synthetic_observations, to_raw_csv
 from domepilot.tree import TreeConfig, train_tree
-from domepilot.weather import SplitSpec, WeatherObservation
+from domepilot.weather import ConditionTable, SplitSpec, WeatherObservation
 
 from conftest import EXPECTED_TABLE1, run_cli
 
@@ -489,6 +489,41 @@ def test_simulate_reads_frames_with_the_table_prepare_labeled_with(tmp_path):
 
     assert unmapped("--table", str(table)) == 0
     assert unmapped() == 20  # without --table, simulate keeps the built-in table
+
+
+@pytest.mark.parametrize("table_rows", [None, "Clear,1\nPassing clouds,1\n"],
+                         ids=["builtin", "table"])
+def test_simulate_answers_each_mapped_knn_frame_from_the_lookahead(workspace, tmp_path,
+                                                                   monkeypatch, table_rows):
+    models = []
+    expect = KnnModel.expect
+
+    def spy(model, rows):
+        models.append(model)
+        expect(model, rows)
+
+    monkeypatch.setattr(KnnModel, "expect", spy)
+    table_flag, table = [], ConditionTable.builtin()
+    if table_rows is not None:  # unmaps the Haze, Duststorm and rain frames as well
+        path = tmp_path / "table.csv"
+        path.write_text(table_rows)
+        table_flag, table = ["--table", str(path)], ConditionTable.from_csv(path)
+    log, wire = tmp_path / "log.jsonl", tmp_path / "wire.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--model", str(workspace["knn"]), "--frames",
+                         str(workspace["frames"]), "--log", str(log), "--sink", str(wire),
+                         *table_flag]) == 0
+    [model] = models
+    assert model._ahead is not None and next(model._ahead[0], None) is None  # all used
+    frames = read_frames_csv(workspace["frames"])[0]
+    expected = replay(load_model(workspace["knn"]).predict, frames, table=table)
+    stream = io.StringIO()
+    expected.to_jsonl(stream)
+    assert log.read_text() == stream.getvalue()
+    assert wire.read_text() == "".join(f"D:{e.command.dome} A:{e.command.ac}\n"
+                                       for e in expected)
+    unmapped = sum(e.command.cause == "unmapped_condition" for e in expected)
+    assert unmapped == 0 if table_rows is None else 0 < unmapped < len(frames)
 
 
 def test_in_process_warnings_go_to_the_current_stderr(workspace, tmp_path):

@@ -4,8 +4,9 @@
 split (6,842 rows, k = 81, stride 10) takes the vote's sampled selection, and
 a frames CSV of 2,000 rows. ``prepare``, ``train`` and ``evaluate`` then run
 in-process for a tree, a k-NN and a standardized k-NN; ``simulate`` replays
-the frames through the tree and the k-NN into a sink file, and through the
-tree with ``--sink -``; ``predict`` asks each of the two once. The sha256 of
+the frames through each of the three models into a sink file, through the
+tree with ``--sink -`` and through the k-NN into ``/dev/full``, whose every
+write fails; ``predict`` asks the tree and the k-NN once. The sha256 of
 each command's exit code, stdout and stderr, and of each file it writes
 (decision logs and wire files too), is compared with ``golden.json``. The
 standardized model document is left out: its numpy means and stds may differ
@@ -42,10 +43,14 @@ COMMANDS = (
     *((f"simulate {name}", ["simulate", "--model", f"{name}.json", "--frames", "frames.csv",
                             "--log", f"{name}.log.jsonl", "--sink", f"{name}.wire.txt"],
        [f"{name}.log.jsonl", f"{name}.wire.txt"])
-      for name in ("dt", "knn")),
+      for name in ("dt", "knn", "knn-z")),
     ("simulate dt --sink -", ["simulate", "--model", "dt.json", "--frames", "frames.csv",
                               "--log", "dt-stdout.log.jsonl", "--sink", "-"],
      ["dt-stdout.log.jsonl"]),
+    # Every wire line fails with ENOSPC: exit 2, yet the decision log is written.
+    ("simulate knn --sink /dev/full", ["simulate", "--model", "knn.json", "--frames", "frames.csv",
+                                       "--log", "knn-full.log.jsonl", "--sink", "/dev/full"],
+     ["knn-full.log.jsonl"]),
     *((f"predict {name}", ["predict", "--model", f"{name}.json", "--temp", "21", "--wind", "5",
                            "--humidity", "0.3", "--hour", "14", "--visibility", "10",
                            "--barometer", "1012", "--rain", "0"], [])

@@ -1,3 +1,7 @@
+import copy
+import datetime
+import functools
+import logging
 import math
 import os
 import subprocess
@@ -13,8 +17,10 @@ from hypothesis import strategies as st
 
 from domepilot import knn
 from domepilot.cli import load_model, save_model
+from domepilot.controller import replay
 from domepilot.knn import _squared_distances, _standardize
 from domepilot.knnmodel import KnnModel, default_k, train_knn
+from domepilot.weather import ConditionTable, SensorFrame, WeatherObservation
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -658,6 +664,146 @@ def test_distance_ties_break_toward_the_lower_training_index():
     assert model.predict((1, 0, 0, 0, 0, 0)) == 1
 
 
+# ---------------------------------------------------------------- lookahead
+#
+# simulate hands KnnModel.expect the features of the frames replay asks the
+# model about, so that predict answers them from predict_many's blocks. A
+# replay with the lookahead must log, count and warn as one without it.
+
+STRICT_TABLE = ConditionTable([("Clear", 1), ("Haze", 0)])  # unmaps "Fog" too
+CONDITIONS = ("Clear", "Fog", "Haze", "Volcanic ash", "Clear")  # the builtin table lacks ash
+
+
+def _frame_features(rng, n):
+    """n rows in the ranges of a frame's features, on a grid so that distances tie."""
+    return np.column_stack([rng.integers(10, 30, n), rng.integers(0, 20, n),
+                            rng.integers(0, 11, n) / 10, rng.integers(0, 24, n),
+                            rng.integers(0, 20, n), rng.integers(1000, 1020, n)]).astype(float)
+
+
+@functools.cache
+def _trained_frame_model(n, scaling):
+    rng = np.random.default_rng(n)
+    labels = rng.integers(0, 2, size=n)
+    return train_knn(list(zip(map(tuple, _frame_features(rng, n).tolist()), labels)),
+                     k=default_k(n), scaling=scaling)
+
+
+def _frame_model(n, scaling="none"):
+    """A model trained once; each copy shares its kernel but has its own lookahead."""
+    return copy.copy(_trained_frame_model(n, scaling))
+
+
+def _frames(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return [SensorFrame(WeatherObservation("Al Madina", datetime.date(2019, 5, 1), int(hour),
+                                           temp, wind, humidity, barometer, visibility,
+                                           CONDITIONS[tick % len(CONDITIONS)]),
+                        rain_detected=tick % 7 == 3, tick=tick)
+            for tick, (temp, wind, humidity, hour, visibility, barometer)
+            in enumerate(_frame_features(rng, n).tolist())]
+
+
+def _expected_rows(frames, table=None):
+    table = table or ConditionTable.builtin()
+    return [frame.observation.features() for frame in frames
+            if frame.observation.condition in table]
+
+
+class _FlakySink:
+    """Takes every wire line but each fifth, which it fails to deliver."""
+
+    def __init__(self):
+        self.lines = []
+
+    def write(self, line):
+        if len(self.lines) % 5 == 4:
+            self.lines.append(None)
+            raise OSError("wire cut")
+        self.lines.append(line)
+
+
+def _replay(model, frames, table, caplog):
+    """(log, undelivered count, warnings, wire lines) of one replay."""
+    caplog.clear()
+    sink = _FlakySink()
+    with caplog.at_level(logging.WARNING, logger="domepilot"):
+        log = replay(model.predict, frames, table=table, sink=sink)
+    return list(log), log.undelivered, [r.getMessage() for r in caplog.records], sink.lines
+
+
+@pytest.mark.parametrize("n_frames", [21, 2 * knn.BLOCK + 3])
+@pytest.mark.parametrize("table", [None, STRICT_TABLE], ids=["builtin", "strict"])
+@pytest.mark.parametrize("n,scaling,sampled", [(6_500, "none", True), (300, "none", False),
+                                               (6_500, "standardize", True)])
+def test_a_replay_with_the_lookahead_logs_as_one_without(n, scaling, sampled, table,
+                                                         n_frames, caplog):
+    model = _frame_model(n, scaling)
+    assert bool(model._build_kernel().rank) == sampled
+    frames = _frames(n_frames)
+    alone = _replay(model, frames, table, caplog)
+    model.expect(_expected_rows(frames, table))
+    assert _replay(model, frames, table, caplog) == alone
+    assert model._ahead is not None and next(model._ahead[0], None) is None  # all used
+    causes = Counter(entry.command.cause for entry in alone[0])
+    assert causes["unmapped_condition"] and alone[1] and alone[2]
+
+
+@pytest.mark.parametrize("bad", [0, knn.BLOCK + 3, 2 * knn.BLOCK - 1])
+def test_a_standardized_query_that_overflows_closes_its_frame_and_the_rest_vote_alone(
+        bad, caplog):
+    # At frame bad a finite visibility standardizes past what a distance can hold.
+    model = _frame_model(300, "standardize")
+    frames = _frames(2 * knn.BLOCK + 5)
+    frames[bad] = frames[bad]._replace(observation=frames[bad].observation._replace(
+        condition="Clear", visibility=1e300))
+    alone = _replay(model, frames, None, caplog)
+    model.expect(_expected_rows(frames))
+    assert _replay(model, frames, None, caplog) == alone
+    assert model._ahead is None
+    log, _, warnings, _ = alone
+    assert [entry.command.cause for entry in log].count("model_error") == 1
+    assert log[bad].command.cause == "model_error" and log[bad].prediction is None
+    assert warnings[0] == (f"model failed on 1 of {len(frames)} frames, which were closed; "
+                           f"first failure: standardized query overflows; stds too small")
+    assert all(entry.prediction is not None for entry in log[bad + 1:]
+               if entry.frame.observation.condition in ConditionTable.builtin())
+
+
+def test_a_lookahead_for_another_table_drops_and_the_replay_votes_alone(caplog):
+    # The rows of the builtin table, but a replay that skips the "Fog" frames.
+    model = _frame_model(6_500)
+    frames = _frames(2 * knn.BLOCK + 3)
+    alone = _replay(model, frames, STRICT_TABLE, caplog)
+    model.expect(_expected_rows(frames))
+    assert _replay(model, frames, STRICT_TABLE, caplog) == alone
+    assert model._ahead is None
+
+
+def test_a_query_that_differs_from_the_expected_row_votes_alone():
+    model = _frame_model(300)
+    rows = [tuple(row) for row in _frame_features(np.random.default_rng(1), 40).tolist()]
+    alone = [model.predict(row) for row in rows]
+    other = rows.index(next(row for row in rows[1:] if model.predict(row) != alone[0]))
+    model.expect(rows)
+    assert model.predict(rows[other]) == alone[other]  # not the vote expected for rows[0]
+    assert model._ahead is None
+    assert [model.predict(row) for row in rows] == alone
+    model.expect(rows)
+    assert model.predict(list(rows[0])) == alone[0]  # a list is no expected tuple
+    assert model._ahead is None
+
+
+def test_a_query_after_the_expected_rows_are_used_up_votes_alone():
+    model = _frame_model(300)
+    rows = [tuple(row) for row in _frame_features(np.random.default_rng(2), 12).tolist()]
+    alone = [model.predict(row) for row in rows]
+    model.expect(rows[:3])
+    assert model.predict(rows[0]) == alone[0] and model._ahead is not None
+    assert [model.predict(row) for row in rows[1:]] == alone[1:]
+    assert model._ahead is None
+
+
 # ---------------------------------------------------------------- persistence
 
 def test_json_round_trip_preserves_predictions(tmp_path):
@@ -697,3 +843,10 @@ def test_non_binary_labels_are_rejected_at_training_and_on_load():
         doc["data"][1][-1] = bad
         with pytest.raises(ValueError, match="data row 1: label must be an integer"):
             KnnModel.from_dict(doc)
+
+
+def test_a_document_with_several_bad_labels_names_the_first():
+    doc = train_knn(toy_samples([((float(i),) * 6, i % 2) for i in range(6)]), k=1).to_dict()
+    doc["data"][4][-1], doc["data"][2][-1] = "1", None
+    with pytest.raises(ValueError, match=r"^data row 2: label must be an integer, got None$"):
+        KnnModel.from_dict(doc)
