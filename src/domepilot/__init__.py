@@ -10,28 +10,14 @@ prediction, the models' documents, k-NN training without standardization
 and the controller never import it.
 
 Importing the package loads ``domepilot.weather`` alone: a name of
-``controller``, ``metrics``, ``knnmodel`` or ``tree`` imports its module the
-first time it is read (PEP 562), so each command loads what it runs.
+``raw``, ``controller``, ``metrics``, ``knnmodel``, ``tree`` or ``grow``
+imports its module the first time it is read (PEP 562), so each command
+loads what it runs.
 """
 
 from importlib import import_module
 
-from .weather import (
-    FEATURE_NAMES,
-    TEMP_OPEN_HIGH,
-    TEMP_OPEN_LOW,
-    CleaningReport,
-    ConditionTable,
-    LabeledSample,
-    SensorFrame,
-    SplitSpec,
-    WeatherObservation,
-    derive_state,
-    filter_city,
-    parse_dataset,
-    split,
-    to_samples,
-)
+from .weather import FEATURE_NAMES, TEMP_OPEN_HIGH, TEMP_OPEN_LOW, LabeledSample, SplitSpec, split
 
 __version__ = "0.1.0"
 
@@ -54,11 +40,14 @@ def _lazy(namespace: dict, owners: dict):
 
 
 __getattr__, __dir__ = _lazy(globals(), {
+    "raw": ("CleaningReport", "ConditionTable", "SensorFrame", "WeatherObservation",
+            "derive_state", "filter_city", "parse_dataset", "to_samples"),
     "controller": ("CAUSE_MODEL", "CAUSE_MODEL_ERROR", "CAUSE_RAIN", "CAUSE_TEMP",
                    "CAUSE_UNMAPPED", "DecisionLog", "DomeCommand", "SignalDeliveryError",
                    "decide", "emit_signal", "replay"),
     "metrics": ("ConfusionMatrix", "EvalReport", "accuracy", "confusion", "evaluate", "f1",
                 "weighted_f1"),
     "knnmodel": ("KnnModel", "default_k", "train_knn"),
-    "tree": ("TreeConfig", "TreeModel", "best_split", "impurity", "train_tree"),
+    "tree": ("TreeConfig", "TreeModel", "impurity"),
+    "grow": ("best_split", "train_tree"),
 })

@@ -6,14 +6,15 @@ a failing command leaves nothing half-written behind.
 
 Start-up stays lean: importing this module loads neither numpy nor
 ``hashlib`` nor ``socket``, and of the package only ``weather``. A command
-loads what it runs: ``train`` its model's module (``tree`` or ``knnmodel``),
-``evaluate`` that and ``metrics``, ``simulate`` and ``predict`` that and
-``controller``. Only k-NN standardization and k-NN documents import numpy
-(``domepilot.knn``); the other commands, tree training and ``train --model
-knn`` without standardization never load it. Only ``prepare`` imports
-``hashlib``, and only a ``tcp:`` sink imports ``socket``. ``simulate`` tells
-a k-NN model the frames it will ask about (``KnnModel.expect``), so their
-votes come in blocks; ``predict`` votes alone.
+loads what it runs: ``prepare`` the raw-row module ``raw``; ``train`` its
+model's module (``knnmodel``, or ``tree`` and its growth ``grow``);
+``evaluate`` the model's module and ``metrics``; ``simulate`` and ``predict``
+that, ``raw`` and ``controller``. Only k-NN standardization and k-NN
+documents import numpy (``domepilot.knn``); the other commands, tree
+training and ``train --model knn`` without standardization never load it.
+Only ``prepare`` imports ``hashlib``, and only a ``tcp:`` sink imports
+``socket``. ``simulate`` tells a k-NN model the frames it will ask about
+(``KnnModel.expect``), so their votes come in blocks; ``predict`` votes alone.
 """
 
 from __future__ import annotations
@@ -29,34 +30,20 @@ from pathlib import Path
 from typing import IO, Iterator, Union
 
 from . import _lazy
-from .weather import (
-    FEATURE_NAMES,
-    ConditionTable,
-    SplitSpec,
-    _opened,
-    _parse_hour,
-    _parse_number,
-    _parse_rain,
-    _RowRejected,
-    check_ranges,
-    filter_city,
-    parse_dataset,
-    read_frames_csv,
-    read_labeled_csv,
-    split,
-    to_samples,
-    write_labeled_csv,
-)
+from .weather import FEATURE_NAMES, SplitSpec, _opened, check_ranges, read_labeled_csv, split
 
 logger = logging.getLogger(__name__)
 
 # Bound on first read, so each command imports only the modules it runs; the
 # commands read them by ``from .cli import``, which sees a name set on cli.
 __getattr__, __dir__ = _lazy(globals(), {
+    "raw": ("ConditionTable", "filter_city", "parse_dataset", "read_frames_csv", "to_samples",
+            "write_labeled_csv"),
     "controller": ("SignalDeliveryError", "decide", "emit_signal", "open_sink", "replay"),
     "knnmodel": ("KnnModel", "default_k", "train_knn"),
     "metrics": ("evaluate", "render_reports"),
-    "tree": ("TreeConfig", "TreeModel", "train_tree"),
+    "tree": ("TreeConfig", "TreeModel"),
+    "grow": ("train_tree",),
 })
 
 
@@ -192,6 +179,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
                              f"{args.expect_sha256}, found {digest}")
     else:
         logger.warning("dataset content hash not verified; sha256 is %s", digest)
+    from .cli import ConditionTable, filter_city, parse_dataset, to_samples, write_labeled_csv
     table = ConditionTable.from_csv(args.table) if args.table else ConditionTable.builtin()
     observations, parse_report = parse_dataset(data)
     in_city = filter_city(observations, args.city)
@@ -272,7 +260,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _refuse_overwrite(log_path, "log", **inputs)
     if args.sink not in (None, "-") and not args.sink.startswith("tcp:"):
         _refuse_overwrite(Path(args.sink), "sink", log=log_path, **inputs)
-    from .cli import SignalDeliveryError, open_sink, replay
+    from .cli import ConditionTable, SignalDeliveryError, open_sink, read_frames_csv, replay
     model = load_model(model_path)
     table = ConditionTable.from_csv(args.table) if args.table else ConditionTable.builtin()
     frames, report = read_frames_csv(frames_path)
@@ -300,6 +288,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     from .cli import decide, emit_signal
+    from .raw import _parse_rain, _RowRejected
     model = load_model(Path(_require(args.model, "--model")))
     features = tuple(_reading(args, name) for name in FEATURE_NAMES)
     _, _, humidity, hour, visibility, barometer = features  # FEATURE_NAMES order
@@ -311,13 +300,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ValueError(f"--rain must be 0/1, no/yes or false/true, got {rain!r}") from None
     command, _, fault = decide(model.predict, features, rain_detected)
     if fault is not None:
-        logger.warning("model failed, so the dome was closed: %s", fault, exc_info=fault)
+        logger.warning("model failed, so the dome was closed: %s", fault)
     emit_signal(command, sys.stdout)
     return 0
 
 
 def _reading(args: argparse.Namespace, name: str) -> float:
     """The ``predict`` flag of feature ``name``, read as a frames CSV cell is."""
+    from .raw import _parse_hour, _parse_number, _RowRejected
     text = _require(getattr(args, name), f"--{name}")
     try:
         return float(_parse_hour(text)) if name == "hour" else _parse_number(text, name)

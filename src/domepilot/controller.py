@@ -1,7 +1,7 @@
 """Dome controller: ``decide``, ``replay``, the decision log and the actuator sinks.
 
 Each frame goes sense -> predict -> gate -> override -> actuate; the frames
-CSV is read by ``domepilot.weather``. The rain sensor is a hard, stateless
+CSV is read by ``domepilot.raw``. The rain sensor is a hard, stateless
 override: any positive forces the dome closed for that frame, whatever the
 model does. A model that raises or returns anything but 0 or 1 closes the
 dome for that frame. The temperature gate is re-checked at decision time as
@@ -22,13 +22,12 @@ import sys
 from contextlib import contextmanager
 from typing import IO, Callable, NamedTuple, Optional, Sequence
 
-from .weather import (
-    TEMP_OPEN_HIGH,
-    TEMP_OPEN_LOW,
+from .raw import (
     ConditionTable,
     SensorFrame,
     read_frames_csv,  # noqa: F401  re-exported: bench/child.py parses frames through here
 )
+from .weather import TEMP_OPEN_HIGH, TEMP_OPEN_LOW
 
 CAUSE_MODEL = "model"
 CAUSE_RAIN = "rain_override"
@@ -233,8 +232,7 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
         log.append(new_entry(LogEntry, (frame, command, prediction)))
     if faults:
         logger.warning("model failed on %d of %d frames, which were closed; "
-                       "first failure: %s", faults, len(frames), first_fault,
-                       exc_info=first_fault)
+                       "first failure: %s", faults, len(frames), first_fault)
     if undelivered:
         logger.warning("actuator sink failed on %d of %d frames; first failure: %s",
                        undelivered, len(frames), first_undelivered)

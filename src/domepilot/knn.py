@@ -164,13 +164,13 @@ class Kernel:
             values = np.empty(0)
         if values.shape != (len(queries), self.columns.shape[0]):  # all go to vote
             values = np.full((len(queries), self.columns.shape[0]), math.nan)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # an overflow refuses its query, quietly
             q = self._transform(values)
             spreads = np.einsum("ij,ij->i", q, q) + self.max_norm
             w = np.hstack([-2.0 * q, np.ones((len(q), 1))])
-        # vote decides near its standardized overflow, where |q|² may round otherwise.
-        refused = ~np.isfinite(values).all(axis=1) | (
-            self.stats is not None) & ~(8 * spreads < math.inf)
+            # vote decides near its standardized overflow, where |q|² may round otherwise.
+            refused = ~np.isfinite(values).all(axis=1) | (
+                self.stats is not None) & ~(8 * spreads < math.inf)
         for start in range(0, len(q), BLOCK):
             rows = slice(start, start + BLOCK)
             if refused[rows].any():

@@ -15,7 +15,8 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .weather import FRAME_COLUMNS, RAW_COLUMNS, SensorFrame, WeatherObservation
+from .raw import SensorFrame, WeatherObservation
+from .weather import FRAME_COLUMNS, RAW_COLUMNS
 
 
 def bucket_condition(visibility: float, barometer: float) -> str:

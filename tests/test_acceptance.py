@@ -15,23 +15,23 @@ import numpy as np
 import pytest
 
 from domepilot.cli import load_model, save_model
-from domepilot.controller import CAUSE_MODEL_ERROR, CAUSE_RAIN, SensorFrame, replay
+from domepilot.controller import CAUSE_MODEL_ERROR, CAUSE_RAIN, replay
+from domepilot.grow import best_split, train_tree
 from domepilot.knnmodel import KnnModel, default_k, train_knn
 from domepilot.metrics import ConfusionMatrix, accuracy, confusion, evaluate, f1, weighted_f1
-from domepilot.synthetic import synthetic_observations
-from domepilot.tree import Leaf, Split, TreeConfig, TreeModel, best_split, impurity, train_tree
-from domepilot.weather import (
+from domepilot.raw import (
     ConditionTable,
-    LabeledSample,
-    SplitSpec,
+    SensorFrame,
     WeatherObservation,
     derive_state,
     filter_city,
     parse_dataset,
-    split,
     to_samples,
     write_labeled_csv,
 )
+from domepilot.synthetic import synthetic_observations
+from domepilot.tree import Leaf, Split, TreeConfig, TreeModel, impurity
+from domepilot.weather import LabeledSample, SplitSpec, split
 
 from conftest import EXPECTED_TABLE1
 

@@ -19,11 +19,13 @@ import pytest
 import domepilot
 from domepilot import cli
 from domepilot.cli import load_model, save_model
-from domepilot.controller import read_frames_csv, replay
+from domepilot.controller import replay
+from domepilot.grow import train_tree
 from domepilot.knnmodel import KnnModel, train_knn
+from domepilot.raw import ConditionTable, WeatherObservation, read_frames_csv
 from domepilot.synthetic import synthetic_observations, to_raw_csv
-from domepilot.tree import TreeConfig, train_tree
-from domepilot.weather import ConditionTable, SplitSpec, WeatherObservation
+from domepilot.tree import TreeConfig
+from domepilot.weather import SplitSpec
 
 from conftest import EXPECTED_TABLE1, run_cli
 
@@ -927,7 +929,7 @@ def test_a_command_runs_without_the_cyclic_gc_and_puts_its_state_back(workspace,
 
 PROBED_MODULES = ("numpy", "domepilot.knn", "dataclasses", "hashlib", "socket",
                   "domepilot.controller", "domepilot.tree", "domepilot.knnmodel",
-                  "domepilot.metrics")
+                  "domepilot.metrics", "domepilot.raw", "domepilot.grow")
 IMPORT_PROBE = ("import sys\n"
                 "from domepilot import cli\n"
                 "code = cli.main(sys.argv[1:])\n"
@@ -970,46 +972,92 @@ def test_numpy_is_imported_only_where_it_computes(workspace, tmp_path):
     # numpy, through the k-NN kernel, is imported only where a k-NN computes with it,
     # hashlib only where prepare hashes the dataset; no command imports dataclasses,
     # and no file sink imports socket. Each command imports only the package modules
-    # it runs: the model's, metrics to evaluate and the controller to decide.
-    tree = {"domepilot.tree"}
+    # it runs: the model's, metrics to evaluate, the controller to decide and the
+    # raw-row parsers to read raw rows, frames or predict flags; only train dt grows.
+    tree, grow = {"domepilot.tree"}, {"domepilot.grow"}
     knn = {"domepilot.knnmodel"}  # and never the tree's module
     numpy = {"domepilot.knn", "numpy"}
     controller, metrics = {"domepilot.controller"}, {"domepilot.metrics"}
+    rows = controller | {"domepilot.raw"}
     expected = {
-        "prepare": {"hashlib"},
-        "train dt": tree,
+        "prepare": {"hashlib", "domepilot.raw"},
+        "train dt": tree | grow,
         "train knn": knn,
         "train knn standardize": knn | numpy,
         "evaluate dt": metrics | tree,
         "evaluate knn": metrics | knn | numpy,
-        **{f"{command} dt": controller | tree for command in ("simulate", "predict")},
-        **{f"{command} knn": controller | knn | numpy for command in ("simulate", "predict")},
+        **{f"{command} dt": rows | tree for command in ("simulate", "predict")},
+        **{f"{command} knn": rows | knn | numpy for command in ("simulate", "predict")},
     }
     for name, args in runs.items():
         assert exit_code_and_modules(*args) == " ".join(["0", *sorted(expected[name])]), name
 
 
-#: Every name the package re-exports from a module it imports on first read.
+#: Every name the package binds from a module on its first read.
 LAZY_EXPORTS = {
+    "raw": ("CleaningReport", "ConditionTable", "SensorFrame", "WeatherObservation",
+            "derive_state", "filter_city", "parse_dataset", "to_samples"),
     "controller": ("CAUSE_MODEL", "CAUSE_MODEL_ERROR", "CAUSE_RAIN", "CAUSE_TEMP",
                    "CAUSE_UNMAPPED", "DecisionLog", "DomeCommand", "SignalDeliveryError",
                    "decide", "emit_signal", "replay"),
     "metrics": ("ConfusionMatrix", "EvalReport", "accuracy", "confusion", "evaluate", "f1",
                 "weighted_f1"),
     "knnmodel": ("KnnModel", "default_k", "train_knn"),
-    "tree": ("TreeConfig", "TreeModel", "best_split", "impurity", "train_tree"),
+    "tree": ("TreeConfig", "TreeModel", "impurity"),
+    "grow": ("best_split", "train_tree"),
+}
+#: Every name ``cli`` binds from a module on its first read: the commands' own, and
+#: those the benchmark's tracer rebinds on ``cli``.
+CLI_LAZY = {
+    "raw": ("ConditionTable", "filter_city", "parse_dataset", "read_frames_csv", "to_samples",
+            "write_labeled_csv"),
+    "controller": ("SignalDeliveryError", "decide", "emit_signal", "open_sink", "replay"),
+    "knnmodel": ("KnnModel", "default_k", "train_knn"),
+    "metrics": ("evaluate", "render_reports"),
+    "tree": ("TreeConfig", "TreeModel"),
+    "grow": ("train_tree",),
 }
 
 
-@pytest.mark.parametrize("module, name", [(module, name) for module, names
-                                          in LAZY_EXPORTS.items() for name in names])
-def test_a_lazy_package_name_is_its_modules_object(monkeypatch, module, name):
-    monkeypatch.delitem(vars(domepilot), name, raising=False)  # unbound, as at start-up
-    assert name in dir(domepilot)
+def _pairs(lazy: dict) -> list:
+    return [(module, name) for module, names in lazy.items() for name in names]
+
+
+def _assert_lazy_name_resolves(monkeypatch, lazy_module, module, name):
+    monkeypatch.delitem(vars(lazy_module), name, raising=False)  # unbound, as at start-up
+    assert name in dir(lazy_module)
     namespace: dict = {}
-    exec(f"from domepilot import {name}", namespace)
+    exec(f"from {lazy_module.__name__} import {name}", namespace)
     assert namespace[name] is getattr(importlib.import_module(f"domepilot.{module}"), name)
-    assert vars(domepilot)[name] is namespace[name]  # bound: read once
+    assert vars(lazy_module)[name] is namespace[name]  # bound: read once
+
+
+@pytest.mark.parametrize("module, name", _pairs(LAZY_EXPORTS))
+def test_a_lazy_package_name_is_its_modules_object(monkeypatch, module, name):
+    _assert_lazy_name_resolves(monkeypatch, domepilot, module, name)
+
+
+@pytest.mark.parametrize("module, name", _pairs(CLI_LAZY))
+def test_a_lazy_cli_name_is_its_modules_object(monkeypatch, module, name):
+    _assert_lazy_name_resolves(monkeypatch, cli, module, name)
+
+
+def test_the_lazy_maps_hold_exactly_the_listed_names():
+    # In a fresh process no lazy name is bound yet, so dir() less vars() is the
+    # map: a name dropped from the package's API, or left in a map after its
+    # module dropped or moved it, fails here or above.
+    probe = ("import domepilot, domepilot.cli as cli\n"
+             "for module in (domepilot, cli):\n"
+             "    print(' '.join(sorted(set(dir(module)) - set(vars(module)))))\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
+                                                       os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    listed = [" ".join(sorted(name for _, name in _pairs(lazy)))
+              for lazy in (LAZY_EXPORTS, CLI_LAZY)]
+    assert result.stdout.splitlines() == listed
 
 
 def test_an_unknown_name_raises_attribute_error_and_submodules_still_import():

@@ -10,6 +10,7 @@ import socketserver
 import struct
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -27,18 +28,18 @@ from domepilot.controller import (
     DecisionLog,
     DomeCommand,
     LogEntry,
-    SensorFrame,
     SignalDeliveryError,
     decide,
     emit_signal,
     open_sink,
-    read_frames_csv,
     replay,
 )
-from domepilot.weather import (
+from domepilot.raw import (
     ConditionTable,
+    SensorFrame,
     WeatherObservation,
     derive_state,
+    read_frames_csv,
 )
 
 
@@ -696,3 +697,24 @@ def test_replayed_log_matches_the_json_encoder():
     for model in (constant_model(1), constant_model(0), failing_model):
         log = replay(model, frames)
         assert written_jsonl(log) == reference_jsonl(log)
+
+
+def test_each_log_line_path_writes_the_json_encoders_line(workspace, monkeypatch):
+    # Parsed frames and a feature near the largest float take the direct path;
+    # an int feature and finite features whose sum overflows take json.dumps.
+    # The golden logs reach only the direct path, so this is where a renamed
+    # LogEntry.as_dict key, or one the direct path lacks, fails.
+    fallbacks = []
+
+    def dumps(doc, **kwargs):
+        fallbacks.append(doc)
+        return json.dumps(doc, **kwargs)
+
+    monkeypatch.setattr(controller, "json", types.SimpleNamespace(dumps=dumps))
+    parsed = list(replay(constant_model(1), read_frames_csv(workspace["frames"])[0]))
+    built = [log_entry(barometer=1.7976931348623157e308), log_entry(temp=21),
+             log_entry(temp=1e308, wind=1e308, visibility=1e308, barometer=1e308)]
+    entries = parsed + built
+    assert ([controller._jsonl_line(entry) for entry in entries]
+            == [json.dumps(entry.as_dict(), sort_keys=True) + "\n" for entry in entries])
+    assert fallbacks == [built[1].as_dict(), built[2].as_dict()]

@@ -24,9 +24,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domepilot import cli
+from domepilot.grow import train_tree
+from domepilot.raw import ConditionTable, read_frames_csv, to_samples
 from domepilot.synthetic import synthetic_observations, to_raw_csv
-from domepilot.tree import TreeConfig, train_tree
-from domepilot.weather import FRAME_COLUMNS, ConditionTable, read_frames_csv, to_samples
+from domepilot.tree import TreeConfig
+from domepilot.weather import FRAME_COLUMNS
 
 OBSERVATIONS = synthetic_observations(40, seed=13)
 _written = io.StringIO()

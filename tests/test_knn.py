@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from domepilot.cli import load_model, save_model
 from domepilot.controller import replay
 from domepilot.knn import _squared_distances, _standardize
 from domepilot.knnmodel import KnnModel, default_k, train_knn
-from domepilot.weather import ConditionTable, SensorFrame, WeatherObservation
+from domepilot.raw import ConditionTable, SensorFrame, WeatherObservation
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -768,6 +769,22 @@ def test_a_standardized_query_that_overflows_closes_its_frame_and_the_rest_vote_
                            f"first failure: standardized query overflows; stds too small")
     assert all(entry.prediction is not None for entry in log[bad + 1:]
                if entry.frame.observation.condition in ConditionTable.builtin())
+
+
+def test_a_block_near_the_standardized_overflow_votes_without_a_numpy_warning():
+    # The training z-scores fit (max |x|² is a fifth of the largest float), but
+    # 8 S overflows for every query, so every block goes through vote, which
+    # votes the row at the mean and refuses the farthest one. No overflow may
+    # print numpy's RuntimeWarning, which names a source path on stderr.
+    rows = [(float(t), 0.0, 0.0, 0.0, 0.0, 1.0) for t in range(11)]
+    std = 5.0 / math.sqrt(sys.float_info.max / 5)
+    model = KnnModel(rows, [t % 2 for t in range(11)], 3, "standardize",
+                     means=(5.0, 0.0, 0.0, 0.0, 0.0, 1.0), stds=(std, 0.0, 0.0, 0.0, 0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(model.predict_many([rows[5]] * 3)) == [model.predict(rows[5])] * 3
+        with pytest.raises(ValueError, match="^standardized query overflows"):
+            list(model.predict_many([rows[0]]))
 
 
 def test_a_lookahead_for_another_table_drops_and_the_replay_votes_alone(caplog):

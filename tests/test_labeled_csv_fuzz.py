@@ -25,18 +25,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domepilot import cli
+from domepilot.raw import ConditionTable, to_samples, write_labeled_csv
 from domepilot.synthetic import synthetic_observations
 from domepilot.weather import (
     _LABELED_BLOCK_ROWS,
     LABELED_COLUMNS,
-    ConditionTable,
     LabeledSample,
     _named,
     _read_rows,
     check_ranges,
     read_labeled_csv,
-    to_samples,
-    write_labeled_csv,
 )
 
 SAMPLES, _ = to_samples(synthetic_observations(40, seed=11), ConditionTable.builtin())

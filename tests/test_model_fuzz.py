@@ -23,10 +23,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domepilot import cli
+from domepilot.grow import train_tree
 from domepilot.knnmodel import train_knn
+from domepilot.raw import ConditionTable, to_samples
 from domepilot.synthetic import synthetic_observations
-from domepilot.tree import TreeConfig, train_tree
-from domepilot.weather import ConditionTable, to_samples
+from domepilot.tree import TreeConfig
 
 # Loading and predicting take milliseconds; the bound catches a hang or a
 # blow-up, not a slow machine.

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from domepilot import cli
 from domepilot.synthetic import synthetic_observations, to_raw_csv
-from domepilot.weather import ConditionTable
+from domepilot.raw import ConditionTable
 
 from conftest import EXPECTED_TABLE1
 

@@ -8,18 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domepilot.cli import load_model, main, save_model
+from domepilot.grow import best_split, train_tree
 from domepilot.knnmodel import train_knn
+from domepilot.raw import ConditionTable, to_samples
 from domepilot.synthetic import synthetic_observations
-from domepilot.tree import (
-    Leaf,
-    Split,
-    TreeConfig,
-    TreeModel,
-    best_split,
-    impurity,
-    train_tree,
-)
-from domepilot.weather import ConditionTable, to_samples
+from domepilot.tree import Leaf, Split, TreeConfig, TreeModel, impurity
 
 
 def oracle_impurity(labels, criterion="gini"):

@@ -9,25 +9,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from domepilot import weather
-from domepilot.controller import read_frames_csv
-from domepilot.weather import (
+from domepilot import raw
+from domepilot.raw import (
     _DATE_FORMATS,
-    FEATURE_NAMES,
     CleaningReport,
     ConditionTable,
-    LabeledSample,
-    SplitSpec,
     WeatherObservation,
     derive_state,
     filter_city,
     normalize_condition,
     parse_dataset,
+    read_frames_csv,
+    to_samples,
+    write_labeled_csv,
+)
+from domepilot.weather import (
+    FEATURE_NAMES,
+    LabeledSample,
+    SplitSpec,
     permutation,
     read_labeled_csv,
     split,
-    to_samples,
-    write_labeled_csv,
 )
 
 from conftest import EXPECTED_TABLE1
@@ -39,8 +41,7 @@ def raw_csv(*rows):
     return io.StringIO(RAW_HEADER + "".join(row + "\n" for row in rows))
 
 
-CELL_MEMOS = (weather._parse_date, weather._parse_hour, weather._parse_number,
-              weather.normalize_condition)
+CELL_MEMOS = (raw._parse_date, raw._parse_hour, raw._parse_number, raw.normalize_condition)
 
 
 @pytest.fixture
@@ -391,7 +392,7 @@ def test_observation_is_a_checked_record(field, value):
 
 
 def test_the_package_never_builds_records_unchecked():
-    src = Path(weather.__file__).parent
+    src = Path(raw.__file__).parent
     for path in src.glob("*.py"):
         text = path.read_text(encoding="utf-8")
         assert "._replace(" not in text and "._make(" not in text, path
