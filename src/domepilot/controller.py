@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
 from typing import IO, Callable, NamedTuple, Optional, Sequence
 
@@ -48,13 +49,9 @@ class SignalDeliveryError(RuntimeError):
     """Writing to the actuator sink failed; safe to retry next frame."""
 
 
-class _DomeCommand(NamedTuple):
-    dome: int  # 1 = open, 0 = close
-    cause: str
-
-
-class DomeCommand(_DomeCommand):
-    """One decision; a tuple whose construction and unpickling check it."""
+class DomeCommand(namedtuple("DomeCommand", "dome cause")):
+    """One decision (``dome``: 1 = open, 0 = close); a tuple whose construction
+    and unpickling check it."""
 
     __slots__ = ()
 

@@ -7,18 +7,11 @@ mse == 1 - accuracy up to floating-point rounding.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 
-class _ConfusionMatrix(NamedTuple):
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-
-class ConfusionMatrix(_ConfusionMatrix):
+class ConfusionMatrix(namedtuple("ConfusionMatrix", "tp tn fp fn")):
     """Counts of one binary evaluation; a tuple whose construction and
     unpickling check them."""
 

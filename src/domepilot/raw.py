@@ -17,7 +17,7 @@ import itertools
 import logging
 import math
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from datetime import date as Date
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -172,19 +172,9 @@ def derive_state(flag: int, temp: float) -> int:
     return 1 if flag == 1 and TEMP_OPEN_LOW < temp < TEMP_OPEN_HIGH else 0
 
 
-class _WeatherObservation(NamedTuple):
-    city: str
-    date: Date
-    hour: int
-    temp: float
-    wind: float
-    humidity: float
-    barometer: float
-    visibility: float
-    condition: str
-
-
-class WeatherObservation(_WeatherObservation):
+class WeatherObservation(namedtuple(
+        "WeatherObservation",
+        "city date hour temp wind humidity barometer visibility condition")):
     """One raw hourly weather record after per-row normalization.
 
     A tuple whose construction and unpickling check the values; ``_make``

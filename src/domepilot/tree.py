@@ -7,8 +7,9 @@ tree with this module alone. Routing does not import numpy.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import log2
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .weather import _integer, _number
 
@@ -18,12 +19,7 @@ CRITERIA = ("gini", "entropy")
 FORMAT_VERSION = 3
 
 
-class _TreeConfig(NamedTuple):
-    criterion: str
-    max_leaf_nodes: int
-
-
-class TreeConfig(_TreeConfig):
+class TreeConfig(namedtuple("TreeConfig", "criterion max_leaf_nodes")):
     """Growth settings; a tuple whose construction and unpickling check them."""
 
     __slots__ = ()

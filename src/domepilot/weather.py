@@ -13,10 +13,11 @@ import csv
 import itertools
 import math
 import operator
+from collections import namedtuple
 from contextlib import contextmanager, suppress
 from pathlib import Path
 from sys import float_info
-from typing import IO, Iterator, NamedTuple, Sequence, TypeVar, Union
+from typing import IO, Iterator, Sequence, TypeVar, Union
 
 #: Fixed feature order of a labeled sample.
 FEATURE_NAMES = ("temp", "wind", "humidity", "hour", "visibility", "barometer")
@@ -69,12 +70,7 @@ def _number(value, name: str, nonnegative: bool = False) -> float:
     return float(value)
 
 
-class _LabeledSample(NamedTuple):
-    features: tuple[float, ...]
-    label: int
-
-
-class LabeledSample(_LabeledSample):
+class LabeledSample(namedtuple("LabeledSample", "features label")):
     """6-feature vector plus binary dome state (1=open, 0=close).
 
     A tuple, so it unpacks as ``features, label``; construction and
@@ -89,15 +85,10 @@ class LabeledSample(_LabeledSample):
                              f"got {len(features)}")
         if label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {label!r}")
-        return tuple.__new__(cls, (features, label))
+        return tuple.__new__(cls, (features, int(label)))  # True or 1.0 is stored as 1
 
 
-class _SplitSpec(NamedTuple):
-    test_fraction: float
-    seed: int
-
-
-class SplitSpec(_SplitSpec):
+class SplitSpec(namedtuple("SplitSpec", "test_fraction seed")):
     """Seeded holdout split: round(n * test_fraction) samples go to test."""
 
     __slots__ = ()
@@ -105,7 +96,7 @@ class SplitSpec(_SplitSpec):
     def __new__(cls, test_fraction: float, seed: int):
         if not 0.0 < test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0,1), got {test_fraction}")
-        if seed < 0:
+        if _integer(seed, "seed") < 0:
             raise ValueError(f"seed must be nonnegative, got {seed}")
         return tuple.__new__(cls, (test_fraction, seed))
 

@@ -1,7 +1,9 @@
 """Frozen reference data, and the CLI workspace, shared across the suite."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,14 @@ EXPECTED_TABLE1 = (
     ("Partly cloudy", 1),
     ("Hail", 0),
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env() -> dict:
+    """The environment for a child interpreter that imports the package from src/."""
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*args, cwd=None):

@@ -13,18 +13,17 @@ The ``frames`` and ``replay`` probes call ``controller.read_frames_csv`` and
 
 import importlib.util
 import json
-import os
 import pickle
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+from conftest import src_env
+
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
-ENV = {**os.environ,
-       "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                   os.environ.get("PYTHONPATH")]))}
+ENV = src_env()
 
 
 def _child(*args, **env) -> subprocess.CompletedProcess:

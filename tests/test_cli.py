@@ -27,10 +27,7 @@ from domepilot.synthetic import synthetic_observations, to_raw_csv
 from domepilot.tree import TreeConfig
 from domepilot.weather import SplitSpec
 
-from conftest import EXPECTED_TABLE1, run_cli
-
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import EXPECTED_TABLE1, run_cli, src_env
 
 
 # ---------------------------------------------------------------- defaults
@@ -938,11 +935,8 @@ IMPORT_PROBE = ("import sys\n"
 
 def exit_code_and_modules(*args):
     """'<exit code> <PROBED_MODULES imported, sorted>' of one in-process CLI run."""
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
-                                                       os.environ.get("PYTHONPATH")]))}
     result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *map(str, args)],
-                            env=env, capture_output=True, text=True, timeout=120)
+                            env=src_env(), capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()[-1]
 
@@ -1049,10 +1043,7 @@ def test_the_lazy_maps_hold_exactly_the_listed_names():
     probe = ("import domepilot, domepilot.cli as cli\n"
              "for module in (domepilot, cli):\n"
              "    print(' '.join(sorted(set(dir(module)) - set(vars(module)))))\n")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
-                                                       os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    result = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     listed = [" ".join(sorted(name for _, name in _pairs(lazy)))
@@ -1072,10 +1063,7 @@ def test_an_unknown_name_raises_attribute_error_and_submodules_still_import():
              "from domepilot import synthetic\n"
              "assert domepilot.synthetic is synthetic\n"
              "print('ok')\n")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
-                                                       os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    result = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True,
                             text=True, timeout=120)
     assert (result.returncode, result.stdout) == (0, "ok\n"), result.stderr
 

@@ -3,13 +3,11 @@ import datetime
 import functools
 import logging
 import math
-import os
 import subprocess
 import sys
 import types
 import warnings
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +21,7 @@ from domepilot.knn import _squared_distances, _standardize
 from domepilot.knnmodel import KnnModel, default_k, train_knn
 from domepilot.raw import ConditionTable, SensorFrame, WeatherObservation
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import src_env
 
 
 def toy_samples(rows):
@@ -581,10 +579,7 @@ def test_prediction_does_not_import_scipy():
               "model = train_knn([((0.0,) * 6, 0), ((1.0,) * 6, 1)], k=1)\n"
               "assert model.predict((1.0,) * 6) == 1\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
-                                                       os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", script], env=env,
+    result = subprocess.run([sys.executable, "-c", script], env=src_env(),
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"

@@ -1,15 +1,19 @@
 import _strptime
 import datetime
+import inspect
 import io
 import logging
 import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domepilot import raw
+from domepilot.controller import CAUSE_MODEL, DomeCommand
+from domepilot.metrics import ConfusionMatrix
 from domepilot.raw import (
     _DATE_FORMATS,
     CleaningReport,
@@ -23,6 +27,7 @@ from domepilot.raw import (
     to_samples,
     write_labeled_csv,
 )
+from domepilot.tree import TreeConfig
 from domepilot.weather import (
     FEATURE_NAMES,
     LabeledSample,
@@ -398,6 +403,25 @@ def test_the_package_never_builds_records_unchecked():
         assert "._replace(" not in text and "._make(" not in text, path
 
 
+@pytest.mark.parametrize("record, field, bad", [
+    (DomeCommand(1, CAUSE_MODEL), "dome", 2),
+    (TreeConfig(), "max_leaf_nodes", 0),
+    (LabeledSample((1.0,) * 6, 1), "label", 2),
+    (SplitSpec(0.3, 1), "seed", -1),
+    (observation(), "hour", 24),
+    (ConfusionMatrix(tp=1, tn=1, fp=0, fn=0), "fp", -1),
+], ids=lambda value: type(value).__name__ if isinstance(value, tuple) else None)
+def test_a_records_fields_are_its_checking_constructors_parameters(record, field, bad):
+    """Each validated record names its fields in its namedtuple and again in its
+    checking ``__new__``: the two must agree. Unpickling runs that ``__new__``."""
+    cls = type(record)
+    assert cls._fields == tuple(inspect.signature(cls.__new__).parameters)[1:]
+    assert not hasattr(record, "__dict__")
+    assert pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(record._replace(**{field: bad})))
+
+
 def test_filter_city_matches_case_insensitively_preserving_order():
     rows = [observation(city="Riyadh"), observation(city="al madina", hour=1),
             observation(city="AL MADINA", hour=2)]
@@ -517,6 +541,8 @@ def test_split_spec_validation():
         SplitSpec(1.0, 1)
     with pytest.raises(ValueError):
         SplitSpec(0.3, -1)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SplitSpec(0.3, 1.5)
 
 
 # ---------------------------------------------------------------- labeled CSV
@@ -581,6 +607,17 @@ def test_labeled_csv_header_is_case_insensitive_and_order_free():
                          "1,1012.0,21.0,3.0,0.4,12.0,16.0\n")
     assert read_labeled_csv(stream) == [
         LabeledSample((21.0, 3.0, 0.4, 12.0, 16.0, 1012.0), 1)]
+
+
+@pytest.mark.parametrize("label", [True, np.True_, 1.0, np.int64(1)],
+                         ids=["bool", "numpy-bool", "float", "numpy-int64"])
+def test_a_label_of_another_type_is_stored_as_an_int_and_read_back(label):
+    sample = LabeledSample((21.0, 3.0, 0.4, 12.0, 16.0, 1012.0), label)
+    stream = io.StringIO()
+    write_labeled_csv([sample], stream)
+    stream.seek(0)
+    assert read_labeled_csv(stream) == [sample]
+    assert type(sample.label) is int
 
 
 def test_sample_validation():
