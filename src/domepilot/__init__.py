@@ -9,10 +9,10 @@ Only k-NN prediction and standardization compute with numpy, which
 prediction, the models' documents, k-NN training without standardization
 and the controller never import it.
 
-Importing the package loads ``domepilot.weather`` alone: a name of
-``raw``, ``controller``, ``metrics``, ``knnmodel``, ``tree`` or ``grow``
-imports its module the first time it is read (PEP 562), so each command
-loads what it runs.
+Importing the package loads ``domepilot.weather`` alone. One table,
+``_OWNERS``, owns every lazily bound name of the package and of
+``domepilot.cli``: each imports its module the first time it is read
+(PEP 562), so each command loads what it runs.
 """
 
 from importlib import import_module
@@ -39,15 +39,17 @@ def _lazy(namespace: dict, owners: dict):
     return __getattr__, __dir__
 
 
-__getattr__, __dir__ = _lazy(globals(), {
+_OWNERS = {
     "raw": ("CleaningReport", "ConditionTable", "SensorFrame", "WeatherObservation",
-            "derive_state", "filter_city", "parse_dataset", "to_samples"),
+            "derive_state", "filter_city", "parse_dataset", "read_frames_csv", "to_samples",
+            "write_labeled_csv"),
     "controller": ("CAUSE_MODEL", "CAUSE_MODEL_ERROR", "CAUSE_RAIN", "CAUSE_TEMP",
                    "CAUSE_UNMAPPED", "DecisionLog", "DomeCommand", "SignalDeliveryError",
-                   "decide", "emit_signal", "replay"),
+                   "decide", "emit_signal", "open_sink", "replay"),
     "metrics": ("ConfusionMatrix", "EvalReport", "accuracy", "confusion", "evaluate", "f1",
-                "weighted_f1"),
+                "render_reports", "weighted_f1"),
     "knnmodel": ("KnnModel", "default_k", "train_knn"),
     "tree": ("TreeConfig", "TreeModel", "impurity"),
     "grow": ("best_split", "train_tree"),
-})
+}
+__getattr__, __dir__ = _lazy(globals(), _OWNERS)

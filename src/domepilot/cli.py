@@ -5,15 +5,16 @@ Every flag can also come from an optional ``key = value`` config file
 a failing command leaves nothing half-written behind.
 
 Start-up stays lean: importing this module loads neither numpy nor
-``hashlib`` nor ``socket``, and of the package only ``weather``. A command
-loads what it runs: ``prepare`` the raw-row module ``raw``; ``train`` its
-model's module (``knnmodel``, or ``tree`` and its growth ``grow``);
-``evaluate`` the model's module and ``metrics``; ``simulate`` and ``predict``
-that, ``raw`` and ``controller``. Only k-NN standardization and k-NN
-documents import numpy (``domepilot.knn``); the other commands, tree
-training and ``train --model knn`` without standardization never load it.
-Only ``prepare`` imports ``hashlib``, and only a ``tcp:`` sink imports
-``socket``. ``simulate`` tells a k-NN model the frames it will ask about
+``hashlib`` nor ``socket``, and of the package only ``weather``. A name of
+the package's one owner table ``_OWNERS`` is bound here on first read, so
+a command loads what it runs: ``prepare`` the raw-row module ``raw``;
+``train`` its model's module (``knnmodel``, or ``tree`` and ``grow``);
+``evaluate`` that and ``metrics``; ``simulate`` and ``predict`` that,
+``raw`` and ``controller``. Only k-NN standardization and k-NN documents
+import numpy (``domepilot.knn``); the other commands, tree training and
+``train --model knn`` without standardization never load it. Only
+``prepare`` imports ``hashlib``, and only a ``tcp:`` sink ``socket``.
+``simulate`` tells a k-NN model the frames it will ask about
 (``KnnModel.expect``), so their votes come in blocks; ``predict`` votes alone.
 """
 
@@ -25,26 +26,16 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from pathlib import Path
 from typing import IO, Iterator, Union
 
-from . import _lazy
+from . import _OWNERS, _lazy
 from .weather import FEATURE_NAMES, SplitSpec, _opened, check_ranges, read_labeled_csv, split
 
 logger = logging.getLogger(__name__)
 
-# Bound on first read, so each command imports only the modules it runs; the
-# commands read them by ``from .cli import``, which sees a name set on cli.
-__getattr__, __dir__ = _lazy(globals(), {
-    "raw": ("ConditionTable", "filter_city", "parse_dataset", "read_frames_csv", "to_samples",
-            "write_labeled_csv"),
-    "controller": ("SignalDeliveryError", "decide", "emit_signal", "open_sink", "replay"),
-    "knnmodel": ("KnnModel", "default_k", "train_knn"),
-    "metrics": ("evaluate", "render_reports"),
-    "tree": ("TreeConfig", "TreeModel"),
-    "grow": ("train_tree",),
-})
+__getattr__, __dir__ = _lazy(globals(), _OWNERS)  # ``from .cli import`` sees a name set here
 
 
 #: The held-out split of each model kind: train and evaluate both read it, never a flag.
@@ -287,17 +278,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    from .cli import decide, emit_signal
+    from .cli import CAUSE_MODEL_ERROR, DomeCommand, SignalDeliveryError, decide, emit_signal
     from .raw import _parse_rain, _RowRejected
-    model = load_model(Path(_require(args.model, "--model")))
-    features = tuple(_reading(args, name) for name in FEATURE_NAMES)
-    _, _, humidity, hour, visibility, barometer = features  # FEATURE_NAMES order
-    check_ranges(hour, humidity, barometer, visibility)
-    rain = _require(args.rain, "--rain")
     try:
-        rain_detected = _parse_rain(rain)
-    except _RowRejected:
-        raise ValueError(f"--rain must be 0/1, no/yes or false/true, got {rain!r}") from None
+        model = load_model(Path(_require(args.model, "--model")))
+        features = tuple(_reading(args, name) for name in FEATURE_NAMES)
+        _, _, humidity, hour, visibility, barometer = features  # FEATURE_NAMES order
+        check_ranges(hour, humidity, barometer, visibility)
+        rain = _require(args.rain, "--rain")
+        try:
+            rain_detected = _parse_rain(rain)
+        except _RowRejected:
+            raise ValueError(f"--rain must be 0/1, no/yes or false/true, got {rain!r}") from None
+    except (ValueError, OSError) as exc:  # the actuator hears a close before the error
+        error = exc
+        with suppress(SignalDeliveryError):  # unsent, the error is reported as it was
+            emit_signal(DomeCommand(0, CAUSE_MODEL_ERROR), sys.stdout)
+            error = (OSError if isinstance(exc, OSError) else ValueError)(f"{exc}; dome closed")
+        raise error from None
     command, _, fault = decide(model.predict, features, rain_detected)
     if fault is not None:
         logger.warning("model failed, so the dome was closed: %s", fault)

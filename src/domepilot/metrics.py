@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from .weather import _integer
+
 
 class ConfusionMatrix(namedtuple("ConfusionMatrix", "tp tn fp fn")):
     """Counts of one binary evaluation; a tuple whose construction and
@@ -18,6 +20,8 @@ class ConfusionMatrix(namedtuple("ConfusionMatrix", "tp tn fp fn")):
     __slots__ = ()
 
     def __new__(cls, tp: int, tn: int, fp: int, fn: int):
+        for name, count in zip(cls._fields, (tp, tn, fp, fn)):
+            _integer(count, name)  # not a float, a bool or a string
         if min(tp, tn, fp, fn) < 0:
             raise ValueError("confusion counts must be nonnegative")
         if tp + tn + fp + fn == 0:

@@ -96,8 +96,8 @@ class SplitSpec(namedtuple("SplitSpec", "test_fraction seed")):
     def __new__(cls, test_fraction: float, seed: int):
         if not 0.0 < test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0,1), got {test_fraction}")
-        if _integer(seed, "seed") < 0:
-            raise ValueError(f"seed must be nonnegative, got {seed}")
+        if not 0 <= _integer(seed, "seed") < 1 << 64:  # permutation reads 64 bits of it
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         return tuple.__new__(cls, (test_fraction, seed))
 
 
@@ -128,8 +128,8 @@ def _read_rows(source: PathOrStream, columns: Sequence[str]) -> Iterator:
         if missing:
             raise ValueError(_named(source, "missing required column(s): " + ", ".join(missing)))
         positions = [by_name[col] for col in columns]
-        # A non-blank row has a cell, so max(positions) more reach every column.
-        padded = map(operator.add, filter(None, reader), itertools.repeat([""] * max(positions)))
+        last = max(positions)  # a non-blank row has a cell, so ``last`` more reach every column
+        padded = (row if len(row) > last else row + [""] * last for row in filter(None, reader))
         yield reader, map(operator.itemgetter(*positions), padded)
 
 

@@ -19,13 +19,13 @@ import pytest
 import domepilot
 from domepilot import cli
 from domepilot.cli import load_model, save_model
-from domepilot.controller import replay
+from domepilot.controller import SignalDeliveryError, replay
 from domepilot.grow import train_tree
 from domepilot.knnmodel import KnnModel, train_knn
 from domepilot.raw import ConditionTable, WeatherObservation, read_frames_csv
 from domepilot.synthetic import synthetic_observations, to_raw_csv
 from domepilot.tree import TreeConfig
-from domepilot.weather import SplitSpec
+from domepilot.weather import FEATURE_NAMES, SplitSpec
 
 from conftest import EXPECTED_TABLE1, run_cli, src_env
 
@@ -277,7 +277,7 @@ def test_predict_rejects_non_finite_numbers(workspace, flag, value):
     result = run_cli("predict", "--model", workspace["dt"], *args)
     assert result.returncode == 2
     assert flag in result.stderr and "finite" in result.stderr
-    assert result.stdout == ""
+    assert result.stdout == "D:0 A:1\n"
 
 
 def leaf_label_2_model(workspace, tmp_path):
@@ -305,7 +305,7 @@ def test_leaf_label_2_model_exits_2_naming_the_file(workspace, tmp_path, command
     assert result.returncode == 2
     assert result.stderr.startswith(f"domepilot: error: {model}: tree node ")
     assert "label 2 is not the majority" in result.stderr
-    assert result.stdout == ""
+    assert result.stdout == ("" if command == "simulate" else "D:0 A:1\n")
     assert not (tmp_path / "log.jsonl").exists()
 
 
@@ -369,7 +369,7 @@ def test_predict_rejects_an_hour_outside_the_day(monkeypatch, capsys, hour):
     assert predict_in_process(monkeypatch, model, hour=hour) == 2
     assert model.seen == []
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert captured.out == "D:0 A:1\n"
     assert captured.err.startswith("domepilot: error: --hour ")
 
 
@@ -381,7 +381,7 @@ def test_predict_names_the_number_grammar_a_reading_breaks(monkeypatch, capsys, 
     assert predict_in_process(monkeypatch, model, temp=value) == 2
     assert model.seen == []
     assert capsys.readouterr().err == ("domepilot: error: --temp must be a finite decimal "
-                                       f"(unit optional), got {value!r}\n")
+                                       f"(unit optional), got {value!r}; dome closed\n")
 
 
 @pytest.mark.parametrize("flag,value,message", [
@@ -401,8 +401,8 @@ def test_predict_rejects_a_reading_a_frames_row_rejects(monkeypatch, capsys, fla
     assert predict_in_process(monkeypatch, model, **{flag: value}) == 2
     assert model.seen == []
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"domepilot: error: {message}\n"
+    assert captured.out == "D:0 A:1\n"
+    assert captured.err == f"domepilot: error: {message}; dome closed\n"
 
 
 @pytest.mark.parametrize("rain,expected", [("yes", "D:0 A:1\n"), ("TRUE", "D:0 A:1\n"),
@@ -411,6 +411,58 @@ def test_predict_accepts_the_rain_words_of_a_frames_cell(monkeypatch, capsys, ra
                                                           expected):
     assert predict_in_process(monkeypatch, RecordingModel(), rain=rain) == 0
     assert capsys.readouterr().out == expected
+
+
+def _refused_knn(path):
+    """A standardized k-NN whose temp std of 1e-300 overflows its training rows."""
+    samples = [((float(i), 1.0 + i % 3, 0.5, 3.0, 10.0, 1010.0 + i), i % 2) for i in range(10)]
+    save_model(train_knn(samples, k=3, scaling="standardize"), path)
+    doc = json.loads(path.read_text())
+    doc["stats"]["stds"][0] = 1e-300
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("model, flags", [
+    pytest.param("missing", {}, id="missing-model"),
+    pytest.param("not json", {}, id="not-json-model"),
+    pytest.param("no model", {}, id="json-no-model"),
+    pytest.param("refused knn", {}, id="knn-std-1e-300-refused"),
+    *(pytest.param("dt", {name: "abc"}, id=f"{name}-abc") for name in FEATURE_NAMES),
+    *(pytest.param("dt", {name: value}, id=f"{name}-{value}") for name, value in (
+        ("hour", "99"), ("humidity", "150"), ("barometer", "0"), ("visibility", "-4"))),
+    pytest.param("dt", {"rain": "maybe"}, id="rain-maybe"),
+])
+def test_predict_closes_the_dome_before_it_reports_an_error(workspace, tmp_path, capsys,
+                                                             model, flags):
+    path = tmp_path / "model.json"
+    if model == "dt":
+        path = workspace["dt"]
+    elif model == "not json":
+        path.write_text("not json\n")
+    elif model == "no model":
+        path.write_text('{"version": 1}')
+    elif model == "refused knn":
+        _refused_knn(path)
+    args = list(map(str, PREDICT_ARGS))
+    for name, value in flags.items():
+        args[args.index(f"--{name}") + 1] = value
+    assert cli.main(["predict", "--model", str(path), *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "D:0 A:1\n"
+    assert err.startswith("domepilot: error: ") and err.endswith("; dome closed\n")
+    assert err.count("\n") == 1, err
+
+
+def test_predict_reports_the_error_as_it_was_when_the_close_line_fails(monkeypatch, tmp_path,
+                                                                      capsys):
+    def unsent(command, sink):
+        raise SignalDeliveryError("actuator sink write failed: closed")
+
+    monkeypatch.setattr(cli, "emit_signal", unsent)
+    missing = tmp_path / "missing.json"
+    assert cli.main(["predict", "--model", str(missing), *map(str, PREDICT_ARGS)]) == 2
+    assert capsys.readouterr() == (
+        "", f"domepilot: error: [Errno 2] No such file or directory: '{missing}'\n")
 
 
 # ---------------------------------------------------------------- simulate
@@ -788,7 +840,7 @@ def test_undecodable_model_exits_2_naming_the_file(tmp_path, content):
     result = run_cli("predict", "--model", path, *PREDICT_ARGS)
     assert result.returncode == 2
     assert result.stderr.startswith("domepilot: error:") and str(path) in result.stderr
-    assert "Traceback" not in result.stderr and result.stdout == ""
+    assert "Traceback" not in result.stderr and result.stdout == "D:0 A:1\n"
 
 
 @pytest.mark.parametrize("source,args", [
@@ -840,7 +892,7 @@ def test_a_byte_that_is_not_utf8_is_named_by_its_line(workspace, tmp_path, sourc
     assert result.returncode == 2
     assert result.stderr.splitlines()[-1] == (
         f"domepilot: error: {bad}: line {line}: 'utf-8' codec can't decode byte 0xff: "
-        "invalid start byte")
+        "invalid start byte" + ("; dome closed" if source == "model" else ""))
     assert "Traceback" not in result.stderr
     assert not out.exists()
 
@@ -890,7 +942,7 @@ def test_deeply_nested_model_exits_2_naming_the_file(tmp_path):
     assert result.returncode == 2
     assert result.stderr.startswith(f"domepilot: error: {path}: ")
     assert "recursion" in result.stderr and "Traceback" not in result.stderr
-    assert result.stdout == ""
+    assert result.stdout == "D:0 A:1\n"
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -987,29 +1039,20 @@ def test_numpy_is_imported_only_where_it_computes(workspace, tmp_path):
         assert exit_code_and_modules(*args) == " ".join(["0", *sorted(expected[name])]), name
 
 
-#: Every name the package binds from a module on its first read.
+#: Every name the package and ``cli`` bind from a module on their first read: the
+#: package's API, the commands' own, and those the benchmark's tracer rebinds on ``cli``.
 LAZY_EXPORTS = {
     "raw": ("CleaningReport", "ConditionTable", "SensorFrame", "WeatherObservation",
-            "derive_state", "filter_city", "parse_dataset", "to_samples"),
+            "derive_state", "filter_city", "parse_dataset", "read_frames_csv", "to_samples",
+            "write_labeled_csv"),
     "controller": ("CAUSE_MODEL", "CAUSE_MODEL_ERROR", "CAUSE_RAIN", "CAUSE_TEMP",
                    "CAUSE_UNMAPPED", "DecisionLog", "DomeCommand", "SignalDeliveryError",
-                   "decide", "emit_signal", "replay"),
+                   "decide", "emit_signal", "open_sink", "replay"),
     "metrics": ("ConfusionMatrix", "EvalReport", "accuracy", "confusion", "evaluate", "f1",
-                "weighted_f1"),
+                "render_reports", "weighted_f1"),
     "knnmodel": ("KnnModel", "default_k", "train_knn"),
     "tree": ("TreeConfig", "TreeModel", "impurity"),
     "grow": ("best_split", "train_tree"),
-}
-#: Every name ``cli`` binds from a module on its first read: the commands' own, and
-#: those the benchmark's tracer rebinds on ``cli``.
-CLI_LAZY = {
-    "raw": ("ConditionTable", "filter_city", "parse_dataset", "read_frames_csv", "to_samples",
-            "write_labeled_csv"),
-    "controller": ("SignalDeliveryError", "decide", "emit_signal", "open_sink", "replay"),
-    "knnmodel": ("KnnModel", "default_k", "train_knn"),
-    "metrics": ("evaluate", "render_reports"),
-    "tree": ("TreeConfig", "TreeModel"),
-    "grow": ("train_tree",),
 }
 
 
@@ -1031,24 +1074,24 @@ def test_a_lazy_package_name_is_its_modules_object(monkeypatch, module, name):
     _assert_lazy_name_resolves(monkeypatch, domepilot, module, name)
 
 
-@pytest.mark.parametrize("module, name", _pairs(CLI_LAZY))
+@pytest.mark.parametrize("module, name", _pairs(LAZY_EXPORTS))
 def test_a_lazy_cli_name_is_its_modules_object(monkeypatch, module, name):
     _assert_lazy_name_resolves(monkeypatch, cli, module, name)
 
 
-def test_the_lazy_maps_hold_exactly_the_listed_names():
+def test_the_package_and_cli_bind_exactly_the_listed_names():
     # In a fresh process no lazy name is bound yet, so dir() less vars() is the
-    # map: a name dropped from the package's API, or left in a map after its
-    # module dropped or moved it, fails here or above.
+    # owner table: a name dropped from the package's API, or left in the table
+    # after its module dropped or moved it, fails here or above; and cli binds
+    # the very names the package does.
     probe = ("import domepilot, domepilot.cli as cli\n"
              "for module in (domepilot, cli):\n"
              "    print(' '.join(sorted(set(dir(module)) - set(vars(module)))))\n")
     result = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    listed = [" ".join(sorted(name for _, name in _pairs(lazy)))
-              for lazy in (LAZY_EXPORTS, CLI_LAZY)]
-    assert result.stdout.splitlines() == listed
+    listed = " ".join(sorted(name for _, name in _pairs(LAZY_EXPORTS)))
+    assert result.stdout.splitlines() == [listed, listed]
 
 
 def test_an_unknown_name_raises_attribute_error_and_submodules_still_import():
@@ -1134,7 +1177,7 @@ PREDICT_ARGS = ("--temp", 21, "--wind", 0, "--humidity", 0.33, "--hour", 0,
 
 @pytest.mark.parametrize("argv,message", [
     (["predict", "--model", "m.json", *map(str, PREDICT_ARGS[:-1]), "maybe"],
-     "--rain must be 0/1, no/yes or false/true, got 'maybe'"),
+     "--rain must be 0/1, no/yes or false/true, got 'maybe'; dome closed"),
     (["train", "--out", "m.json"], "--data is required"),
     (["train", "--data", "l.csv", "--model", "svm", "--out", "m.json"],
      "--model must be one of ('dt', 'knn'), got 'svm'"),
@@ -1144,7 +1187,8 @@ def test_a_bad_flag_exits_2_with_its_message(monkeypatch, tmp_path, capsys, argv
     monkeypatch.setattr(cli, "load_model", lambda path: model)
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
-    assert capsys.readouterr() == ("", f"domepilot: error: {message}\n")
+    closed = "D:0 A:1\n" if argv[0] == "predict" else ""  # predict closes before it reports
+    assert capsys.readouterr() == (closed, f"domepilot: error: {message}\n")
     assert model.seen == [] and list(tmp_path.iterdir()) == []
 
 
@@ -1235,7 +1279,7 @@ def test_a_non_integer_model_field_exits_2_naming_the_field(workspace, tmp_path,
     assert str(err.value).startswith(f"{path}: ")
     assert cli.main(["predict", "--model", str(path), *map(str, PREDICT_ARGS)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert captured.out == "D:0 A:1\n"
     assert captured.err.startswith(f"domepilot: error: {path}: ")
     assert f"{field} must be an integer" in captured.err
 

@@ -69,6 +69,13 @@ def test_confusion_matrix_rejects_negative_counts():
         ConfusionMatrix(tp=3, tn=1, fp=-1, fn=0)
 
 
+@pytest.mark.parametrize("counts, name", [((1, 0, 0, 1.5), "fn"), (("1", "1", "0", "0"), "tp"),
+                                          ((1, True, 0, 0), "tn"), ((1, 0, 2.0, 0), "fp")])
+def test_confusion_matrix_counts_are_ints(counts, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got "):
+        ConfusionMatrix(*counts)
+
+
 def test_confusion_matches_a_per_pair_recount():
     rng = np.random.default_rng(1)
     for _ in range(20):

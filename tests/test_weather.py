@@ -543,6 +543,10 @@ def test_split_spec_validation():
         SplitSpec(0.3, -1)
     with pytest.raises(ValueError, match="seed must be an integer"):
         SplitSpec(0.3, 1.5)
+    # permutation reads 64 bits of the seed: 5 + 2**64 would split as seed 5 does.
+    with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {5 + 2**64}"):
+        SplitSpec(0.3, 5 + 2**64)
+    assert SplitSpec(0.3, 2**64 - 1).seed == 2**64 - 1
 
 
 # ---------------------------------------------------------------- labeled CSV
