@@ -5,7 +5,10 @@ Every flag can also come from an optional ``key = value`` config file
 a failing command leaves nothing half-written behind.
 
 Start-up stays lean: importing this module loads neither numpy nor
-``hashlib`` nor ``socket``, and of the package only ``weather``. A name of
+``hashlib`` nor ``socket`` nor ``logging``, and of the package only
+``weather``. The package's first warning imports ``logging`` and, under
+``main``, attaches the ``domepilot: WARNING:`` stderr handler, so a command
+that warns nothing never loads it. A name of
 the package's one owner table ``_OWNERS`` is bound here on first read, so
 a command loads what it runs: ``prepare`` the raw-row module ``raw``;
 ``train`` its model's module (``knnmodel``, or ``tree`` and ``grow``);
@@ -23,17 +26,14 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import os
 import sys
 from contextlib import contextmanager, nullcontext, suppress
 from pathlib import Path
 from typing import IO, Iterator, Union
 
-from . import _OWNERS, _lazy
+from . import _OWNERS, _STDERR, _lazy, _warn
 from .weather import FEATURE_NAMES, SplitSpec, _opened, check_ranges, read_labeled_csv, split
-
-logger = logging.getLogger(__name__)
 
 __getattr__, __dir__ = _lazy(globals(), _OWNERS)  # ``from .cli import`` sees a name set here
 
@@ -169,7 +169,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
             raise ValueError(f"dataset content hash mismatch: expected "
                              f"{args.expect_sha256}, found {digest}")
     else:
-        logger.warning("dataset content hash not verified; sha256 is %s", digest)
+        _warn(__name__, "dataset content hash not verified; sha256 is %s", digest)
     from .cli import ConditionTable, filter_city, parse_dataset, to_samples, write_labeled_csv
     table = ConditionTable.from_csv(args.table) if args.table else ConditionTable.builtin()
     observations, parse_report = parse_dataset(data)
@@ -256,8 +256,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     table = ConditionTable.from_csv(args.table) if args.table else ConditionTable.builtin()
     frames, report = read_frames_csv(frames_path)
     if report.rejected:
-        logger.warning("rejected %d malformed frame rows: %s",
-                       report.rejected, report.as_dict()["reasons"])
+        _warn(__name__, "rejected %d malformed frame rows: %s",
+              report.rejected, report.as_dict()["reasons"])
     if not frames:
         raise ValueError(f"no usable frames in {frames_path}")
     if model.kind == "knn":  # the rows replay asks for; a tree's predict_many is its predict
@@ -278,27 +278,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    from .cli import CAUSE_MODEL_ERROR, DomeCommand, SignalDeliveryError, decide, emit_signal
+    """The dome command of one reading; ``main`` closes the dome on an input error."""
+    from .cli import decide, emit_signal
     from .raw import _parse_rain, _RowRejected
+    model = load_model(Path(_require(args.model, "--model")))
+    features = tuple(_reading(args, name) for name in FEATURE_NAMES)
+    _, _, humidity, hour, visibility, barometer = features  # FEATURE_NAMES order
+    check_ranges(hour, humidity, barometer, visibility)
+    rain = _require(args.rain, "--rain")
     try:
-        model = load_model(Path(_require(args.model, "--model")))
-        features = tuple(_reading(args, name) for name in FEATURE_NAMES)
-        _, _, humidity, hour, visibility, barometer = features  # FEATURE_NAMES order
-        check_ranges(hour, humidity, barometer, visibility)
-        rain = _require(args.rain, "--rain")
-        try:
-            rain_detected = _parse_rain(rain)
-        except _RowRejected:
-            raise ValueError(f"--rain must be 0/1, no/yes or false/true, got {rain!r}") from None
-    except (ValueError, OSError) as exc:  # the actuator hears a close before the error
-        error = exc
-        with suppress(SignalDeliveryError):  # unsent, the error is reported as it was
-            emit_signal(DomeCommand(0, CAUSE_MODEL_ERROR), sys.stdout)
-            error = (OSError if isinstance(exc, OSError) else ValueError)(f"{exc}; dome closed")
-        raise error from None
+        rain_detected = _parse_rain(rain)
+    except _RowRejected:
+        raise ValueError(f"--rain must be 0/1, no/yes or false/true, got {rain!r}") from None
     command, _, fault = decide(model.predict, features, rain_detected)
     if fault is not None:
-        logger.warning("model failed, so the dome was closed: %s", fault)
+        _warn(__name__, "model failed, so the dome was closed: %s", fault)
     emit_signal(command, sys.stdout)
     return 0
 
@@ -379,10 +373,7 @@ def main(argv=None) -> int:
     A command builds tens of thousands of acyclic records (frames, log
     entries, samples), which the collector would walk again and again.
     """
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("domepilot: %(levelname)s: %(message)s"))
-    package_logger = logging.getLogger("domepilot")
-    package_logger.addHandler(handler)
+    _STDERR["handler"] = None  # a command runs: its first warning attaches the handler
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -394,9 +385,18 @@ def main(argv=None) -> int:
                 args = parser.parse_args(argv)
             return args.func(args)
         except (ValueError, OSError, RuntimeError) as exc:
-            print(f"domepilot: error: {exc}", file=sys.stderr)
+            message = str(exc)
+            # A predict input or --config error: the actuator hears a close before the error.
+            if args.command == "predict" and not isinstance(exc, RuntimeError):
+                from .cli import CAUSE_MODEL_ERROR, DomeCommand, SignalDeliveryError, emit_signal
+                with suppress(SignalDeliveryError):  # unsent, the error is reported as it was
+                    emit_signal(DomeCommand(0, CAUSE_MODEL_ERROR), sys.stdout)
+                    message += "; dome closed"
+            print(f"domepilot: error: {message}", file=sys.stderr)
             return 2
     finally:
-        package_logger.removeHandler(handler)
+        if (handler := _STDERR.pop("handler")) is not None:  # attached by a warning
+            import logging
+            logging.getLogger("domepilot").removeHandler(handler)
         if gc_was_enabled:
             gc.enable()

@@ -16,13 +16,13 @@ Actuator wire protocol: one newline-delimited ASCII line per decision,
 from __future__ import annotations
 
 import json
-import logging
 import math
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
 from typing import IO, Callable, NamedTuple, Optional, Sequence
 
+from . import _warn
 from .raw import (
     ConditionTable,
     SensorFrame,
@@ -41,8 +41,6 @@ CAUSES = (CAUSE_MODEL, CAUSE_RAIN, CAUSE_TEMP, CAUSE_UNMAPPED, CAUSE_MODEL_ERROR
 #: peer that stops reading then fails that frame's delivery, and the sink
 #: drops the connection, instead of blocking the loop.
 TCP_TIMEOUT_S = 5.0
-
-logger = logging.getLogger(__name__)
 
 
 class SignalDeliveryError(RuntimeError):
@@ -228,11 +226,11 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
                 first_undelivered = first_undelivered or exc
         log.append(new_entry(LogEntry, (frame, command, prediction)))
     if faults:
-        logger.warning("model failed on %d of %d frames, which were closed; "
-                       "first failure: %s", faults, len(frames), first_fault)
+        _warn(__name__, "model failed on %d of %d frames, which were closed; "
+              "first failure: %s", faults, len(frames), first_fault)
     if undelivered:
-        logger.warning("actuator sink failed on %d of %d frames; first failure: %s",
-                       undelivered, len(frames), first_undelivered)
+        _warn(__name__, "actuator sink failed on %d of %d frames; first failure: %s",
+              undelivered, len(frames), first_undelivered)
     log.undelivered = undelivered
     return log
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
-import logging
 import math
 import re
 from collections import Counter, namedtuple
 from datetime import date as Date
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from . import _warn
 from .weather import (
     FRAME_COLUMNS,
     LABELED_COLUMNS,
@@ -35,8 +35,6 @@ from .weather import (
     _read_rows,
     check_ranges,
 )
-
-logger = logging.getLogger(__name__)
 
 # Entries kept by each per-cell parse memo below. Columns repeat few
 # distinct cells (a 50,000-frame file holds 24-278 per numeric column), so
@@ -372,7 +370,7 @@ def filter_city(observations: Sequence[WeatherObservation],
     wanted = city_name.strip().casefold()
     matched = [o for o in observations if o.city.strip().casefold() == wanted]
     if not matched:
-        logger.warning("no observations match city %r", city_name)
+        _warn(__name__, "no observations match city %r", city_name)
     return matched
 
 

@@ -677,11 +677,53 @@ def test_simulate_with_a_failing_sink_writes_the_log_and_exits_2(workspace, tmp_
     assert len(log.read_text().splitlines()) == 30
 
 
-def test_main_leaves_the_package_logger_as_it_found_it(workspace, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["predict", "prepare"])
+def test_main_leaves_the_package_logger_as_it_found_it(workspace, tmp_path, capsys,
+                                                       monkeypatch, command):
     package_logger = logging.getLogger("domepilot")
     monkeypatch.setattr(package_logger, "handlers", [])
-    assert cli.main(["predict", "--model", str(workspace["dt"]), *map(str, PREDICT_ARGS)]) == 0
+    argv = {"predict": ["predict", "--model", str(workspace["dt"]), *map(str, PREDICT_ARGS)],
+            # no --expect-sha256: prepare warns, and that warning attaches the stderr handler
+            "prepare": ["prepare", "--data", str(workspace["raw"]),
+                        "--out", str(tmp_path / "l.csv")]}[command]
+    assert cli.main(argv) == 0
     assert package_logger.handlers == []
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("domepilot: WARNING: ")]
+    assert warnings == ([] if command == "predict" else
+                        ["domepilot: WARNING: dataset content hash not verified; sha256 is "
+                         + hashlib.sha256(workspace["raw"].read_bytes()).hexdigest()])
+
+
+def test_the_library_logs_to_its_callers_handler_and_attaches_none(tmp_path):
+    """Outside ``cli.main`` the package's warnings reach the handler a caller attached to
+    the ``domepilot`` logger, under their modules' names, and nothing else is attached."""
+    script = ("import datetime, logging\n"
+              "import domepilot\n"
+              "records = []\n"
+              "class Keep(logging.Handler):\n"
+              "    def emit(self, record):\n"
+              "        records.append((record.name, record.getMessage()))\n"
+              "package_logger = logging.getLogger('domepilot')\n"
+              "package_logger.addHandler(Keep())\n"
+              "assert domepilot.filter_city([], 'Jeddah') == []\n"
+              "def broken(features):\n"
+              "    raise RuntimeError('boom')\n"
+              "reading = domepilot.WeatherObservation('Al Madina', datetime.date(2019, 5, 1),\n"
+              "                                       0, 21.0, 0.0, 0.33, 1020.0, 16.0, 'Clear')\n"
+              "domepilot.replay(broken, [domepilot.SensorFrame(reading, False, 0)])\n"
+              "assert [type(h).__name__ for h in package_logger.handlers] == ['Keep']\n"
+              "assert not logging.getLogger().handlers\n"
+              "for name, message in records:\n"
+              "    print(name, message, sep='|')\n")
+    result = subprocess.run([sys.executable, "-c", script], env=src_env(), capture_output=True,
+                            text=True, timeout=120, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""  # no stream handler of the CLI's: the caller's handler alone
+    assert result.stdout.splitlines() == [
+        "domepilot.raw|no observations match city 'Jeddah'",
+        "domepilot.controller|model failed on 1 of 1 frames, which were closed; "
+        "first failure: boom"]
 
 
 # ---------------------------------------------------------------- config file
@@ -786,6 +828,21 @@ def test_an_unknown_config_setting_exits_2_naming_it(workspace, tmp_path, capsys
                      "--config", str(config)]) == 2
     assert capsys.readouterr().err == f"domepilot: error: {config}: unknown setting {key!r}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [None, b"bogus = 1\n", b"just some words\n",
+                                     b"city = Al Madina\xff\n"],
+                         ids=["missing", "unknown-setting", "no-equals", "non-utf8"])
+def test_predict_closes_the_dome_on_a_bad_config(workspace, tmp_path, capsys, content):
+    config = tmp_path / "run.conf"
+    if content is not None:
+        config.write_bytes(content)
+    assert cli.main(["predict", "--model", str(workspace["dt"]), *map(str, PREDICT_ARGS),
+                     "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "D:0 A:1\n"
+    assert err.startswith("domepilot: error: ") and err.endswith("; dome closed\n")
+    assert err.count("\n") == 1, err
 
 
 def test_malformed_config_is_an_error(workspace, tmp_path):
@@ -976,7 +1033,7 @@ def test_a_command_runs_without_the_cyclic_gc_and_puts_its_state_back(workspace,
 
 # ---------------------------------------------------------------- imports
 
-PROBED_MODULES = ("numpy", "domepilot.knn", "dataclasses", "hashlib", "socket",
+PROBED_MODULES = ("numpy", "domepilot.knn", "dataclasses", "hashlib", "socket", "logging",
                   "domepilot.controller", "domepilot.tree", "domepilot.knnmodel",
                   "domepilot.metrics", "domepilot.raw", "domepilot.grow")
 IMPORT_PROBE = ("import sys\n"
@@ -1007,6 +1064,8 @@ def test_numpy_is_imported_only_where_it_computes(workspace, tmp_path):
 
     train = ["train", "--data", workspace["labeled"], "--out", tmp_path / "model.json",
              "--model"]
+    rejected = tmp_path / "rejected.csv"  # the workspace frames and one malformed row
+    rejected.write_text(workspace["frames"].read_text() + "Al Madina,2019-05-01,0:00,abc\n")
     runs = {
         "prepare": ["prepare", "--data", workspace["raw"], "--out", tmp_path / "l.csv"],
         "train dt": [*train, "dt"],
@@ -1014,19 +1073,23 @@ def test_numpy_is_imported_only_where_it_computes(workspace, tmp_path):
         "train knn standardize": [*train, "knn", "--scaling", "standardize"],
         **model_runs("dt"),
         **model_runs("knn"),
+        "simulate dt rejected": ["simulate", "--model", workspace["dt"], "--frames", rejected,
+                                 "--log", tmp_path / "log.jsonl"],
     }
     # numpy, through the k-NN kernel, is imported only where a k-NN computes with it,
     # hashlib only where prepare hashes the dataset; no command imports dataclasses,
     # and no file sink imports socket. Each command imports only the package modules
     # it runs: the model's, metrics to evaluate, the controller to decide and the
     # raw-row parsers to read raw rows, frames or predict flags; only train dt grows.
+    # logging is imported by the first warning: prepare's unverified hash, simulate's
+    # rejected frame rows; a command that warns nothing never loads it.
     tree, grow = {"domepilot.tree"}, {"domepilot.grow"}
     knn = {"domepilot.knnmodel"}  # and never the tree's module
     numpy = {"domepilot.knn", "numpy"}
     controller, metrics = {"domepilot.controller"}, {"domepilot.metrics"}
     rows = controller | {"domepilot.raw"}
     expected = {
-        "prepare": {"hashlib", "domepilot.raw"},
+        "prepare": {"hashlib", "domepilot.raw", "logging"},
         "train dt": tree | grow,
         "train knn": knn,
         "train knn standardize": knn | numpy,
@@ -1034,6 +1097,7 @@ def test_numpy_is_imported_only_where_it_computes(workspace, tmp_path):
         "evaluate knn": metrics | knn | numpy,
         **{f"{command} dt": rows | tree for command in ("simulate", "predict")},
         **{f"{command} knn": rows | knn | numpy for command in ("simulate", "predict")},
+        "simulate dt rejected": rows | tree | {"logging"},
     }
     for name, args in runs.items():
         assert exit_code_and_modules(*args) == " ".join(["0", *sorted(expected[name])]), name
