@@ -14,7 +14,8 @@ a command loads what it runs: ``prepare`` the raw-row module ``raw``;
 ``train`` its model's module (``knnmodel``, or ``tree`` and ``grow``);
 ``evaluate`` that and ``metrics``; ``simulate`` and ``predict`` that,
 ``raw`` and ``controller``. Only k-NN standardization and k-NN documents
-import numpy (``domepilot.knn``); the other commands, tree training and
+import numpy (``domepilot.knn``), whose kernel a k-NN document loads
+straight into; the other commands, tree training and
 ``train --model knn`` without standardization never load it. Only
 ``prepare`` imports ``hashlib``, and only a ``tcp:`` sink ``socket``.
 ``simulate`` tells a k-NN model the frames it will ask about
@@ -61,8 +62,7 @@ def load_model(path: Union[str, Path]) -> Union[TreeModel, KnnModel]:
         from .cli import TreeModel
         loader = TreeModel.from_dict
     elif kind == "knn":
-        from . import knn  # noqa: F401  numpy, imported here and not in the first prediction
-        from .cli import KnnModel
+        from .cli import KnnModel  # its loader builds the kernel, importing numpy
         loader = KnnModel.from_dict
     else:
         raise ValueError(f"{path}: unrecognized model kind {kind!r}")

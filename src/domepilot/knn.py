@@ -53,13 +53,17 @@ def standardize_stats(features: Sequence[Sequence[float]]) -> tuple[list, list]:
 class Kernel:
     """A model's rows as one contiguous column per feature, and its vote."""
 
-    def __init__(self, model: KnnModel):
+    def __init__(self, model: KnnModel, data: Sequence[Sequence[float]]):
         self.k = model.k
-        self.labels = np.array(model.labels, dtype=np.int64)
+        # Rows of d features then a label, kept raw for a loaded model's features.
+        self.data = np.array(data, dtype=float)  # raises if ragged or an int overflows
+        if not (np.isfinite(self.data).all() and np.isin(self.data[:, -1], (0, 1)).all()):
+            raise ValueError("rows must be finite features and a 0/1 label")
+        self.labels = self.data[:, -1].astype(np.int64)
         self.stats = None
         if model.scaling == "standardize":
             self.stats = (np.array(model.means, dtype=float), np.array(model.stds, dtype=float))
-        rows = self._transform(np.array(model.features, dtype=float))
+        rows = self._transform(self.data[:, :-1])
         # An infinite z-score could meet another and make a NaN distance,
         # which would sort after every number and silently miss the vote.
         if not np.isfinite(rows).all():
@@ -197,17 +201,20 @@ class Kernel:
         """Indices, in order, of the rows with ``a <= a_k + margin`` (see vote)."""
         k = self.k
         if u is not None:
-            kept = np.flatnonzero(a <= u + margin)
+            kept = (a <= u + margin).nonzero()[0]
             if kept.size >= k:
                 b = a[kept]
                 a_k = _kth_smallest(b, k)
                 if a_k <= u:  # so the true a_k is at most u, and this is it
                     return kept[b <= a_k + margin]
-        return np.flatnonzero(a <= _kth_smallest(a, k) + margin)
+        return (a <= _kth_smallest(a, k) + margin).nonzero()[0]
 
 
 def _kth_smallest(values: np.ndarray, k: int) -> float:
-    return np.partition(values, k - 1)[k - 1]
+    # The ndarray methods, here and in _survivors, skip numpy's Python wrappers.
+    values = values.copy()
+    values.partition(k - 1)
+    return values[k - 1]
 
 
 def _squared_distances(q: np.ndarray, columns: np.ndarray) -> np.ndarray:

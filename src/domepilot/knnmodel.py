@@ -3,14 +3,17 @@
 k-NN is a lazy learner, so training only stores the labeled rows, here as
 tuples of floats, and nothing in this module imports numpy: ``train --model
 knn`` without standardization never loads it. The exact distance kernel is
-in ``domepilot.knn``; a model builds it on its first prediction.
-Standardization computes its stats with numpy and builds the kernel with
-the model, since an overflowing z-score shows only there.
+in ``domepilot.knn``; a trained model builds it on its first prediction,
+a loaded one at load from one array of the rows. Standardization computes
+its stats with numpy and builds the kernel with the model, since an
+overflowing z-score shows only there.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
@@ -34,7 +37,7 @@ def default_k(n: int) -> int:
 
 
 class KnnModel:
-    """n rows of d features, kept as float tuples, their 0/1 labels and the vote size k."""
+    """n rows of d features as float tuples, their 0/1 labels and the vote size k."""
     kind = "knn"  # its --model name and key of cli.SPLITS
     _ahead = None  # (rows expected next, their lazy votes), set by expect
 
@@ -42,8 +45,6 @@ class KnnModel:
                  scaling: str, means: Optional[Sequence[float]] = None,
                  stds: Optional[Sequence[float]] = None):
         self.features = tuple(tuple(map(float, row)) for row in features)
-        self.k, self.scaling, self.means, self.stds = k, scaling, means, stds
-        self._kernel = None  # built on first use, or here by standardize
         labels = tuple(labels)
         widths = {len(row) for row in self.features}
         if len(widths) > 1:
@@ -53,33 +54,45 @@ class KnnModel:
         if not all(label in (0, 1) for label in labels):
             raise ValueError("labels must be binary 0/1")
         self.labels = tuple(map(int, labels))
-        _integer(k, "k")
-        if not 1 <= k <= len(labels):
-            raise ValueError(f"k must be in [1, {len(labels)}], got {k}")
-        if scaling not in SCALINGS:
-            raise ValueError(f"scaling must be one of {SCALINGS}, got {scaling!r}")
         if not all(map(math.isfinite, chain.from_iterable(self.features))):
             raise ValueError("features must be finite")
+        self._settle(k, scaling, means, stds, len(labels), widths.pop())
         if self.scaling == "standardize":
-            if self.means is None or self.stds is None:
-                raise ValueError("standardize scaling requires means and stds")
-            self.means = tuple(_number(v, f"means[{j}]") for j, v in enumerate(self.means))
-            self.stds = tuple(_number(v, f"stds[{j}]", nonnegative=True)
-                              for j, v in enumerate(self.stds))
-            for name, stat in (("means", self.means), ("stds", self.stds)):
-                if len(stat) != self.n_features:
-                    raise ValueError(f"{name} must hold one value per feature "
-                                     f"({self.n_features}), got {len(stat)}")
             # A z-score can overflow to infinity; building the kernel rejects that.
             self._build_kernel()
 
-    @property
-    def n_features(self) -> int:
-        return len(self.features[0])
+    def _settle(self, k: int, scaling: str, means, stds, n: int, d: int) -> None:
+        """Check and set k, the scaling and its stats, for n rows of d features."""
+        self.k, self.scaling, self.means, self.stds, self.n_features = k, scaling, means, stds, d
+        self._kernel = None  # built on first use, or at load or by standardize
+        _integer(k, "k")
+        if not 1 <= k <= n:
+            raise ValueError(f"k must be in [1, {n}], got {k}")
+        if scaling not in SCALINGS:
+            raise ValueError(f"scaling must be one of {SCALINGS}, got {scaling!r}")
+        if scaling == "standardize":
+            if means is None or stds is None:
+                raise ValueError("standardize scaling requires means and stds")
+            self.means = tuple(_number(v, f"means[{j}]") for j, v in enumerate(means))
+            self.stds = tuple(_number(v, f"stds[{j}]", nonnegative=True)
+                              for j, v in enumerate(stds))
+            for name, stat in (("means", self.means), ("stds", self.stds)):
+                if len(stat) != d:
+                    raise ValueError(f"{name} must hold one value per feature "
+                                     f"({d}), got {len(stat)}")
 
-    def _build_kernel(self):
+    @cached_property
+    def features(self) -> tuple:
+        """A loaded model's rows, made from its kernel's raw rows on first read."""
+        return tuple(map(tuple, self._kernel.data[:, :-1].tolist()))
+
+    @cached_property
+    def labels(self) -> tuple:
+        return tuple(self._kernel.labels.tolist())
+
+    def _build_kernel(self, rows: Optional[list] = None):
         from .knn import Kernel  # numpy
-        self._kernel = Kernel(self)
+        self._kernel = Kernel(self, rows or [(*f, y) for f, y in zip(self.features, self.labels)])
         return self._kernel
 
     def predict(self, query: Sequence[float]) -> int:
@@ -138,6 +151,12 @@ class KnnModel:
         labels = [*map(itemgetter(-1), rows)]
         if not {*map(type, labels)} <= {int}:  # one pass; only a bad label costs a second
             labels = [_integer(label, f"data row {i}: label") for i, label in enumerate(labels)]
+        # One array pass; only a document it refuses gets the row-by-row checks below.
+        with suppress(KeyError, ValueError, OverflowError):
+            model = cls.__new__(cls)
+            model._settle(doc["k"], doc["scaling"], means, stds, len(rows), len(rows[0]) - 1)
+            model._build_kernel(rows)
+            return model
         try:
             return cls(features=[row[:-1] for row in rows], labels=labels,
                        k=doc["k"], scaling=doc["scaling"], means=means, stds=stds)

@@ -1,6 +1,7 @@
 import copy
 import datetime
 import functools
+import json
 import logging
 import math
 import subprocess
@@ -832,6 +833,78 @@ def test_json_round_trip_preserves_predictions(tmp_path):
         assert (loaded.means, loaded.stds) == (model.means, model.stds)
         probes = rng.uniform(0, 10, size=(100, 6))
         assert [model.predict(p) for p in probes] == [loaded.predict(p) for p in probes]
+
+
+PIN_ROWS = [((float(i), 1.0, 0.5, float(i % 3), 10.0, 1010.0 + i), i % 2) for i in range(5)]
+
+# Written by hand: integer features (one past int64), a -0.0 and labels as JSON ints.
+HAND_DOC = {"version": 1, "kind": "knn", "k": 1, "scaling": "none",
+            "data": [[21, 5, 0, 13, 10, 1012, 1], [2**63 + 1, -0.0, 1, 0, 16, -3, 0]]}
+
+
+@pytest.mark.parametrize("doc", [train_knn(PIN_ROWS, k=3).to_dict(),
+                                 train_knn(PIN_ROWS, k=3, scaling="standardize").to_dict(),
+                                 HAND_DOC], ids=["plain", "standardized", "hand-written"])
+def test_a_loaded_model_gives_back_its_document(tmp_path, doc):
+    """A load takes the array route and keeps no tuples; ``features`` and
+    ``labels`` come from the kernel on first read, as the constructor makes them."""
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    loaded = load_model(tmp_path / "doc.json")
+    assert loaded._kernel is not None and "features" not in vars(loaded)
+    rows = doc["data"]
+    save_model(KnnModel([row[:-1] for row in rows], [row[-1] for row in rows], doc["k"],
+                        doc["scaling"], **doc.get("stats", {})), tmp_path / "saved.json")
+    assert json.dumps(loaded.to_dict(), sort_keys=True) + "\n" == \
+        (tmp_path / "saved.json").read_text()
+    assert type(loaded.features) is tuple and type(loaded.labels) is tuple
+    assert all(type(row) is tuple and all(type(v) is float for v in row)
+               for row in loaded.features)
+    assert all(type(label) is int for label in loaded.labels)
+    assert loaded.n_features == 6
+
+
+def _pin_edit(path, value):
+    def edit(doc):
+        *parents, key = path
+        for step in parents:
+            doc = doc[step]
+        doc[key] = value
+    return edit
+
+
+# Each document fails the array route, or a check before it, and gets the
+# message the row-by-row checks give, as they did before the array route.
+@pytest.mark.parametrize("scaling,edit,message", [
+    ("none", lambda doc: doc["data"][1].pop(0), "feature rows must share one length"),
+    ("none", _pin_edit(("data", 1, -1), True), "data row 1: label must be an integer, got True"),
+    ("none", _pin_edit(("data", 1, -1), 2), "labels must be binary 0/1"),
+    ("none", _pin_edit(("data", 2, 3), math.nan),
+     "data row 2: feature 3 must be a finite number, got nan"),
+    ("none", _pin_edit(("data", 2, 3), math.inf),
+     "data row 2: feature 3 must be a finite number, got inf"),
+    # Feature 1 is constant, so its std is 0 and a NaN there standardizes to 0.
+    ("standardize", _pin_edit(("data", 2, 1), math.nan),
+     "data row 2: feature 1 must be a finite number, got nan"),
+    ("none", _pin_edit(("data", 2, 3), 10**400),
+     f"data row 2: feature 3 must be a finite number, got {10**400}"),
+    # Written as the literal 1e400, which json reads as inf.
+    ("none", _pin_edit(("data", 2, 3), "1e400"),
+     "data row 2: feature 3 must be a finite number, got inf"),
+    ("none", _pin_edit(("k",), 0), "k must be in [1, 5], got 0"),
+    ("none", _pin_edit(("k",), 6), "k must be in [1, 5], got 6"),
+    ("standardize", _pin_edit(("stats", "stds", 0), 1e-300),
+     "standardized features overflow; stds too small"),
+], ids=["ragged", "label-true", "label-2", "nan", "infinity", "nan-zero-std", "int-10e400",
+        "1e400", "k-0", "k-above-n", "std-1e-300"])
+def test_a_document_the_array_route_refuses_gets_the_row_by_row_message(
+        tmp_path, scaling, edit, message):
+    doc = train_knn(PIN_ROWS, k=3, scaling=scaling).to_dict()
+    edit(doc)
+    path = tmp_path / "knn.json"
+    path.write_text(json.dumps(doc).replace('"1e400"', "1e400"))
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_version_mismatch_names_both_versions():
