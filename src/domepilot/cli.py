@@ -280,31 +280,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     """The dome command of one reading; ``main`` closes the dome on an input error."""
     from .cli import decide, emit_signal
-    from .raw import _parse_rain, _RowRejected
     model = load_model(Path(_require(args.model, "--model")))
     features = tuple(_reading(args, name) for name in FEATURE_NAMES)
-    _, _, humidity, hour, visibility, barometer = features  # FEATURE_NAMES order
-    check_ranges(hour, humidity, barometer, visibility)
-    rain = _require(args.rain, "--rain")
-    try:
-        rain_detected = _parse_rain(rain)
-    except _RowRejected:
-        raise ValueError(f"--rain must be 0/1, no/yes or false/true, got {rain!r}") from None
-    command, _, fault = decide(model.predict, features, rain_detected)
+    check_ranges(features)
+    command, _, fault = decide(model.predict, features, _reading(args, "rain"))
     if fault is not None:
         _warn(__name__, "model failed, so the dome was closed: %s", fault)
     emit_signal(command, sys.stdout)
     return 0
 
 
-def _reading(args: argparse.Namespace, name: str) -> float:
-    """The ``predict`` flag of feature ``name``, read as a frames CSV cell is."""
-    from .raw import _parse_hour, _parse_number, _RowRejected
+def _reading(args: argparse.Namespace, name: str) -> Union[float, bool]:
+    """The ``predict`` flag ``name``, a feature or ``rain``, read as a frames CSV cell is."""
+    from .raw import _parse_hour, _parse_number, _parse_rain, _RowRejected
     text = _require(getattr(args, name), f"--{name}")
     try:
+        if name == "rain":
+            return _parse_rain(text)
         return float(_parse_hour(text)) if name == "hour" else _parse_number(text, name)
     except _RowRejected:
-        expected = "an hour of the day" if name == "hour" else "a finite decimal (unit optional)"
+        expected = {"hour": "an hour of the day", "rain": "0/1, no/yes or false/true"}.get(
+            name, "a finite decimal (unit optional)")
         raise ValueError(f"--{name} must be {expected}, got {text!r}") from None
 
 

@@ -183,7 +183,7 @@ class WeatherObservation(namedtuple(
 
     def __new__(cls, city: str, date: Date, hour: int, temp: float, wind: float,
                 humidity: float, barometer: float, visibility: float, condition: str):
-        check_ranges(hour, humidity, barometer, visibility)
+        check_ranges((temp, wind, humidity, hour, visibility, barometer))
         if not condition.strip():
             raise ValueError("empty condition string")
         return tuple.__new__(cls, (city, date, hour, temp, wind, humidity, barometer,

@@ -108,7 +108,9 @@ class TreeModel:
             i = _integer(rec["id"], "tree node id")
             if not 0 <= i < len(nodes):
                 raise ValueError(f"tree node id {i} out of range")
-            if rec["type"] == "split":
+            if (kind := rec["type"]) not in ("split", "leaf"):
+                raise ValueError(f"tree node {i}: type must be 'split' or 'leaf', got {kind!r}")
+            if kind == "split":
                 node = Split(threshold=_number(rec["threshold"], f"tree node {i}: threshold"),
                              impurity=_number(rec["impurity"], f"tree node {i}: impurity",
                                               nonnegative=True),

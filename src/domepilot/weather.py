@@ -40,16 +40,17 @@ PathOrStream = Union[str, Path, IO[str]]
 T = TypeVar("T")
 
 
-def check_ranges(hour: float, humidity: float, barometer: float, visibility: float) -> None:
-    """The range rule of a reading, for CSV rows and ``predict`` flags alike:
-    raise ValueError naming the first value outside its range."""
+def check_ranges(features: Sequence[float]) -> None:
+    """The range rule of a FEATURE_NAMES vector, for CSV rows and ``predict`` flags
+    alike: raise ValueError naming the first value outside its range."""
+    _, _, humidity, hour, visibility, barometer = features
     if not 0 <= hour <= 23:
         raise ValueError(f"hour out of range: {hour}")
     if not 0.0 <= humidity <= 1.0:
         raise ValueError(f"humidity out of range: {humidity}")
     if not barometer > 0:
         raise ValueError(f"barometer must be positive: {barometer}")
-    if visibility < 0:
+    if not visibility >= 0:  # a NaN fails every comparison
         raise ValueError(f"visibility must be nonnegative: {visibility}")
 
 
@@ -193,10 +194,9 @@ def _block_samples(source: PathOrStream, block: list) -> list[LabeledSample]:
     *texts, states = zip(*map(operator.itemgetter(0), block))  # the block's 7 columns
     with suppress(ValueError):  # a bad cell or a value out of range
         columns = [list(map(float, text)) for text in texts]
-        _, _, humidity, hour, visibility, barometer = columns  # FEATURE_NAMES order
         if all(map(math.isfinite, itertools.chain(*columns))) and {*states} <= {"0", "1"}:
             for bound in (min, max):  # all rows are in range iff each column's extremes are
-                check_ranges(bound(hour), bound(humidity), bound(barometer), bound(visibility))
+                check_ranges([*map(bound, columns)])
             return list(map(tuple.__new__, itertools.repeat(LabeledSample),  # checks done above
                             zip(zip(*columns), map({"0": 0, "1": 1}.__getitem__, states))))
     samples = []  # a row fails, or spells a state as " 1" or "01": check row by row
@@ -205,8 +205,7 @@ def _block_samples(source: PathOrStream, block: list) -> list[LabeledSample]:
             features = tuple(map(float, cells[:-1]))
             if not all(map(math.isfinite, features)):
                 raise ValueError(f"non-finite feature in {cells[:-1]}")
-            _, _, humidity, hour, visibility, barometer = features  # FEATURE_NAMES order
-            check_ranges(hour, humidity, barometer, visibility)
+            check_ranges(features)
             samples.append(LabeledSample(features, int(cells[-1])))
         except ValueError as exc:
             raise ValueError(_named(source, f"labeled CSV line {line}: {exc}")) from None

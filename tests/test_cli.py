@@ -15,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import domepilot
 from domepilot import cli
@@ -25,7 +27,7 @@ from domepilot.knnmodel import KnnModel, train_knn
 from domepilot.raw import ConditionTable, WeatherObservation, read_frames_csv
 from domepilot.synthetic import synthetic_observations, to_raw_csv
 from domepilot.tree import TreeConfig
-from domepilot.weather import FEATURE_NAMES, SplitSpec
+from domepilot.weather import FEATURE_NAMES, SplitSpec, check_ranges
 
 from conftest import EXPECTED_TABLE1, run_cli, src_env
 
@@ -411,6 +413,54 @@ def test_predict_accepts_the_rain_words_of_a_frames_cell(monkeypatch, capsys, ra
                                                           expected):
     assert predict_in_process(monkeypatch, RecordingModel(), rain=rain) == 0
     assert capsys.readouterr().out == expected
+
+
+#: A valid frames row; a ``predict`` flag's column is its name, ``time`` for the hour.
+FRAME_ROW = {"city": "Al Madina", "date": "2019-05-01", "time": "0:00", "temp": "21",
+             "wind": "0", "humidity": "0.33", "barometer": "1020", "visibility": "16",
+             "weather": "Clear", "rain": "0"}
+
+#: Cell texts of the frames vocabulary: numbers with signs, clock parts and
+#: units, the words of the wind and rain cells, and junk.
+_NUMBER_CELLS = st.builds("".join, st.tuples(
+    st.sampled_from(["", "", " ", "+", "-"]), (st.integers(0, 30) | st.integers()).map(str),
+    st.sampled_from(["", "", ".5", ".25", ".", ":00", ":30", ":75", ":00:59", ":00:60"]),
+    st.sampled_from(["", " "]),
+    st.sampled_from(["", "", "%", "am", "PM", "°c", "km/h", "mi", "mbar", "x1", "!"]),
+    st.sampled_from(["", " "])))
+FRAME_CELLS = st.one_of(
+    _NUMBER_CELLS, _NUMBER_CELLS,
+    st.sampled_from(["calm", " No Wind ", "0", "1", " yes", "NO", "TRUE", "False", "maybe",
+                     "7:30", "12 am", "12:00 PM", "23:59:59", "24:00", "24:30", "noon",
+                     "", " ", "nan", "inf", "1e3", "abc", "--1", "0x1f", "٣", "１２"]),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=6),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(flag=st.sampled_from((*FEATURE_NAMES, "rain")), text=FRAME_CELLS)
+def test_a_predict_flag_reads_as_its_frames_cell_does(flag, text):
+    column = "time" if flag == "hour" else flag
+    stream = io.StringIO(newline="")
+    csv.writer(stream).writerows([FRAME_ROW, {**FRAME_ROW, column: text}.values()])
+    stream.seek(0)
+    frames, report = read_frames_csv(stream)
+    args = argparse.Namespace(**{flag: text})
+    if frames:
+        observation, stored = frames[0].observation, frames[0].rain_detected
+        if flag != "rain":
+            stored = observation.features()[FEATURE_NAMES.index(flag)]
+        value = cli._reading(args, flag)
+        assert (value, type(value)) == (stored, type(stored))
+    elif report.reasons == {f"bad_{column}": 1}:
+        with pytest.raises(ValueError, match=f"^--{flag} must be "):
+            cli._reading(args, flag)
+    else:  # read, then refused by the range rule, as cmd_predict refuses it
+        assert report.reasons == {"invalid_values": 1}
+        features = [21.0, 0.0, 0.33, 0.0, 16.0, 1020.0]  # those of FRAME_ROW
+        features[FEATURE_NAMES.index(flag)] = cli._reading(args, flag)
+        with pytest.raises(ValueError):
+            check_ranges(features)
 
 
 def _refused_knn(path):

@@ -168,8 +168,7 @@ def reference_read_labeled_csv(source):
                 features = tuple(map(float, cells[:-1]))
                 if not all(map(math.isfinite, features)):
                     raise ValueError(f"non-finite feature in {cells[:-1]}")
-                _, _, humidity, hour, visibility, barometer = features  # FEATURE_NAMES order
-                check_ranges(hour, humidity, barometer, visibility)
+                check_ranges(features)
                 samples.append(LabeledSample(features, int(cells[-1])))
             except ValueError as exc:
                 raise ValueError(_named(source, f"labeled CSV line {reader.line_num}: "

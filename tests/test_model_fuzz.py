@@ -164,6 +164,14 @@ def _data_cell(value) -> Found:
     return Found(f"data cell {value!r:.10}", edit)
 
 
+def _leaf_type(kind) -> Found:
+    """The type of a tree document's last node, a leaf, set to ``kind``."""
+    def edit(doc):
+        if "nodes" in doc:
+            doc["nodes"][-1]["type"] = kind
+    return Found(f"leaf type {kind!r}", edit)
+
+
 def _mutate(doc, data) -> None:
     """Drop, replace or duplicate one field at a random place: each level
     down is a coin flip, so top-level fields are hit as often as deep cells."""
@@ -192,6 +200,8 @@ def _random_edits(doc, data) -> None:
 
 def _tree_reference(doc):
     """Predict by walking the document's nodes from id 0: left iff value <= threshold."""
+    assert all(rec["type"] in ("split", "leaf") for rec in doc["nodes"]), \
+        "a document with a node type other than 'split' or 'leaf' loaded"
     nodes = {rec["id"]: rec for rec in doc["nodes"]}
 
     def predict(query):
@@ -264,6 +274,7 @@ def model_file(tmp_path_factory):
 @example(data=_twin_first_row())  # a distance tie, won by the earlier row
 @example(data=_data_cell(float("nan")))  # a JSON number that is no finite float
 @example(data=_data_cell(10**400))  # a JSON number too large for a float
+@example(data=_leaf_type("banana"))  # a node type that is neither split nor leaf
 def test_mutated_model_documents_predict_or_fail_naming_the_file(model_file, name, data):
     doc = json.loads(DOCUMENTS[name])
     _edit(doc, data, _random_edits)

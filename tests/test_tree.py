@@ -510,6 +510,18 @@ def test_split_feature_must_be_below_n_features():
         TreeModel.from_dict(doc)
 
 
+@pytest.mark.parametrize("kind", ["banana", "Leaf", None])
+def test_a_node_type_other_than_split_or_leaf_is_refused(tmp_path, kind):
+    doc = stump_document()
+    doc["nodes"][2]["type"] = kind
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == (f"{path}: tree node 2: type must be 'split' or 'leaf', "
+                              f"got {kind!r}")
+
+
 @pytest.mark.parametrize("label,counts", [(0, [1, 0]), (1, [0, 1]), (0, [2, 2]),
                                           (0, [0, 0])])
 def test_leaf_label_must_be_the_majority_of_its_counts(label, counts):

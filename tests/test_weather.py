@@ -3,6 +3,7 @@ import datetime
 import inspect
 import io
 import logging
+import math
 import pickle
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from domepilot.weather import (
     FEATURE_NAMES,
     LabeledSample,
     SplitSpec,
+    check_ranges,
     permutation,
     read_labeled_csv,
     split,
@@ -394,6 +396,20 @@ def test_observation_is_a_checked_record(field, value):
     unchecked = obs._replace(**{field: value})
     with pytest.raises(ValueError):
         pickle.loads(pickle.dumps(unchecked))
+
+
+@pytest.mark.parametrize("field, message", [
+    ("hour", "hour out of range"), ("humidity", "humidity out of range"),
+    ("barometer", "barometer must be positive"),
+    ("visibility", "visibility must be nonnegative")])
+def test_the_range_rule_refuses_a_nan(field, message):
+    """A NaN fails every comparison, so each bound is written to fail on one."""
+    features = list(observation().features())
+    features[FEATURE_NAMES.index(field)] = math.nan
+    with pytest.raises(ValueError, match=f"^{message}: nan$"):
+        check_ranges(features)
+    with pytest.raises(ValueError, match=f"^{message}: nan$"):
+        WeatherObservation(**{**observation()._asdict(), field: math.nan})
 
 
 def test_the_package_never_builds_records_unchecked():
