@@ -50,10 +50,11 @@ def save_model(model: Union[TreeModel, KnnModel], path: Union[str, Path]) -> Non
 
 def load_model(path: Union[str, Path]) -> Union[TreeModel, KnnModel]:
     """Model saved by save_model; a malformed document raises ValueError."""
+    with _opened(path) as stream:  # raises a ValueError naming a non-UTF-8 byte's line
+        text = stream.read()
     try:
-        with _opened(path) as stream:  # raises a ValueError naming a non-UTF-8 byte's line
-            doc = json.load(stream)
-    except (json.JSONDecodeError, RecursionError) as exc:  # not JSON, too deep
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # not JSON, too deep, an integer too long
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a model document")

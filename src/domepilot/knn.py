@@ -47,7 +47,8 @@ def _standardize(values: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.
 def standardize_stats(features: Sequence[Sequence[float]]) -> tuple[list, list]:
     """Per-feature means and population standard deviations of the rows."""
     X = np.array(features, dtype=float)
-    return X.mean(axis=0).tolist(), X.std(axis=0).tolist()
+    with np.errstate(over="ignore"):  # an overflow comes back infinite, for _settle to refuse
+        return X.mean(axis=0).tolist(), X.std(axis=0).tolist()
 
 
 class Kernel:
@@ -107,11 +108,11 @@ class Kernel:
         ``a <= a_k + 2E``: no row of the k nearest is ruled out. The bound
         needs every ``a_i`` and ``D_i`` finite, which holds when ``4 S`` is
         (then ``|a_i| <= 2 S``, so no ``a_i`` is NaN). Otherwise (a norm or
-        a distance overflows) every row survives and the same vote runs on
-        all of them. A standardized query for which ``4 S`` overflows
-        raises ValueError instead: its z-scores come from stds too small to
-        trust, and all its distances could overflow, leaving the vote to
-        training order.
+        a distance may overflow) every row survives a flat screen and the
+        same vote runs on all of them, with no numpy overflow warning. A
+        standardized query for which ``4 S`` overflows raises ValueError
+        instead: its z-scores come from stds too small to trust, and all its
+        distances could overflow, leaving the vote to training order.
 
         Selecting ``a_k`` (after Floyd & Rivest, "Expected time bounds for
         selection", CACM 1975). When the stride ``n // (8k)`` is at least
@@ -140,15 +141,16 @@ class Kernel:
         if not all(map(math.isfinite, values)):
             raise ValueError(f"query features must be finite, got {list(values)}")
         q = self._transform(np.array(values))
-        if self.stats is None:
-            qq = float(q @ q)
+        if self.stats is None:  # Python floats overflow to inf without numpy's warning
+            qq = sum(v * v for v in values)
         else:
             with np.errstate(over="ignore"):
                 qq = float(q @ q)
-            # Only standardizing can blow a finite query up so far that its
-            # distances may overflow; the vote would then be arbitrary.
-            if not 4 * (qq + self.max_norm) < math.inf:
+        if not 4 * (qq + self.max_norm) < math.inf:  # a distance may overflow
+            if self.stats is not None:  # stds too small to trust: the vote would be arbitrary
                 raise ValueError("standardized query overflows; stds too small")
+            with np.errstate(over="ignore"):  # a flat screen keeps every row, quietly
+                return self._vote_screened(q, np.zeros(self.labels.size), 0.0, None)
         v = np.empty(d + 1)
         np.multiply(q, -2.0, out=v[:d])
         v[d] = 1.0
@@ -161,7 +163,7 @@ class Kernel:
         matrix product. Its values are dot products of d+1 terms, as the
         gemv's are, so ``vote``'s bound covers them: the votes are the same.
         A batch that is no (m, d) array of numbers, and a block holding a
-        query that ``vote`` refuses or may refuse, go through ``vote``."""
+        query that ``vote`` may refuse or not screen, go through ``vote``."""
         try:
             values = np.array(queries, dtype=float)  # float() of each cell, as vote
         except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
@@ -172,9 +174,8 @@ class Kernel:
             q = self._transform(values)
             spreads = np.einsum("ij,ij->i", q, q) + self.max_norm
             w = np.hstack([-2.0 * q, np.ones((len(q), 1))])
-            # vote decides near its standardized overflow, where |q|² may round otherwise.
-            refused = ~np.isfinite(values).all(axis=1) | (
-                self.stats is not None) & ~(8 * spreads < math.inf)
+            # vote decides near an overflow, where |q|² may round otherwise.
+            refused = ~np.isfinite(values).all(axis=1) | ~(8 * spreads < math.inf)
         for start in range(0, len(q), BLOCK):
             rows = slice(start, start + BLOCK)
             if refused[rows].any():
@@ -187,11 +188,8 @@ class Kernel:
 
     def _vote_screened(self, q: np.ndarray, a: np.ndarray, spread: float, u) -> int:
         """vote's tail: transformed query, screen values, S and sample bound (or None)."""
-        if 4 * spread < math.inf:
-            bound = 16 * (q.size + 2) * EPS * spread + 64 * (q.size + 2) * TINY
-            near = self._survivors(a, 2 * bound, u)
-        else:
-            near = np.arange(a.size)
+        bound = 16 * (q.size + 2) * EPS * spread + 64 * (q.size + 2) * TINY
+        near = self._survivors(a, 2 * bound, u)
         if near.size > self.k:
             sq = _squared_distances(q, self.columns[:, near])
             near = near[np.argsort(sq, kind="stable")[:self.k]]

@@ -12,7 +12,6 @@ overflowing z-score shows only there.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -151,18 +150,18 @@ class KnnModel:
         labels = [*map(itemgetter(-1), rows)]
         if not {*map(type, labels)} <= {int}:  # one pass; only a bad label costs a second
             labels = [_integer(label, f"data row {i}: label") for i, label in enumerate(labels)]
-        # One array pass; only a document it refuses gets the row-by-row checks below.
-        with suppress(KeyError, ValueError, OverflowError):
-            model = cls.__new__(cls)
+        model = cls.__new__(cls)
+        try:  # one array pass checks every row; only a refused document is searched below
             model._settle(doc["k"], doc["scaling"], means, stds, len(rows), len(rows[0]) - 1)
             model._build_kernel(rows)
-            return model
-        try:
-            return cls(features=[row[:-1] for row in rows], labels=labels,
-                       k=doc["k"], scaling=doc["scaling"], means=means, stds=stds)
         except (ValueError, OverflowError):
-            _check_cells(rows)  # a non-finite or too large number fails only in the model
+            _check_cells(rows)  # a non-finite or too large number is named first
+            if len({*map(len, rows)}) > 1:
+                raise ValueError("feature rows must share one length") from None
+            if not {*labels} <= {0, 1}:
+                raise ValueError("labels must be binary 0/1") from None
             raise
+        return model
 
 
 def _check_cells(rows: list) -> None:

@@ -665,6 +665,29 @@ def test_simulate_rejects_an_overflowing_cell(workspace, tmp_path):
     assert "Infinity" not in log.read_text()
 
 
+@pytest.mark.parametrize("command", ["predict", "simulate"])
+def test_a_knn_vote_on_a_201_digit_temperature_prints_no_numpy_warning(workspace, tmp_path,
+                                                                       command):
+    huge = "1" + "0" * 200  # 1e200: a valid cell, whose square overflows
+    if command == "predict":
+        args = list(map(str, PREDICT_ARGS))
+        args[args.index("--temp") + 1] = huge
+        result = run_cli("predict", "--model", workspace["knn"], *args)
+        assert result.stdout in ("D:0 A:1\n", "D:1 A:0\n")
+    else:
+        with open(workspace["frames"], newline="") as stream:
+            rows = list(csv.reader(stream))
+        rows[3][[name.lower() for name in rows[0]].index("temp")] = huge
+        frames = tmp_path / "frames.csv"
+        with open(frames, "w", newline="") as stream:
+            csv.writer(stream).writerows(rows)
+        result = run_cli("simulate", "--model", workspace["knn"], "--frames", frames,
+                         "--log", tmp_path / "log.jsonl")
+        assert len((tmp_path / "log.jsonl").read_text().splitlines()) == 30
+    assert result.returncode == 0, result.stderr
+    assert "RuntimeWarning" not in result.stderr and "knn.py" not in result.stderr
+
+
 def test_simulate_with_a_faulty_model_closes_and_still_writes_the_log(workspace,
                                                                       tmp_path):
     # A finite visibility of 1e300 standardizes past what a distance can hold,
@@ -1050,6 +1073,27 @@ def test_deeply_nested_model_exits_2_naming_the_file(tmp_path):
     assert result.stderr.startswith(f"domepilot: error: {path}: ")
     assert "recursion" in result.stderr and "Traceback" not in result.stderr
     assert result.stdout == "D:0 A:1\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_an_integer_over_the_digit_limit_exits_2_naming_the_model_file(workspace, tmp_path,
+                                                                        capsys, command):
+    doc = json.loads(workspace["knn"].read_text())
+    doc["k"] = "K"
+    text = json.dumps(doc).replace('"K"', "9" * 4301)
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as limit:  # "Exceeds the limit (4300 digits) ..."
+        json.loads(text)
+    report = tmp_path / "report.json"
+    args = (["--data", str(workspace["labeled"]), "--report", str(report)]
+            if command == "evaluate" else list(map(str, PREDICT_ARGS)))
+    assert cli.main([command, "--model", str(path), *args]) == 2
+    closed = "; dome closed" if command == "predict" else ""
+    assert capsys.readouterr() == ("D:0 A:1\n" if command == "predict" else "",
+                                   f"domepilot: error: {path}: {limit.value}{closed}\n")
+    assert str(limit.value).startswith("Exceeds the limit") and not report.exists()
 
 
 @pytest.mark.parametrize("enabled", [True, False])

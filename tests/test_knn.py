@@ -783,6 +783,34 @@ def test_a_block_near_the_standardized_overflow_votes_without_a_numpy_warning():
             list(model.predict_many([rows[0]]))
 
 
+def test_an_unscaled_vote_on_a_huge_value_votes_every_row_without_a_numpy_warning():
+    # A 1e200 training row makes max |x|² overflow, and a 1e200 query |q|²,
+    # so every query skips the screen and votes on every row; no overflow in
+    # |q|², the screen or a distance may print numpy's RuntimeWarning.
+    rows = [(float(t), 0.0, 0.0, 0.0, 0.0, 1.0) for t in range(10)] + [(1e200,) + (0.0,) * 5]
+    model = KnnModel(rows, [t % 2 for t in range(10)] + [1], 3, "none")
+    queries = [rows[-1], rows[5], (-1e200, *rows[5][1:]), (0.0, 1e200, 0.0, 0.0, 0.0, 1.0),
+               (1e200, 1e200, 0.0, 0.0, 0.0, 0.0), *rows[:5]]
+    assert len(queries) > knn.BLOCK
+    with np.errstate(all="ignore"):
+        expected = [argsort_predict(model, query) for query in queries]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [model.predict(query) for query in queries] == expected
+        assert list(model.predict_many(queries)) == expected
+        # Without the huge training row, only the huge queries skip the screen.
+        small = KnnModel(rows[:-1], [t % 2 for t in range(10)], 3, "none")
+        assert list(small.predict_many(queries)) == [small.predict(q) for q in queries]
+
+
+def test_standardizing_a_huge_feature_refuses_it_without_a_numpy_warning():
+    rows = PIN_ROWS + [((1e200, 1.0, 0.5, 0.0, 10.0, 1010.0), 1)]  # its std overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^stds\[0\] must be a finite non-negative number"):
+            train_knn(rows, k=3, scaling="standardize")
+
+
 def test_a_lookahead_for_another_table_drops_and_the_replay_votes_alone(caplog):
     # The rows of the builtin table, but a replay that skips the "Fog" frames.
     model = _frame_model(6_500)
@@ -902,6 +930,49 @@ def test_a_document_the_array_route_refuses_gets_the_row_by_row_message(
     edit(doc)
     path = tmp_path / "knn.json"
     path.write_text(json.dumps(doc).replace('"1e400"', "1e400"))
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def _ragged(doc):
+    doc["data"][1].pop(0)
+
+
+# Two faults at once: the message names the one the row-by-row checks meet
+# first, a bad cell before rows of two widths before a label other than 0/1
+# before k, the scaling and its stats.
+@pytest.mark.parametrize("scaling,edits,message", [
+    ("none", [_ragged, _pin_edit(("data", 1, -1), 2)], "feature rows must share one length"),
+    ("none", [_pin_edit(("data", 1, -1), 2), _pin_edit(("data", 2, 3), math.nan)],
+     "data row 2: feature 3 must be a finite number, got nan"),
+    ("none", [_pin_edit(("data", 2, 3), math.nan), _pin_edit(("k",), 0)],
+     "data row 2: feature 3 must be a finite number, got nan"),
+    ("none", [_pin_edit(("data", 2, 3), 10**400), _pin_edit(("k",), 6)],
+     f"data row 2: feature 3 must be a finite number, got {10**400}"),
+    ("none", [_ragged, _pin_edit(("data", 3, 2), math.nan)],
+     "data row 3: feature 2 must be a finite number, got nan"),
+    ("none", [_pin_edit(("data", 1, -1), 2), _pin_edit(("data", 2, 3), 10**400)],
+     f"data row 2: feature 3 must be a finite number, got {10**400}"),
+    ("none", [_ragged, _pin_edit(("k",), 9)], "feature rows must share one length"),
+    ("none", [_pin_edit(("scaling",), "bogus"), _pin_edit(("data", 2, 3), math.inf)],
+     "data row 2: feature 3 must be a finite number, got inf"),
+    # Feature 1 is constant, so its std is 0 and a NaN there standardizes to 0.
+    ("standardize", [_pin_edit(("data", 2, 1), math.nan),
+                     _pin_edit(("stats", "stds", 0), 1e-300)],
+     "data row 2: feature 1 must be a finite number, got nan"),
+    ("standardize", [_pin_edit(("k",), 0), _pin_edit(("stats", "stds", 0), 1e-300)],
+     "k must be in [1, 5], got 0"),
+], ids=["ragged-label-2", "label-2-nan", "nan-k-0", "int-10e400-k-6", "ragged-nan",
+        "label-2-int-10e400", "ragged-k-9", "bogus-scaling-infinity", "nan-zero-std-std-1e-300",
+        "k-0-std-1e-300"])
+def test_a_document_with_two_faults_gets_the_message_of_the_first_check(
+        tmp_path, scaling, edits, message):
+    doc = train_knn(PIN_ROWS, k=3, scaling=scaling).to_dict()
+    for edit in edits:
+        edit(doc)
+    path = tmp_path / "knn.json"
+    path.write_text(json.dumps(doc))
     with pytest.raises(ValueError) as err:
         load_model(path)
     assert str(err.value) == f"{path}: {message}"
