@@ -213,7 +213,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         from .cli import default_k, train_knn
         k = default_k(len(train_set)) if args.k == "auto" else _as_number(args.k, "--k")
-        model = train_knn(train_set, k, args.scaling)
+        model = train_knn(train_set, k, args.scaling, source=data)
         extra = {"k": k, "scaling": args.scaling}
     save_model(model, out)
     print(json.dumps({"model": kind, "n_samples": len(samples),

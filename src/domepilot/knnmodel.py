@@ -17,7 +17,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
-from .weather import _integer, _number
+from .weather import FEATURE_NAMES, PathOrStream, _integer, _named, _number
 
 SCALINGS = ("none", "standardize")
 
@@ -171,8 +171,10 @@ def _check_cells(rows: list) -> None:
             _number(value, f"data row {i}: feature {j}")
 
 
-def train_knn(samples: Sequence, k: int, scaling: str = "none") -> KnnModel:
-    """Store the rows as they are, for KnnModel to check; compute scaling stats if requested."""
+def train_knn(samples: Sequence, k: int, scaling: str = "none",
+              source: Optional[PathOrStream] = None) -> KnnModel:
+    """Store the rows as they are, for KnnModel to check; compute scaling stats if requested.
+    A column whose std overflows is named after ``source``, the file the rows came from."""
     if len(samples) == 0:
         raise ValueError("empty training set")
     features, labels = [f for f, _ in samples], [y for _, y in samples]
@@ -180,5 +182,6 @@ def train_knn(samples: Sequence, k: int, scaling: str = "none") -> KnnModel:
     if scaling == "standardize":
         from .knn import standardize_stats  # numpy
         means, stds = standardize_stats(features)
-    return KnnModel(features=features, labels=labels, k=k,
-                    scaling=scaling, means=means, stds=stds)
+        for name, std in zip(FEATURE_NAMES, stds):  # a column spread past a float's range
+            _number(std, _named(source, f"standardizing {name}: its standard deviation"))
+    return KnnModel(features, labels, k, scaling, means, stds)

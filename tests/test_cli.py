@@ -65,6 +65,8 @@ def test_each_subcommand_has_exactly_its_options():
     for name, command in commands.items():
         options = {option for action in command._actions for option in action.option_strings}
         assert options - {"-h", "--help"} == OPTIONS[name], name
+    result = run_cli("--help")  # python -m domepilot --help lists them and exits 0
+    assert result.returncode == 0 and "{" + ",".join(OPTIONS) + "}" in result.stdout
 
 
 # ---------------------------------------------------------------- prepare
@@ -665,7 +667,7 @@ def test_simulate_rejects_an_overflowing_cell(workspace, tmp_path):
     assert "Infinity" not in log.read_text()
 
 
-@pytest.mark.parametrize("command", ["predict", "simulate"])
+@pytest.mark.parametrize("command", ["predict", "simulate", "train-standardize"])
 def test_a_knn_vote_on_a_201_digit_temperature_prints_no_numpy_warning(workspace, tmp_path,
                                                                        command):
     huge = "1" + "0" * 200  # 1e200: a valid cell, whose square overflows
@@ -675,16 +677,25 @@ def test_a_knn_vote_on_a_201_digit_temperature_prints_no_numpy_warning(workspace
         result = run_cli("predict", "--model", workspace["knn"], *args)
         assert result.stdout in ("D:0 A:1\n", "D:1 A:0\n")
     else:
-        with open(workspace["frames"], newline="") as stream:
+        source = workspace["frames" if command == "simulate" else "labeled"]
+        with open(source, newline="") as stream:
             rows = list(csv.reader(stream))
         rows[3][[name.lower() for name in rows[0]].index("temp")] = huge
-        frames = tmp_path / "frames.csv"
-        with open(frames, "w", newline="") as stream:
+        data = tmp_path / source.name
+        with open(data, "w", newline="") as stream:
             csv.writer(stream).writerows(rows)
-        result = run_cli("simulate", "--model", workspace["knn"], "--frames", frames,
-                         "--log", tmp_path / "log.jsonl")
-        assert len((tmp_path / "log.jsonl").read_text().splitlines()) == 30
-    assert result.returncode == 0, result.stderr
+        if command == "simulate":
+            result = run_cli("simulate", "--model", workspace["knn"], "--frames", data,
+                             "--log", tmp_path / "log.jsonl")
+            assert len((tmp_path / "log.jsonl").read_text().splitlines()) == 30
+        else:  # its std overflows: train refuses the CSV, naming it and the column
+            model = tmp_path / "knn.json"
+            result = run_cli("train", "--model", "knn", "--scaling", "standardize",
+                             "--data", data, "--out", model)
+            assert result.stderr == (f"domepilot: error: {data}: standardizing temp: its "
+                                     "standard deviation must be a finite number, got inf\n")
+            assert result.stdout == "" and not model.exists()
+    assert result.returncode == (2 if command == "train-standardize" else 0), result.stderr
     assert "RuntimeWarning" not in result.stderr and "knn.py" not in result.stderr
 
 
@@ -1476,7 +1487,7 @@ def _edit_features(doc, value):
 ], ids=["3-means", "3-stds", "7-stds", "nan-feature", "inf-feature", "huge-int-feature",
         "nan-mean", "inf-std", "negative-std", "int-means", "string-mean", "true-std",
         "huge-int-mean", "string-feature", "true-feature"])
-def test_invalid_knn_values_exit_2_naming_the_field(tmp_path, edit, field):
+def test_invalid_knn_values_exit_2_naming_the_field(workspace, tmp_path, capsys, edit, field):
     samples = [((float(i), 1.0 + i % 3, 0.5, 3.0, 10.0, 1010.0 + i), i % 2)
                for i in range(10)]
     path = tmp_path / "knn.json"
@@ -1492,6 +1503,12 @@ def test_invalid_knn_values_exit_2_naming_the_field(tmp_path, edit, field):
     assert result.stderr.startswith("domepilot: error:")
     assert field in result.stderr and str(path) in result.stderr
     assert "Traceback" not in result.stderr
+    report = tmp_path / "report.json"  # evaluate refuses the document too, and writes nothing
+    assert cli.main(["evaluate", "--model", str(path), "--data", str(workspace["labeled"]),
+                     "--report", str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"domepilot: error: {path}: ") and field in err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("std", [1e-310, 1e-300])

@@ -11,7 +11,8 @@ starts with the file path; ``train --model knn`` on it must exit 0, or exit
 reader it replaced is kept here as its reference: on the mutated files, on
 files several blocks long with defects in several blocks, and on a cell
 defect followed by a line the csv module cannot read, both readers must give
-equal samples or the identical message, naming the first bad line.
+equal samples or the identical message, naming the first bad line; ``train``
+on a long file reports that message and writes no model file.
 """
 
 import contextlib
@@ -249,12 +250,15 @@ def test_a_long_clean_file_reads_the_same_through_both_readers(tmp_path):
 
 @pytest.mark.parametrize("at", AT)
 @pytest.mark.parametrize("defect", DEFECTS)
-def test_the_block_reader_names_the_first_bad_line_of_a_long_file(tmp_path, defect, at):
+def test_the_block_reader_names_the_first_bad_line_of_a_long_file(tmp_path, capsys, defect, at):
     path = tmp_path / "labeled.csv"
     column, cell = DEFECTS[defect]
     _long_file(path, [(row, column, cell) for row in AT[at]])
     message = assert_readers_agree(path)
     assert isinstance(message, str) and message.startswith(f"{path}: labeled CSV line ")
+    model = tmp_path / "model.json"  # train reports that line and writes no model file
+    assert cli.main(["train", "--data", str(path), "--out", str(model)]) == 2
+    assert capsys.readouterr() == ("", f"domepilot: error: {message}\n") and not model.exists()
 
 
 # Lines the csv module cannot read: a field over its size limit, and a byte
