@@ -39,19 +39,16 @@ def _lazy(namespace: dict, owners: dict):
     return __getattr__, __dir__
 
 
-#: "handler" is set while ``cli.main`` runs a command: None until the command's first
-#: warning attaches the stderr handler, then that handler, for ``main`` to remove.
-_STDERR: dict = {}
+#: ``cli.main``'s stderr-line writer while it runs a command: the library logs, the CLI prints.
+_PRINTERS: list = []
 
 
 def _warn(name: str, message: str, *args) -> None:
     """``logging.getLogger(name).warning(message, *args)``, importing ``logging`` only
-    now, so a command that warns nothing never loads it."""
+    now; under ``cli.main`` a ``domepilot: WARNING:`` line on stderr instead."""
+    if _PRINTERS:
+        return _PRINTERS[-1](f"WARNING: {message % args if args else message}")
     import logging
-    if _STDERR.get("handler", False) is None:  # cli.main's stderr handler, on first use
-        handler = _STDERR["handler"] = logging.StreamHandler()
-        handler.setFormatter(logging.Formatter("domepilot: %(levelname)s: %(message)s"))
-        logging.getLogger(__name__).addHandler(handler)
     logging.getLogger(name).warning(message, *args)
 
 

@@ -6,9 +6,8 @@ a failing command leaves nothing half-written behind.
 
 Start-up stays lean: importing this module loads neither numpy nor
 ``hashlib`` nor ``socket`` nor ``logging``, and of the package only
-``weather``. The package's first warning imports ``logging`` and, under
-``main``, attaches the ``domepilot: WARNING:`` stderr handler, so a command
-that warns nothing never loads it. A name of
+``weather``. The library logs its warnings; the CLI prints them, as it
+prints its errors, so no command loads ``logging``. A name of
 the package's one owner table ``_OWNERS`` is bound here on first read, so
 a command loads what it runs: ``prepare`` the raw-row module ``raw``;
 ``train`` its model's module (``knnmodel``, or ``tree`` and ``grow``);
@@ -33,7 +32,7 @@ from contextlib import contextmanager, nullcontext, suppress
 from pathlib import Path
 from typing import IO, Iterator, Union
 
-from . import _OWNERS, _STDERR, _lazy, _warn
+from . import _OWNERS, _PRINTERS, _lazy, _warn
 from .weather import FEATURE_NAMES, SplitSpec, _opened, check_ranges, read_labeled_csv, split
 
 __getattr__, __dir__ = _lazy(globals(), _OWNERS)  # ``from .cli import`` sees a name set here
@@ -305,6 +304,12 @@ def _reading(args: argparse.Namespace, name: str) -> Union[float, bool]:
         raise ValueError(f"--{name} must be {expected}, got {text!r}") from None
 
 
+def _stderr_line(text: str) -> None:
+    """``domepilot: <text>`` on stderr; a write it refuses is skipped, never sent to stdout."""
+    with suppress(OSError, ValueError, AttributeError):  # a full, closed or None stderr
+        sys.stderr.write(f"domepilot: {text}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="domepilot",
@@ -370,7 +375,7 @@ def main(argv=None) -> int:
     A command builds tens of thousands of acyclic records (frames, log
     entries, samples), which the collector would walk again and again.
     """
-    _STDERR["handler"] = None  # a command runs: its first warning attaches the handler
+    _PRINTERS.append(_stderr_line)  # a command runs: the package's warnings are printed
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -389,11 +394,9 @@ def main(argv=None) -> int:
                 with suppress(SignalDeliveryError):  # unsent, the error is reported as it was
                     emit_signal(DomeCommand(0, CAUSE_MODEL_ERROR), sys.stdout)
                     message += "; dome closed"
-            print(f"domepilot: error: {message}", file=sys.stderr)
+            _stderr_line(f"error: {message}")
             return 2
     finally:
-        if (handler := _STDERR.pop("handler")) is not None:  # attached by a warning
-            import logging
-            logging.getLogger("domepilot").removeHandler(handler)
+        _PRINTERS.pop()
         if gc_was_enabled:
             gc.enable()

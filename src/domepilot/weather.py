@@ -42,16 +42,22 @@ T = TypeVar("T")
 
 def check_ranges(features: Sequence[float]) -> None:
     """The range rule of a FEATURE_NAMES vector, for CSV rows and ``predict`` flags
-    alike: raise ValueError naming the first value outside its range."""
-    _, _, humidity, hour, visibility, barometer = features
-    if not 0 <= hour <= 23:
+    alike: raise ValueError naming the first value outside its range. The bounds, in
+    °C, km/h, km and mbar, hold a margin over the WMO World Weather and Climate
+    Extremes Archive's records: -89.2 and 56.7 °C, a 408 km/h gust, 870 and 1,084.8 hPa."""
+    temp, wind, humidity, hour, visibility, barometer = features
+    if not 0 <= hour <= 23:  # a NaN fails every comparison
         raise ValueError(f"hour out of range: {hour}")
     if not 0.0 <= humidity <= 1.0:
         raise ValueError(f"humidity out of range: {humidity}")
-    if not barometer > 0:
-        raise ValueError(f"barometer must be positive: {barometer}")
-    if not visibility >= 0:  # a NaN fails every comparison
-        raise ValueError(f"visibility must be nonnegative: {visibility}")
+    if not 850.0 <= barometer <= 1100.0:
+        raise ValueError(f"barometer out of range: {barometer}")
+    if not 0.0 <= visibility <= 1000.0:
+        raise ValueError(f"visibility out of range: {visibility}")
+    if not -90.0 <= temp <= 60.0:
+        raise ValueError(f"temp out of range: {temp}")
+    if not 0.0 <= wind <= 410.0:
+        raise ValueError(f"wind out of range: {wind}")
 
 
 def _integer(value, name: str) -> int:

@@ -27,7 +27,8 @@ from domepilot.knnmodel import KnnModel, train_knn
 from domepilot.raw import ConditionTable, WeatherObservation, read_frames_csv
 from domepilot.synthetic import synthetic_observations, to_raw_csv
 from domepilot.tree import TreeConfig
-from domepilot.weather import FEATURE_NAMES, SplitSpec, check_ranges
+from domepilot.weather import (FEATURE_NAMES, LABELED_COLUMNS, SplitSpec, check_ranges,
+                               read_labeled_csv)
 
 from conftest import EXPECTED_TABLE1, run_cli, src_env
 
@@ -338,11 +339,11 @@ def predict_in_process(monkeypatch, model, **flags):
 
 
 @pytest.mark.parametrize("rain", ["0", "1"])
-def test_predict_with_a_faulty_model_fails_closed(monkeypatch, capsys, caplog, rain):
+def test_predict_with_a_faulty_model_fails_closed(monkeypatch, capsys, rain):
     assert predict_in_process(monkeypatch, RaisingModel(), rain=rain) == 0
-    assert capsys.readouterr().out == "D:0 A:1\n"
-    assert any(record.levelname == "WARNING" and "model failed" in record.getMessage()
-               for record in caplog.records)
+    out, err = capsys.readouterr()
+    assert out == "D:0 A:1\n"
+    assert err == "domepilot: WARNING: model failed, so the dome was closed: model exploded\n"
 
 
 def test_predict_validates_rain_flag(workspace):
@@ -390,9 +391,9 @@ def test_predict_names_the_number_grammar_a_reading_breaks(monkeypatch, capsys, 
 
 @pytest.mark.parametrize("flag,value,message", [
     ("humidity", "150", "humidity out of range: 1.5"),
-    ("barometer", "-1000", "barometer must be positive: -1000.0"),
-    ("barometer", "0", "barometer must be positive: 0.0"),
-    ("visibility", "-4", "visibility must be nonnegative: -4.0"),
+    ("barometer", "-1000", "barometer out of range: -1000.0"),
+    ("barometer", "0", "barometer out of range: 0.0"),
+    ("visibility", "-4", "visibility out of range: -4.0"),
 ], ids=["humidity-150", "barometer-neg", "barometer-0", "visibility-neg"])
 def test_predict_rejects_a_reading_a_frames_row_rejects(monkeypatch, capsys, flag, value,
                                                         message):
@@ -407,6 +408,37 @@ def test_predict_rejects_a_reading_a_frames_row_rejects(monkeypatch, capsys, fla
     captured = capsys.readouterr()
     assert captured.out == "D:0 A:1\n"
     assert captured.err == f"domepilot: error: {message}; dome closed\n"
+
+
+@pytest.mark.parametrize("flag,value,accepted", [
+    ("temp", "-90", True), ("temp", "-90.5", False), ("temp", "60", True), ("temp", "60.5", False),
+    ("temp", "-300", False),  # below absolute zero
+    ("wind", "0", True), ("wind", "-0.5", False), ("wind", "410", True), ("wind", "410.5", False),
+    ("wind", "-40", False),  # a negative speed once opened the dome
+    ("barometer", "850", True), ("barometer", "849.5", False), ("barometer", "1100", True),
+    ("barometer", "1100.5", False), ("visibility", "0", True), ("visibility", "-0.5", False),
+    ("visibility", "1000", True), ("visibility", "1000.5", False),
+])
+def test_the_range_rule_holds_both_sides_of_each_bound_in_every_reader(monkeypatch, capsys,
+                                                                      flag, value, accepted):
+    features = [21.0, 0.0, 0.33, 0.0, 16.0, 1020.0]  # those of PREDICT_ARGS
+    features[FEATURE_NAMES.index(flag)] = float(value)
+    message = f"{flag} out of range: {float(value)}"
+    row = {**FRAME_ROW, flag: value}
+    frames, report = read_frames_csv(io.StringIO(f"{','.join(row)}\n{','.join(row.values())}\n"))
+    assert (len(frames), report.reasons) == ((1, {}) if accepted else (0, {"invalid_values": 1}))
+    labeled = f"{','.join(LABELED_COLUMNS)}\n{','.join(map(str, features))},1\n"
+    with contextlib.nullcontext() if accepted else pytest.raises(ValueError) as raised:
+        assert read_labeled_csv(io.StringIO(labeled))[0].features == tuple(features)
+    model = RecordingModel()
+    code = predict_in_process(monkeypatch, model, **{flag: value})
+    out, err = capsys.readouterr()
+    if accepted:
+        assert (code, model.seen, err) == (0, [tuple(features)], "")
+    else:
+        assert str(raised.value) == f"labeled CSV line 2: {message}"
+        assert (code, model.seen, out) == (2, [], "D:0 A:1\n")
+        assert err == f"domepilot: error: {message}; dome closed\n"
 
 
 @pytest.mark.parametrize("rain,expected", [("yes", "D:0 A:1\n"), ("TRUE", "D:0 A:1\n"),
@@ -670,48 +702,56 @@ def test_simulate_rejects_an_overflowing_cell(workspace, tmp_path):
 @pytest.mark.parametrize("command", ["predict", "simulate", "train-standardize"])
 def test_a_knn_vote_on_a_201_digit_temperature_prints_no_numpy_warning(workspace, tmp_path,
                                                                        command):
-    huge = "1" + "0" * 200  # 1e200: a valid cell, whose square overflows
-    if command == "predict":
-        args = list(map(str, PREDICT_ARGS))
-        args[args.index("--temp") + 1] = huge
-        result = run_cli("predict", "--model", workspace["knn"], *args)
-        assert result.stdout in ("D:0 A:1\n", "D:1 A:0\n")
-    else:
-        source = workspace["frames" if command == "simulate" else "labeled"]
-        with open(source, newline="") as stream:
+    # 1e200 is a finite number whose square overflows. The range rule refuses it in a
+    # CSV cell or a flag, so it reaches a vote only as a k-NN document's row, which is
+    # not range-checked; a labeled CSV holding it is refused, naming its line.
+    huge = "1" + "0" * 200
+    if command == "train-standardize":
+        with open(workspace["labeled"], newline="") as stream:
             rows = list(csv.reader(stream))
-        rows[3][[name.lower() for name in rows[0]].index("temp")] = huge
-        data = tmp_path / source.name
+        rows[3][rows[0].index("temp")] = huge
+        data = tmp_path / "labeled.csv"
         with open(data, "w", newline="") as stream:
             csv.writer(stream).writerows(rows)
-        if command == "simulate":
-            result = run_cli("simulate", "--model", workspace["knn"], "--frames", data,
+        model = tmp_path / "knn.json"
+        result = run_cli("train", "--model", "knn", "--scaling", "standardize",
+                         "--data", data, "--out", model)
+        assert result.stderr == (f"domepilot: error: {data}: labeled CSV line 4: "
+                                 "temp out of range: 1e+200\n")
+        assert result.stdout == "" and not model.exists()
+    else:
+        doc = json.loads(workspace["knn"].read_text())
+        doc["data"][0][0] = float(huge)
+        model = tmp_path / "knn.json"
+        model.write_text(json.dumps(doc))
+        if command == "predict":
+            result = run_cli("predict", "--model", model, *PREDICT_ARGS)
+            assert result.stdout in ("D:0 A:1\n", "D:1 A:0\n")
+        else:
+            result = run_cli("simulate", "--model", model, "--frames", workspace["frames"],
                              "--log", tmp_path / "log.jsonl")
             assert len((tmp_path / "log.jsonl").read_text().splitlines()) == 30
-        else:  # its std overflows: train refuses the CSV, naming it and the column
-            model = tmp_path / "knn.json"
-            result = run_cli("train", "--model", "knn", "--scaling", "standardize",
-                             "--data", data, "--out", model)
-            assert result.stderr == (f"domepilot: error: {data}: standardizing temp: its "
-                                     "standard deviation must be a finite number, got inf\n")
-            assert result.stdout == "" and not model.exists()
     assert result.returncode == (2 if command == "train-standardize" else 0), result.stderr
     assert "RuntimeWarning" not in result.stderr and "knn.py" not in result.stderr
 
 
 def test_simulate_with_a_faulty_model_closes_and_still_writes_the_log(workspace,
                                                                       tmp_path):
-    # A finite visibility of 1e300 standardizes past what a distance can hold,
-    # on which KnnModel.predict raises; the first dry row gets it, so its
-    # frame is a model fault.
+    # Under a visibility std of 1e-152 (a model document is not range-checked), the
+    # training rows still standardize, but a visibility of 1,000 km standardizes past
+    # what a distance can hold, on which KnnModel.predict raises; the first dry row
+    # gets it, so its frame is a model fault.
     model = tmp_path / "knn.json"
     assert run_cli("train", "--data", workspace["labeled"], "--model", "knn",
                    "--scaling", "standardize", "--out", model).returncode == 0
+    doc = json.loads(model.read_text())
+    doc["stats"]["stds"][FEATURE_NAMES.index("visibility")] = 1e-152
+    model.write_text(json.dumps(doc))
     with open(workspace["frames"], newline="") as stream:
         rows = list(csv.reader(stream))
     header = [name.lower() for name in rows[0]]
     dry = next(i for i, row in enumerate(rows[1:], 1) if row[header.index("rain")] == "0")
-    rows[dry][header.index("visibility")] = "1" + "0" * 300
+    rows[dry][header.index("visibility")] = "1000"
     frames = tmp_path / "frames.csv"
     with open(frames, "w", newline="") as stream:
         csv.writer(stream).writerows(rows)
@@ -722,7 +762,7 @@ def test_simulate_with_a_faulty_model_closes_and_still_writes_the_log(workspace,
     assert len(records) == 30
     faulty = [r for r in records if r["cause"] == "model_error"]
     assert [r["tick"] for r in faulty] == [dry - 1]
-    assert faulty[0]["features"][4] == 1e300
+    assert faulty[0]["features"][4] == 1000.0
     assert faulty[0]["prediction"] is None and faulty[0]["dome"] == 0
     assert "model failed on 1 of 30 frames" in result.stderr
 
@@ -743,6 +783,28 @@ def test_simulate_into_a_full_device_writes_the_log_and_exits_2(workspace, tmp_p
         f"domepilot: error: actuator sink failed on 30 of 30 frames; "
         f"decision log written to {log}")
     assert log.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["predict", "evaluate", "prepare"])
+def test_a_stderr_that_refuses_every_write_leaves_the_exit_code_as_it_was(workspace, tmp_path,
+                                                                         command):
+    # main's error line and prepare's warning are skipped, never sent to stdout.
+    missing = tmp_path / "missing.json"
+    argv = {"predict": ["predict", "--model", missing, *PREDICT_ARGS],
+            "evaluate": ["evaluate", "--model", missing, "--data", workspace["labeled"],
+                         "--report", tmp_path / "report.json"],
+            "prepare": ["prepare", "--data", workspace["raw"], "--out", tmp_path / "l.csv"]}
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "domepilot", *map(str, argv[command])],
+                                env=src_env(), stdout=subprocess.PIPE, stderr=full, text=True,
+                                timeout=120)
+    if command == "prepare":
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["out"] == str(tmp_path / "l.csv")
+    else:
+        assert result.returncode == 2
+        assert result.stdout == ("D:0 A:1\n" if command == "predict" else "")
 
 
 def test_simulate_with_a_failing_sink_writes_the_log_and_exits_2(workspace, tmp_path,
@@ -767,7 +829,7 @@ def test_main_leaves_the_package_logger_as_it_found_it(workspace, tmp_path, caps
     package_logger = logging.getLogger("domepilot")
     monkeypatch.setattr(package_logger, "handlers", [])
     argv = {"predict": ["predict", "--model", str(workspace["dt"]), *map(str, PREDICT_ARGS)],
-            # no --expect-sha256: prepare warns, and that warning attaches the stderr handler
+            # no --expect-sha256: prepare warns, on stderr
             "prepare": ["prepare", "--data", str(workspace["raw"]),
                         "--out", str(tmp_path / "l.csv")]}[command]
     assert cli.main(argv) == 0
@@ -777,6 +839,26 @@ def test_main_leaves_the_package_logger_as_it_found_it(workspace, tmp_path, caps
     assert warnings == ([] if command == "predict" else
                         ["domepilot: WARNING: dataset content hash not verified; sha256 is "
                          + hashlib.sha256(workspace["raw"].read_bytes()).hexdigest()])
+
+
+def test_main_prints_the_warnings_a_library_caller_would_log(workspace, tmp_path, capsys,
+                                                             monkeypatch):
+    """Under ``cli.main`` a warning is a stderr line of the command's, printed once; a
+    handler attached to the ``domepilot`` logger before ``main`` runs receives no record."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    monkeypatch.setattr(logging.getLogger("domepilot"), "handlers", [handler])
+    assert cli.main(["prepare", "--data", str(workspace["raw"]), "--city", "Jeddah",
+                     "--out", str(tmp_path / "l.csv")]) == 0
+    digest = hashlib.sha256(workspace["raw"].read_bytes()).hexdigest()
+    assert capsys.readouterr().err == (
+        f"domepilot: WARNING: dataset content hash not verified; sha256 is {digest}\n"
+        "domepilot: WARNING: no observations match city 'Jeddah'\n")
+    assert records == []
+    assert domepilot._PRINTERS == []  # and outside main, the package logs again
+    domepilot.filter_city([], "Jeddah")
+    assert [record.getMessage() for record in records] == ["no observations match city 'Jeddah'"]
 
 
 def test_the_library_logs_to_its_callers_handler_and_attaches_none(tmp_path):
@@ -1186,15 +1268,15 @@ def test_numpy_is_imported_only_where_it_computes(workspace, tmp_path):
     # and no file sink imports socket. Each command imports only the package modules
     # it runs: the model's, metrics to evaluate, the controller to decide and the
     # raw-row parsers to read raw rows, frames or predict flags; only train dt grows.
-    # logging is imported by the first warning: prepare's unverified hash, simulate's
-    # rejected frame rows; a command that warns nothing never loads it.
+    # No command imports logging: main prints the warnings of prepare's unverified hash
+    # and simulate's rejected frame rows on stderr itself.
     tree, grow = {"domepilot.tree"}, {"domepilot.grow"}
     knn = {"domepilot.knnmodel"}  # and never the tree's module
     numpy = {"domepilot.knn", "numpy"}
     controller, metrics = {"domepilot.controller"}, {"domepilot.metrics"}
     rows = controller | {"domepilot.raw"}
     expected = {
-        "prepare": {"hashlib", "domepilot.raw", "logging"},
+        "prepare": {"hashlib", "domepilot.raw"},
         "train dt": tree | grow,
         "train knn": knn,
         "train knn standardize": knn | numpy,
@@ -1202,7 +1284,7 @@ def test_numpy_is_imported_only_where_it_computes(workspace, tmp_path):
         "evaluate knn": metrics | knn | numpy,
         **{f"{command} dt": rows | tree for command in ("simulate", "predict")},
         **{f"{command} knn": rows | knn | numpy for command in ("simulate", "predict")},
-        "simulate dt rejected": rows | tree | {"logging"},
+        "simulate dt rejected": rows | tree,
     }
     for name, args in runs.items():
         assert exit_code_and_modules(*args) == " ".join(["0", *sorted(expected[name])]), name

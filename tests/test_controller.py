@@ -64,9 +64,10 @@ def failing_model(features):
 
 
 def decide_with(model, rain=False, temp=20.0):
-    """decide() on the features of one observation at ``temp``; the gate reads
-    the temperature from those features."""
-    return decide(model, observation(temp=temp).features(), rain)
+    """decide() on the features of one observation with ``temp`` put in; the gate reads
+    the temperature from those features, which decide takes as they come, so ``temp``
+    may be one the range rule refuses (a model document's row, say)."""
+    return decide(model, (temp, *observation().features()[1:]), rain)
 
 
 def command_for(prediction, rain=False, temp=20.0):
@@ -648,9 +649,10 @@ def written_jsonl(entries):
 
 def log_entry(temp=20.0, wind=2.0, humidity=0.4, hour=0, visibility=16.0,
               barometer=1015.0, dome=0, cause=CAUSE_MODEL, prediction=0, tick=0):
-    obs = WeatherObservation(city="Al Madina", date=datetime.date(2019, 5, 1), hour=hour,
-                             temp=temp, wind=wind, humidity=humidity,
-                             barometer=barometer, visibility=visibility, condition="Clear")
+    # Built unchecked (``_make``), so the writer meets every number, those the range rule
+    # refuses too: it must write what the generic encoder writes for any entry.
+    obs = WeatherObservation._make(("Al Madina", datetime.date(2019, 5, 1), hour, temp, wind,
+                                    humidity, barometer, visibility, "Clear"))
     return LogEntry(frame=SensorFrame(observation=obs, rain_detected=False, tick=tick),
                     command=DomeCommand(dome, cause), prediction=prediction)
 
@@ -693,7 +695,9 @@ def test_log_writer_matches_the_json_encoder(entries):
 def test_replayed_log_matches_the_json_encoder():
     frames = [frame(temp=t, rain=t % 3 == 0, condition=c, tick=i)
               for i, (t, c) in enumerate([(20.0, "Clear"), (15.5, "Clear"), (21.0, "Hail"),
-                                          (-0.0, "Fog"), (22.0, "Nowhere"), (math.inf, "Clear")])]
+                                          (-0.0, "Fog"), (22.0, "Nowhere"), (60.0, "Clear")])]
+    # An infinite temperature, which the range rule refuses, replays all the same.
+    frames[-1] = frames[-1]._replace(observation=frames[-1].observation._replace(temp=math.inf))
     for model in (constant_model(1), constant_model(0), failing_model):
         log = replay(model, frames)
         assert written_jsonl(log) == reference_jsonl(log)

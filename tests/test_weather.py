@@ -400,8 +400,8 @@ def test_observation_is_a_checked_record(field, value):
 
 @pytest.mark.parametrize("field, message", [
     ("hour", "hour out of range"), ("humidity", "humidity out of range"),
-    ("barometer", "barometer must be positive"),
-    ("visibility", "visibility must be nonnegative")])
+    ("barometer", "barometer out of range"), ("visibility", "visibility out of range"),
+    ("temp", "temp out of range"), ("wind", "wind out of range")])
 def test_the_range_rule_refuses_a_nan(field, message):
     """A NaN fails every comparison, so each bound is written to fail on one."""
     features = list(observation().features())
@@ -583,14 +583,16 @@ def test_labeled_csv_round_trip(tmp_path):
 
 
 def test_labeled_csv_prints_each_float_as_its_repr():
-    # Each feature within the range rule, so the file reads back.
-    samples = [LabeledSample((1.7976931348623157e+308, 1e-05, 0.1, -0.0, 5e-324, 1015.0), 1),
+    # Each feature within the range rule, so the file reads back; 17 significant digits
+    # at the edges of the temperature and barometer ranges.
+    samples = [LabeledSample((59.99999999999999, 1e-05, 0.1, -0.0, 5e-324, 1099.9999999999998),
+                             1),
                LabeledSample((21.0, 0.0, 0.4, 23.0, 16.0, 1012.5), 0)]
     out = io.StringIO()
     write_labeled_csv(samples, out)
     assert out.getvalue() == (
         "temp,wind,humidity,hour,visibility,barometer,state\r\n"
-        "1.7976931348623157e+308,1e-05,0.1,-0.0,5e-324,1015.0,1\r\n"
+        "59.99999999999999,1e-05,0.1,-0.0,5e-324,1099.9999999999998,1\r\n"
         "21.0,0.0,0.4,23.0,16.0,1012.5,0\r\n")
     assert read_labeled_csv(io.StringIO(out.getvalue())) == samples
 
