@@ -16,7 +16,8 @@ a command loads what it runs: ``prepare`` the raw-row module ``raw``;
 import numpy (``domepilot.knn``), whose kernel a k-NN document loads
 straight into; the other commands, tree training and
 ``train --model knn`` without standardization never load it. Only
-``prepare`` imports ``hashlib``, and only a ``tcp:`` sink ``socket``.
+``prepare`` imports ``hashlib``, only a ``tcp:`` sink ``socket``, and only a
+sink that has to wait for its reader ``select``.
 ``simulate`` tells a k-NN model the frames it will ask about
 (``KnnModel.expect``), so their votes come in blocks; ``predict`` votes alone.
 """
@@ -271,22 +272,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise SignalDeliveryError(f"actuator sink failed on {log.undelivered} of "
                                   f"{len(log)} frames; decision log written to {log_path}")
     opened = sum(entry.command.dome for entry in log)
-    print(json.dumps({"frames": len(log), "opened": opened,
-                      "closed": len(log) - opened, "log": str(log_path)}),
-          file=sys.stderr if args.sink == "-" else sys.stdout)  # stdout of `-`: wire lines only
+    summary = json.dumps({"frames": len(log), "opened": opened,
+                          "closed": len(log) - opened, "log": str(log_path)})
+    if args.sink == "-":  # stdout of `-`: wire lines only
+        _stderr_line(summary, head="")
+    else:
+        print(summary)
     return 0
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     """The dome command of one reading; ``main`` closes the dome on an input error."""
-    from .cli import decide, emit_signal
+    from .cli import decide, emit_signal, open_sink
     model = load_model(Path(_require(args.model, "--model")))
     features = tuple(_reading(args, name) for name in FEATURE_NAMES)
     check_ranges(features)
     command, _, fault = decide(model.predict, features, _reading(args, "rain"))
     if fault is not None:
         _warn(__name__, "model failed, so the dome was closed: %s", fault)
-    emit_signal(command, sys.stdout)
+    with open_sink("-") as stdout:  # a closed stdout is a sink that cannot be opened
+        emit_signal(command, stdout)
     return 0
 
 
@@ -304,10 +309,10 @@ def _reading(args: argparse.Namespace, name: str) -> Union[float, bool]:
         raise ValueError(f"--{name} must be {expected}, got {text!r}") from None
 
 
-def _stderr_line(text: str) -> None:
-    """``domepilot: <text>`` on stderr; a write it refuses is skipped, never sent to stdout."""
+def _stderr_line(text: str, head: str = "domepilot: ") -> None:
+    """``<head><text>`` on stderr; a write it refuses is skipped, never sent to stdout."""
     with suppress(OSError, ValueError, AttributeError):  # a full, closed or None stderr
-        sys.stderr.write(f"domepilot: {text}\n")
+        sys.stderr.write(f"{head}{text}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,9 +395,11 @@ def main(argv=None) -> int:
             message = str(exc)
             # A predict input or --config error: the actuator hears a close before the error.
             if args.command == "predict" and not isinstance(exc, RuntimeError):
-                from .cli import CAUSE_MODEL_ERROR, DomeCommand, SignalDeliveryError, emit_signal
-                with suppress(SignalDeliveryError):  # unsent, the error is reported as it was
-                    emit_signal(DomeCommand(0, CAUSE_MODEL_ERROR), sys.stdout)
+                from .cli import (CAUSE_MODEL_ERROR, DomeCommand, SignalDeliveryError,
+                                  emit_signal, open_sink)
+                # Unsent (a full or closed stdout), the error is reported as it was.
+                with suppress(SignalDeliveryError, OSError), open_sink("-") as stdout:
+                    emit_signal(DomeCommand(0, CAUSE_MODEL_ERROR), stdout)
                     message += "; dome closed"
             _stderr_line(f"error: {message}")
             return 2

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
@@ -37,10 +38,10 @@ CAUSE_UNMAPPED = "unmapped_condition"
 CAUSE_MODEL_ERROR = "model_error"
 CAUSES = (CAUSE_MODEL, CAUSE_RAIN, CAUSE_TEMP, CAUSE_UNMAPPED, CAUSE_MODEL_ERROR)
 
-#: Seconds a ``tcp:`` sink may take to connect or to accept one wire line; a
-#: peer that stops reading then fails that frame's delivery, and the sink
-#: drops the connection, instead of blocking the loop.
-TCP_TIMEOUT_S = 5.0
+#: Seconds a path or ``tcp:`` sink may wait for its reader to take one wire
+#: line, and a ``tcp:`` one to connect; a reader that stops reading then cuts
+#: the sink off instead of blocking the loop.
+SINK_TIMEOUT_S = 5.0
 
 
 class SignalDeliveryError(RuntimeError):
@@ -108,8 +109,8 @@ def emit_signal(command: DomeCommand, sink: IO[str]) -> str:
     """Write exactly one wire line for the command; returns the line sent.
 
     A failing sink raises SignalDeliveryError; nothing else changes, so the
-    caller may simply try again on the next frame (a ``tcp:`` sink that
-    failed once fails every later frame too).
+    caller may simply try again on the next frame (a sink cut off by a
+    timeout or a partial line fails every later frame too).
     """
     line = _WIRE_LINES[command.dome]
     try:
@@ -235,76 +236,56 @@ def replay(model_predict_fn: Callable[[Sequence[float]], int],
     return log
 
 
-class _FileSink:
-    """A path actuator sink: each wire line is one unbuffered write.
+class _Sink:
+    """A path or ``tcp:`` actuator sink: each wire line is one ``os.write`` to a
+    non-blocking descriptor, and nothing is buffered.
 
-    Nothing is buffered, so a write that raises or is short leaves its line
-    undelivered for good: no later write sends it, late and out of order;
-    after one that took part of a line, every later write fails as well.
+    A write that raises drops its line for good: no later write sends it, late
+    and out of order. A reader that takes no line within SINK_TIMEOUT_S, or only
+    part of one, cuts the sink off: that line and every later one fail at once,
+    so the loop waits no more and no line is glued onto a fragment. A ``tcp:``
+    sink cut off by a partial send resets its connection, which discards what
+    is still queued for the peer; after a timeout it closes normally, so the
+    lines sent before still arrive, then EOF.
     """
 
-    def __init__(self, raw):
-        self._raw = raw  # a file opened in binary mode with buffering=0, None once cut
+    def __init__(self, fd: int, reset: Optional[Callable[[], object]] = None):
+        self._fd: Optional[int] = fd  # None once cut off
+        self._reset = reset  # a tcp: sink's, run when a partial line cuts it off
 
     def write(self, text: str) -> int:
-        if self._raw is None:
-            raise OSError("file sink cut off after an earlier partial write")
-        data = text.encode("ascii")
-        written = self._raw.write(data)
-        if written != len(data):  # None: a non-blocking file took nothing
-            if written:  # no later line may follow the partial one in the file
-                self._raw = None
-            raise OSError(f"file sink took only {written or 0} of {len(data)} bytes")
-        return written
-
-
-class _TcpSink:
-    """A ``tcp:`` actuator sink that sends each wire line unbuffered.
-
-    The first failed send drops the connection and every later write fails,
-    so no line counted undelivered, nor a later one, can reach the peer
-    afterwards out of order. A send that times out queued nothing, and the
-    socket is closed normally: lines sent before still arrive, then EOF. A
-    send the kernel took only part of resets the connection instead, which
-    discards what is still queued for the peer, the partial line included.
-    """
-
-    def __init__(self, conn):
-        self._conn = conn  # a connected socket, None once dropped
-
-    def write(self, text: str) -> int:
-        conn = self._conn
-        if conn is None:
-            raise OSError("tcp sink connection dropped after an earlier send failure")
-        data = text.encode("ascii")
+        fd, data = self._fd, text.encode("ascii")
+        if fd is None:
+            raise OSError("cut off after an earlier timeout or partial line")
         try:
-            sent = conn.send(data)
-        except OSError:
-            self._drop(reset=False)
-            raise
-        if sent < len(data):
-            self._drop(reset=True)
-            raise OSError(f"tcp sink took only {sent} of {len(data)} bytes")
-        return sent
-
-    def _drop(self, reset: bool) -> None:
-        conn, self._conn = self._conn, None
-        if reset:
-            import socket  # only a tcp: sink needs these two
-            import struct
-            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
-        conn.close()
+            written = os.write(fd, data)
+        except BlockingIOError:  # the reader is behind: wait for it, once
+            import select  # here, so that a sink that never fills never loads it
+            poll = select.poll()
+            poll.register(fd, select.POLLOUT)
+            if not poll.poll(SINK_TIMEOUT_S * 1000):
+                self._fd = None
+                raise TimeoutError(f"no wire line taken within {SINK_TIMEOUT_S} s") from None
+            written = os.write(fd, data)
+        if written < len(data):
+            self._fd = None
+            if self._reset is not None:
+                self._reset()
+            raise OSError(f"took only {written} of {len(data)} bytes")
+        return written
 
 
 @contextmanager
 def open_sink(spec: str):
     """Open an actuator sink: a file path, ``tcp:host:port``, or ``-`` (stdout)."""
     if spec == "-":
+        if sys.stdout is None:  # the process was started with its stdout closed
+            raise OSError("actuator sink -: stdout is closed")
         yield sys.stdout
         return
-    is_tcp = spec.startswith("tcp:")
+    reset = None
     try:
-        if is_tcp:
+        if spec.startswith("tcp:"):
             _, _, rest = spec.partition(":")
             host, sep, port = rest.rpartition(":")
             # The OS would take a port above 65535 modulo 65536: another port.
@@ -312,10 +293,15 @@ def open_sink(spec: str):
                 raise ValueError(f"bad tcp sink spec {spec!r}; expected tcp:host:port "
                                  f"with a port from 1 to 65535")
             import socket  # here, so that no other sink pays for its import
-            resource = socket.create_connection((host, int(port)), timeout=TCP_TIMEOUT_S)
-        else:
-            resource = open(spec, "wb", buffering=0)
+            import struct
+            resource = socket.create_connection((host, int(port)), timeout=SINK_TIMEOUT_S)
+            resource.setblocking(False)
+            linger = struct.pack("ii", 1, 0)  # on, 0 s: close resets the connection
+            reset = lambda: resource.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger)
+        else:  # the file object only owns the descriptor; a FIFO with no reader fails here
+            resource = open(os.open(spec, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK,
+                                    0o666), "wb", buffering=0)
     except OSError as exc:  # opening or connecting; errors in the block pass as they are
         raise OSError(f"actuator sink {spec}: {exc}") from None
     with resource:
-        yield (_TcpSink if is_tcp else _FileSink)(resource)
+        yield _Sink(resource.fileno(), reset)

@@ -12,6 +12,7 @@ import re
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from domepilot.controller import SignalDeliveryError, replay
 from domepilot.grow import train_tree
 from domepilot.knnmodel import KnnModel, train_knn
 from domepilot.raw import ConditionTable, WeatherObservation, read_frames_csv
-from domepilot.synthetic import synthetic_observations, to_raw_csv
+from domepilot.synthetic import synthetic_frames, synthetic_observations, to_raw_csv
 from domepilot.tree import TreeConfig
 from domepilot.weather import (FEATURE_NAMES, LABELED_COLUMNS, SplitSpec, check_ranges,
                                read_labeled_csv)
@@ -786,15 +787,18 @@ def test_simulate_into_a_full_device_writes_the_log_and_exits_2(workspace, tmp_p
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("command", ["predict", "evaluate", "prepare"])
+@pytest.mark.parametrize("command", ["predict", "evaluate", "prepare", "simulate"])
 def test_a_stderr_that_refuses_every_write_leaves_the_exit_code_as_it_was(workspace, tmp_path,
                                                                          command):
-    # main's error line and prepare's warning are skipped, never sent to stdout.
-    missing = tmp_path / "missing.json"
+    # main's error line, prepare's warning and the summary of simulate --sink - are
+    # skipped, never sent to stdout.
+    missing, log = tmp_path / "missing.json", tmp_path / "log.jsonl"
     argv = {"predict": ["predict", "--model", missing, *PREDICT_ARGS],
             "evaluate": ["evaluate", "--model", missing, "--data", workspace["labeled"],
                          "--report", tmp_path / "report.json"],
-            "prepare": ["prepare", "--data", workspace["raw"], "--out", tmp_path / "l.csv"]}
+            "prepare": ["prepare", "--data", workspace["raw"], "--out", tmp_path / "l.csv"],
+            "simulate": ["simulate", "--model", workspace["dt"], "--frames", workspace["frames"],
+                         "--log", log, "--sink", "-"]}
     with open("/dev/full", "w") as full:
         result = subprocess.run([sys.executable, "-m", "domepilot", *map(str, argv[command])],
                                 env=src_env(), stdout=subprocess.PIPE, stderr=full, text=True,
@@ -802,9 +806,143 @@ def test_a_stderr_that_refuses_every_write_leaves_the_exit_code_as_it_was(worksp
     if command == "prepare":
         assert result.returncode == 0
         assert json.loads(result.stdout)["out"] == str(tmp_path / "l.csv")
+    elif command == "simulate":
+        assert result.returncode == 0
+        assert result.stdout == "".join(f"D:{r['dome']} A:{r['ac']}\n" for r in map(
+            json.loads, log.read_text().splitlines())) and len(result.stdout) == 30 * 8
     else:
         assert result.returncode == 2
         assert result.stdout == ("D:0 A:1\n" if command == "predict" else "")
+
+
+@pytest.mark.parametrize("command", ["simulate", "predict", "predict-missing-model"])
+def test_a_closed_stdout_is_a_sink_that_cannot_be_opened(workspace, tmp_path, command):
+    log = tmp_path / "log.jsonl"
+    argv = {"simulate": ["simulate", "--model", workspace["dt"], "--frames", workspace["frames"],
+                         "--log", log, "--sink", "-"],
+            "predict": ["predict", "--model", workspace["dt"], *PREDICT_ARGS],
+            "predict-missing-model": ["predict", "--model", tmp_path / "missing.json",
+                                      *PREDICT_ARGS]}
+    result = subprocess.run([sys.executable, "-m", "domepilot", *map(str, argv[command])],
+                            env=src_env(), stderr=subprocess.PIPE, text=True, timeout=120,
+                            preexec_fn=lambda: os.close(1))  # as the shell's `>&-` does
+    assert result.returncode == 2
+    if command == "predict-missing-model":  # the load's error, with no close sent
+        assert result.stderr.startswith("domepilot: error: ")
+        assert "No such file" in result.stderr and "dome closed" not in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+    else:  # simulate decides no frame and writes no log
+        assert result.stderr == "domepilot: error: actuator sink -: stdout is closed\n"
+    assert not log.exists()
+
+
+#: Runs ``cli.main`` on its arguments after the first, with controller.SINK_TIMEOUT_S
+#: set to the first.
+WITH_SINK_TIMEOUT = ("import sys\n"
+                     "from domepilot import cli, controller\n"
+                     "controller.SINK_TIMEOUT_S = float(sys.argv[1])\n"
+                     "sys.exit(cli.main(sys.argv[2:]))\n")
+
+
+@pytest.fixture
+def fifo_run(workspace, tmp_path):
+    """(FIFO, log, argv of simulate from 1,000 frames into the FIFO under a sink timeout).
+
+    The reader a test opens shrinks the pipe to 4 KiB, 512 wire lines, so the sink fills.
+    """
+    frames, fifo, log = tmp_path / "frames.csv", tmp_path / "fifo", tmp_path / "log.jsonl"
+    sensor = synthetic_frames(1000, seed=9, rain_rate=0.2)
+    with open(frames, "w", newline="") as stream:
+        to_raw_csv([f.observation for f in sensor], stream,
+                   rain=[f.rain_detected for f in sensor])
+    os.mkfifo(fifo)
+    return fifo, log, lambda timeout_s: [
+        sys.executable, "-c", WITH_SINK_TIMEOUT, str(timeout_s), "simulate", "--model",
+        str(workspace["dt"]), "--frames", str(frames), "--log", str(log), "--sink", str(fifo)]
+
+
+@contextlib.contextmanager
+def fifo_reader(fifo):
+    """A reader's descriptor on the FIFO, non-blocking, over a 4 KiB pipe."""
+    import fcntl
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert fcntl.fcntl(reader, fcntl.F_SETPIPE_SZ, 4096) == 4096
+        yield reader
+    finally:
+        os.close(reader)
+
+
+def wire_of(log):
+    return "".join(f"D:{r['dome']} A:{r['ac']}\n"
+                   for r in map(json.loads, log.read_text().splitlines())).encode()
+
+
+needs_linux_fifo = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                      reason="needs Linux FIFOs and F_SETPIPE_SZ")
+
+
+@needs_linux_fifo
+def test_simulate_into_a_fifo_with_no_reader_exits_2_at_once(fifo_run):
+    fifo, log, argv = fifo_run
+    # The sink waits up to 60 s for a reader to take a line; opening it waits for none.
+    start = time.monotonic()
+    result = subprocess.run(argv(60), env=src_env(), capture_output=True, text=True, timeout=120)
+    elapsed = time.monotonic() - start
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith(f"domepilot: error: actuator sink {fifo}: [Errno 6] ")
+    assert len(result.stderr.splitlines()) == 1
+    assert not log.exists()
+    assert elapsed < 30
+
+
+@needs_linux_fifo
+def test_simulate_into_a_stalled_fifo_reader_waits_once_and_writes_the_log(fifo_run):
+    fifo, log, argv = fifo_run
+    with fifo_reader(fifo) as reader:  # opened, never read until the command exits
+        start = time.monotonic()
+        result = subprocess.run(argv(0.5), env=src_env(), capture_output=True, text=True,
+                                timeout=120)
+        elapsed = time.monotonic() - start
+        received = os.read(reader, 1 << 16)
+    assert result.returncode == 2
+    wire = wire_of(log)
+    assert len(wire) == 1000 * 8  # the full log
+    # The pipe took the first 512 lines; the 513th waited out the timeout and cut the
+    # sink off, so the 488 after it failed without a wait (a wait each would take 244 s).
+    assert received == wire[:4096]
+    assert "first failure: actuator sink write failed: no wire line taken within 0.5 s" in (
+        result.stderr)
+    assert result.stderr.splitlines()[-1] == (
+        f"domepilot: error: actuator sink failed on 488 of 1000 frames; "
+        f"decision log written to {log}")
+    assert elapsed < 0.5 + 30
+
+
+@needs_linux_fifo
+def test_a_draining_fifo_reader_gets_every_wire_line_in_log_order(fifo_run):
+    fifo, log, argv = fifo_run
+    chunks = []
+    with fifo_reader(fifo) as reader:
+        child = subprocess.Popen(argv(5), env=src_env(), stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 120
+            while True:
+                exited = child.poll() is not None  # then one more read takes the rest
+                with contextlib.suppress(BlockingIOError):  # the writer is open, the pipe empty
+                    chunks.append(os.read(reader, 1 << 16))
+                if exited:
+                    break
+                assert time.monotonic() < deadline
+                time.sleep(0.005)  # a slow reader: the sink waits for it
+            out, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+    assert child.returncode == 0, err
+    assert json.loads(out)["frames"] == 1000
+    assert b"".join(chunks) == wire_of(log) and len(wire_of(log)) == 1000 * 8
 
 
 def test_simulate_with_a_failing_sink_writes_the_log_and_exits_2(workspace, tmp_path,
@@ -1220,8 +1358,8 @@ def test_a_command_runs_without_the_cyclic_gc_and_puts_its_state_back(workspace,
 
 # ---------------------------------------------------------------- imports
 
-PROBED_MODULES = ("numpy", "domepilot.knn", "dataclasses", "hashlib", "socket", "logging",
-                  "domepilot.controller", "domepilot.tree", "domepilot.knnmodel",
+PROBED_MODULES = ("numpy", "domepilot.knn", "dataclasses", "hashlib", "socket", "select",
+                  "logging", "domepilot.controller", "domepilot.tree", "domepilot.knnmodel",
                   "domepilot.metrics", "domepilot.raw", "domepilot.grow")
 IMPORT_PROBE = ("import sys\n"
                 "from domepilot import cli\n"
@@ -1265,9 +1403,10 @@ def test_numpy_is_imported_only_where_it_computes(workspace, tmp_path):
     }
     # numpy, through the k-NN kernel, is imported only where a k-NN computes with it,
     # hashlib only where prepare hashes the dataset; no command imports dataclasses,
-    # and no file sink imports socket. Each command imports only the package modules
-    # it runs: the model's, metrics to evaluate, the controller to decide and the
-    # raw-row parsers to read raw rows, frames or predict flags; only train dt grows.
+    # and no file sink imports socket, nor select until it must wait for its reader.
+    # Each command imports only the package modules it runs: the model's, metrics to
+    # evaluate, the controller to decide and the raw-row parsers to read raw rows, frames
+    # or predict flags; only train dt grows.
     # No command imports logging: main prints the warnings of prepare's unverified hash
     # and simulate's rejected frame rows on stderr itself.
     tree, grow = {"domepilot.tree"}, {"domepilot.grow"}

@@ -3,11 +3,11 @@ import errno
 import io
 import json
 import math
+import os
 import pickle
 import re
 import socket
 import socketserver
-import struct
 import threading
 import time
 import types
@@ -470,7 +470,7 @@ def test_tcp_sink_delivers_lines():
 
 
 def test_a_stalled_tcp_peer_gets_no_undelivered_line(monkeypatch, caplog):
-    monkeypatch.setattr(controller, "TCP_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(controller, "SINK_TIMEOUT_S", 0.5)
     # The peer is accepted but reads nothing until the sink is closed: once
     # the socket buffers are full, a send waits out the timeout.
     with socket.socket() as listener:
@@ -500,31 +500,37 @@ def test_a_stalled_tcp_peer_gets_no_undelivered_line(monkeypatch, caplog):
     assert received == b"D:0 A:1\n" * delivered
 
 
-def test_a_partial_tcp_send_resets_the_connection():
-    class PartialConn:
-        sent = []
-        options = []
-        closed = False
+def os_with_write(write):
+    """The ``os`` module as the controller sees it, with ``os.write`` replaced."""
+    return types.SimpleNamespace(**{**vars(os), "write": write})
 
-        def send(self, data):
-            self.sent.append(data)
-            return 3
 
-        def setsockopt(self, *option):
-            self.options.append(option)
+def test_a_partial_tcp_send_resets_the_connection(monkeypatch):
+    writes = []
 
-        def close(self):
-            self.closed = True
+    def three_bytes(fd, data):
+        writes.append(data)
+        return os.write(fd, data[:3])
 
-    conn = PartialConn()
-    sink = controller._TcpSink(conn)
-    with pytest.raises(SignalDeliveryError, match="only 3 of 8 bytes"):
-        emit_signal(command_for(1), sink)
-    assert conn.closed
-    assert conn.options == [(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))]
-    with pytest.raises(SignalDeliveryError, match="dropped"):
-        emit_signal(command_for(0, rain=True), sink)
-    assert conn.sent == [b"D:1 A:0\n"]
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        port = listener.getsockname()[1]
+        with open_sink(f"tcp:127.0.0.1:{port}") as sink:
+            peer, _ = listener.accept()
+            assert isinstance(sink, controller._Sink)
+            monkeypatch.setattr(controller, "os", os_with_write(three_bytes))
+            with pytest.raises(SignalDeliveryError, match="only 3 of 8 bytes"):
+                emit_signal(command_for(1), sink)
+            with pytest.raises(SignalDeliveryError, match="cut off"):
+                emit_signal(command_for(0, rain=True), sink)
+        with peer:
+            peer.settimeout(5.0)
+            # The peer reads the fragment, then the reset: no EOF, no later line.
+            assert peer.recv(64) == b"D:1"
+            with pytest.raises(ConnectionResetError):
+                peer.recv(64)
+    assert writes == [b"D:1 A:0\n"]
 
 
 def test_bad_tcp_spec_is_rejected():
@@ -571,62 +577,57 @@ def test_a_sink_that_fails_to_open_is_named(tmp_path):
 def test_a_file_sink_write_that_fails_drops_its_line(tmp_path, monkeypatch):
     writes = 0
 
-    class FullOnSecondWrite(io.FileIO):
-        def write(self, data):
-            nonlocal writes
-            writes += 1
-            if writes == 2:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return super().write(data)
+    def full_on_second_write(fd, data):
+        nonlocal writes
+        writes += 1
+        if writes == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return os.write(fd, data)
 
-    def open_with_full_raw(file, mode="r", buffering=-1, **text_args):
-        # The layers the builtin open would stack for mode and buffering,
-        # over a raw file whose second write fails.
-        raw = FullOnSecondWrite(file, mode.replace("b", "").replace("t", ""))
-        if buffering == 0:
-            return raw
-        buffered = io.BufferedWriter(raw)
-        return buffered if "b" in mode else io.TextIOWrapper(buffered, **text_args)
-
-    monkeypatch.setattr(controller, "open", open_with_full_raw, raising=False)
     path = tmp_path / "wire.txt"
     frames = [frame(tick=0), frame(tick=1, rain=True), frame(tick=2), frame(tick=3)]
     with open_sink(str(path)) as sink:
+        monkeypatch.setattr(controller, "os", os_with_write(full_on_second_write))
         log = replay(constant_model(1), frames, sink=sink)
     assert [entry.command.dome for entry in log] == [1, 0, 1, 1]
-    assert log.undelivered == 1
+    assert log.undelivered == 1 and writes == 4
     # The rain frame's close line never reaches the file, not even late.
     assert path.read_bytes() == b"D:1 A:0\n" * 3
 
 
-def test_a_short_file_sink_write_is_undelivered():
-    class Short:
-        def write(self, data):
-            return None if data.startswith(b"D:0") else 3
+def test_a_short_file_sink_write_is_undelivered(monkeypatch):
+    def short(fd, data):
+        if data.startswith(b"D:0"):
+            raise OSError(errno.EIO, "Input/output error")
+        return os.write(fd, data[:3])
 
-    sink = controller._FileSink(Short())
-    # A write that took nothing leaves the sink usable, so it goes first.
-    with pytest.raises(SignalDeliveryError, match="only 0 of 8 bytes"):
-        emit_signal(command_for(0, rain=True), sink)
-    with pytest.raises(SignalDeliveryError, match="only 3 of 8 bytes"):
-        emit_signal(command_for(1), sink)
+    read_end, write_end = os.pipe()
+    try:
+        sink = controller._Sink(write_end)
+        monkeypatch.setattr(controller, "os", os_with_write(short))
+        # A write that raised took nothing and leaves the sink usable, so it goes first.
+        with pytest.raises(SignalDeliveryError, match="Input/output error"):
+            emit_signal(command_for(0, rain=True), sink)
+        with pytest.raises(SignalDeliveryError, match="only 3 of 8 bytes"):
+            emit_signal(command_for(1), sink)
+        assert os.read(read_end, 64) == b"D:1"
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 def test_a_partial_file_sink_write_fails_every_later_line(tmp_path, monkeypatch):
     writes = 0
 
-    class ShortOnSecondWrite(io.FileIO):
-        def write(self, data):
-            nonlocal writes
-            writes += 1
-            return super().write(data[:3] if writes == 2 else data)
+    def short_on_second_write(fd, data):
+        nonlocal writes
+        writes += 1
+        return os.write(fd, data[:3] if writes == 2 else data)
 
-    monkeypatch.setattr(controller, "open",
-                        lambda file, mode, buffering: ShortOnSecondWrite(file, "w"),
-                        raising=False)
     path = tmp_path / "wire.txt"
     frames = [frame(tick=t) for t in range(4)]
     with open_sink(str(path)) as sink:
+        monkeypatch.setattr(controller, "os", os_with_write(short_on_second_write))
         log = replay(constant_model(1), frames, sink=sink)
     assert [entry.command.dome for entry in log] == [1, 1, 1, 1]
     assert log.undelivered == 3 and writes == 2
